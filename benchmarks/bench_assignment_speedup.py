@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.cut import Cut
 from repro.core.compression import apply_abstraction
-from repro.provenance.valuation import CompiledProvenanceSet, Valuation
+from repro.provenance import CompiledProvenanceSet, Valuation
 
 #: compression level -> plan-tree cut nodes
 LEVELS = {

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 from repro.batch import BatchEvaluator
 from repro.engine.scenario import Scenario
 from repro.provenance.polynomial import ProvenanceSet
-from repro.provenance.valuation import CompiledProvenanceSet, Valuation
+from repro.provenance import CompiledProvenanceSet, Valuation
 from repro.workloads.telephony import (
     TelephonyConfig,
     generate_revenue_provenance,

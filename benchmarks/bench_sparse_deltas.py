@@ -157,7 +157,7 @@ def measure(
 
     # --- compiled-store measurements ------------------------------------
     from repro.provenance.store import clear_store_cache, open_store
-    from repro.provenance.valuation import CompiledProvenanceSet
+    from repro.provenance import CompiledProvenanceSet
 
     with tempfile.TemporaryDirectory() as tmp:
         store_path = os.path.join(tmp, "bench.cps")

@@ -24,7 +24,7 @@ import numpy as np
 from repro.batch import BatchEvaluator
 from repro.obs import get_registry
 from repro.provenance.store import write_store
-from repro.provenance.valuation import CompiledProvenanceSet
+from repro.provenance import CompiledProvenanceSet
 from repro.resilience import (
     FaultPlan,
     FaultSpec,

@@ -27,7 +27,6 @@ from repro.exceptions import (
 )
 from repro.provenance import (
     SEMIRING_BACKEND_NAMES,
-    CompiledPolynomial,
     CompiledProvenanceSet,
     Monomial,
     Polynomial,
@@ -88,7 +87,6 @@ __all__ = [
     "InvalidCutError",
     "InvalidTreeError",
     "UnsupportedPolynomialError",
-    "CompiledPolynomial",
     "CompiledProvenanceSet",
     "Monomial",
     "Polynomial",

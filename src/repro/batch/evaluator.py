@@ -12,7 +12,7 @@ evaluates the whole sweep with one of three vectorised pipelines:
 * **sparse** — the baseline valuation is evaluated **once**, then each
   scenario is applied as a ``(changed_columns, new_values)`` delta through
   the compiled sets' inverted variable→monomial index
-  (:meth:`~repro.provenance.valuation.CompiledProvenanceSet.evaluate_deltas`),
+  (:meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_deltas`),
   recomputing only affected monomials/segments.  Real what-if traffic
   perturbs a few variables per scenario, so this is the hot path;
 * **factored** — for structured sweeps sharing a common operation prefix
@@ -61,12 +61,9 @@ from repro.exceptions import SerializationError
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_span, get_tracer, trace, tracing_enabled
 from repro.provenance.backends import BackendLike, resolve_backend
+from repro.provenance.backends.numeric import CompiledProvenanceSet
 from repro.provenance.polynomial import ProvenanceSet
-from repro.provenance.valuation import (
-    CompiledProvenanceSet,
-    FingerprintCache,
-    Valuation,
-)
+from repro.provenance.valuation import FingerprintCache, Valuation
 from repro.resilience import (
     RetryPolicy,
     active_plan_spec,
@@ -721,16 +718,6 @@ class BatchEvaluator:
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss/size counters of the compiled-provenance cache."""
         return self._compiled.info()
-
-    @property
-    def cache_stats(self) -> Dict[str, int]:
-        """Deprecated alias for :meth:`cache_info` (kept as a thin view).
-
-        The canonical surface is the process-wide metrics registry
-        (``repro.obs.get_registry().snapshot()``, counters
-        ``batch.compile_cache.hits`` / ``batch.compile_cache.misses``).
-        """
-        return self.cache_info()
 
     def clear_cache(self) -> None:
         """Drop every cached compilation (counters are kept)."""

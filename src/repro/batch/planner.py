@@ -8,10 +8,10 @@ shared, sorted variable universe — in one of two shapes:
 
 * :meth:`ScenarioBatch.valuation_matrix` — the dense ``scenarios ×
   variables`` matrix, feeding
-  :meth:`~repro.provenance.valuation.CompiledProvenanceSet.evaluate_matrix`;
+  :meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_matrix`;
 * :meth:`ScenarioBatch.delta_plan` — the sparse lowering: one shared base
   row plus per-scenario ``(changed_columns, new_values)`` pairs, feeding
-  :meth:`~repro.provenance.valuation.CompiledProvenanceSet.evaluate_deltas`.
+  :meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_deltas`.
   Real what-if scenarios perturb a handful of variables, so the plan is a
   few cells per scenario instead of a full row.
 """

@@ -396,16 +396,6 @@ class Compressor:
         """Hit/miss/size counters of the trajectory cache."""
         return self._trajectories.info()
 
-    @property
-    def cache_stats(self) -> Dict[str, int]:
-        """Deprecated alias for :meth:`cache_info` (kept as a thin view).
-
-        The canonical surface is the process-wide metrics registry
-        (``repro.obs.get_registry().snapshot()``, counters
-        ``compress.trajectory_cache.hits`` / ``.misses``).
-        """
-        return self.cache_info()
-
     def clear_cache(self) -> None:
         """Drop this instance's cached trajectories (counters are kept).
 

@@ -22,11 +22,9 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Unio
 
 from repro.exceptions import SerializationError, SessionStateError
 from repro.provenance.backends import BackendLike, resolve_backend
+from repro.provenance.backends.numeric import CompiledProvenanceSet
 from repro.provenance.polynomial import ProvenanceSet
-from repro.provenance.valuation import (
-    CompiledProvenanceSet,
-    Valuation,
-)
+from repro.provenance.valuation import Valuation
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
 from repro.core.compression import Abstraction, Compressor
 from repro.core.defaults import default_meta_valuation

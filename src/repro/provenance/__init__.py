@@ -10,8 +10,9 @@ This subpackage implements the provenance model COBRA consumes:
   framework of Green et al. (PODS 2007) together with standard instances;
 * :mod:`repro.provenance.semimodule` — aggregate provenance in the spirit of
   Amsterdamer et al. (PODS 2011), producing symbolic aggregate expressions;
-* :mod:`repro.provenance.valuation` — assignments of values to variables and
-  fast (vectorised) evaluation of polynomials under them;
+* :mod:`repro.provenance.valuation` — assignments of values to variables;
+* :mod:`repro.provenance.backends` — per-semiring evaluation, including the
+  numpy-compiled (vectorised) forms of the numeric semirings;
 * :mod:`repro.provenance.parser` — a text format for polynomials;
 * :mod:`repro.provenance.serialization` — JSON round-tripping;
 * :mod:`repro.provenance.store` — zero-copy mmap-able compiled stores.
@@ -20,12 +21,7 @@ This subpackage implements the provenance model COBRA consumes:
 from repro.provenance.variables import Variable, VariableRegistry
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
-from repro.provenance.valuation import (
-    Valuation,
-    CompiledPolynomial,
-    CompiledProvenanceSet,
-    FingerprintCache,
-)
+from repro.provenance.valuation import Valuation, FingerprintCache
 from repro.provenance.parser import parse_polynomial, format_polynomial
 from repro.provenance.semiring import (
     Semiring,
@@ -39,6 +35,7 @@ from repro.provenance.semiring import (
 )
 from repro.provenance.backends import (
     SEMIRING_BACKEND_NAMES,
+    CompiledProvenanceSet,
     BooleanBackend,
     GenericBackend,
     LineageBackend,
@@ -73,7 +70,6 @@ __all__ = [
     "Polynomial",
     "ProvenanceSet",
     "Valuation",
-    "CompiledPolynomial",
     "CompiledProvenanceSet",
     "FingerprintCache",
     "parse_polynomial",

@@ -12,7 +12,7 @@ Five backends ship by default:
 ========== ============================ =======================================
 name       semiring                     evaluator
 ========== ============================ =======================================
-``real``   counting ``(R, +, *)``       numpy (``CompiledProvenanceSet``)
+``real``   counting ``(R, +, *)``       numpy (``np.add.reduceat`` kernel)
 ``tropical`` min-plus ``(R∪{∞},min,+)`` numpy (``np.minimum.reduceat`` kernel)
 ``bool``   Boolean ``({0,1},or,and)``   numpy (packed ``np.logical_or`` kernel)
 ``why``    witness sets                 pure Python (``evaluate_in_semiring``)
@@ -39,6 +39,7 @@ from repro.provenance.backends.generic import (
 )
 from repro.provenance.backends.numeric import (
     BooleanBackend,
+    CompiledProvenanceSet,
     NumericBackend,
     RealBackend,
     TropicalBackend,
@@ -56,6 +57,7 @@ SEMIRING_BACKEND_NAMES = backend_names()
 __all__ = [
     "BackendLike",
     "CompiledSemiringSet",
+    "CompiledProvenanceSet",
     "SemiringBackend",
     "NumericBackend",
     "RealBackend",

@@ -32,10 +32,11 @@ from repro.provenance.semiring import Semiring
 class CompiledSemiringSet(ABC):
     """A provenance set compiled for repeated evaluation in one semiring.
 
-    Mirrors the surface of
-    :class:`~repro.provenance.valuation.CompiledProvenanceSet` (which *is*
-    the real backend's compiled form) so the session and batch layers can
-    dispatch without caring which backend produced the compilation.
+    The numeric backends' compiled sets
+    (:mod:`repro.provenance.backends.numeric`, e.g. the real backend's
+    ``CompiledProvenanceSet``) and the generic fallback share this surface,
+    so the session and batch layers can dispatch without caring which
+    backend produced the compilation.
     """
 
     #: Empty so slotted compilations (every numeric kernel) stay dict-free.

@@ -1,11 +1,13 @@
 """Numpy-backed backends for numeric semirings.
 
-Three backends share the segmented-kernel layout pioneered by
-:class:`~repro.provenance.valuation.CompiledProvenanceSet` (monomials grouped
-by factor count, sorted by result row, per-row totals via ``*.reduceat``):
+Three backends share one compiled-set implementation,
+:class:`_CompiledNumericSet` (monomials grouped by factor count, sorted by
+result row, per-row totals via ``*.reduceat``); each subclass supplies only
+the algebra hooks:
 
-* :class:`RealBackend` — the counting semiring ``(R, +, *)``; its compiled
-  form *is* ``CompiledProvenanceSet``, so the float pipeline is unchanged;
+* :class:`RealBackend` — the counting semiring ``(R, +, *)``, compiled to
+  :class:`CompiledProvenanceSet`: a monomial contributes ``c · ∏ x^e`` and
+  rows sum (``np.add.reduceat``);
 * :class:`TropicalBackend` — min-plus: a monomial's contribution is its
   coefficient (a fixed cost) plus the exponent-weighted sum of its variables'
   costs, and per-row totals are segmented minima (``np.minimum.reduceat``);
@@ -16,11 +18,15 @@ by factor count, sorted by result row, per-row totals via ``*.reduceat``):
 All three consume the same ``scenarios × variables`` float matrices the
 batch planner produces (the Boolean backend thresholds them at non-zero), so
 the chunked/threaded matrix pipeline works for every numeric semiring.
+Sparse scenarios have two delta kernels: the base class re-reduces the
+affected segments (min and or are not invertible), while the real semiring,
+whose ``+`` is, applies multiplicative ratio updates to the touched
+monomials.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,21 +49,43 @@ from repro.provenance.semiring import (
     TropicalSemiring,
 )
 
+#: One sparse scenario: ``(changed column indices, new values)`` relative to
+#: a shared base vector in a compiled set's variable order.
+DeltaPlanRow = Tuple[np.ndarray, np.ndarray]
 
-#: Distinct baselines whose delta state a compiled set keeps, LRU-evicted —
-#: sized for the factored batch path's two-baseline working set (see
-#: ``repro.provenance.valuation._DELTA_BASELINE_SLOTS``).
+#: Distinct baselines whose delta state a compiled set keeps, LRU-evicted.
+#: Two is the working set of a factored batch (original baseline for the
+#: report, factored baseline for the residual deltas); a little headroom
+#: covers interleaved sweeps.
 _DELTA_BASELINE_SLOTS = 4
 
-#: One cached delta-state entry: ``(key, base_vector, per-group segment
-#: reductions, totals)``.
-_DeltaState = Tuple[bytes, np.ndarray, Tuple[np.ndarray, ...], np.ndarray]
+#: One group's sparse delta index: ``(inverted variable→monomial index,
+#: per-monomial result rows, per-segment end offsets)``.
+_DeltaGroup = Tuple[VariableIncidence, np.ndarray, np.ndarray]
+
+#: One cached delta-state entry: ``(key, base_vector, per-group monomial
+#: contributions, per-group segment reductions, totals)``.
+_DeltaState = Tuple[
+    bytes, np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...], np.ndarray
+]
 
 
 class _SegmentGroup:
-    """One width-group of monomials, row-sorted for segmented reductions."""
+    """One width-group of monomials, row-sorted for segmented reductions.
 
-    __slots__ = ("coefficients", "indices", "exponents", "segment_starts", "segment_rows")
+    All monomials with the same number of factors live in one group, sorted
+    by result row so per-row totals are a contiguous segmented reduction
+    (``*.reduceat``) instead of a scattered ``ufunc.at``.
+    """
+
+    __slots__ = (
+        "coefficients",
+        "indices",
+        "exponents",
+        "segment_starts",
+        "segment_rows",
+        "has_higher_powers",
+    )
 
     def __init__(
         self,
@@ -74,10 +102,21 @@ class _SegmentGroup:
         boundaries = np.flatnonzero(np.diff(rows)) + 1
         self.segment_starts: np.ndarray = np.concatenate(([0], boundaries))
         self.segment_rows: np.ndarray = rows[self.segment_starts]
+        self.has_higher_powers: bool = bool(np.any(self.exponents != 1.0))
 
 
 class _CompiledNumericSet(CompiledSemiringSet):
-    """Shared compilation for numeric semirings; subclasses fix the algebra."""
+    """A :class:`ProvenanceSet` compiled for fast repeated assignment.
+
+    All polynomials share one variable index; the monomials are lowered into
+    flat numpy arrays (coefficient vector, variable-index matrix, exponent
+    matrix) grouped by factor count and sorted by result row.  Evaluating the
+    whole set under one valuation — or a whole ``scenarios × variables``
+    matrix of valuations (:meth:`evaluate_matrix`) — is a handful of
+    vectorised operations with no per-monomial Python loop.  Subclasses fix
+    the algebra through a few hooks (constant fold, per-monomial
+    contribution, segmented reduction, row accumulation).
+    """
 
     supports_deltas = True
 
@@ -91,7 +130,6 @@ class _CompiledNumericSet(CompiledSemiringSet):
         "_index",
         "_constant",
         "_groups",
-        "_num_constants",
         "_delta_index",
         "_delta_baseline",
         "_fingerprint",
@@ -102,11 +140,9 @@ class _CompiledNumericSet(CompiledSemiringSet):
     _identity: float = 0.0
 
     def __init__(self, provenance: ProvenanceSet) -> None:
-        self._delta_index: Optional[
-            Tuple[Tuple[Any, np.ndarray, np.ndarray], ...]
-        ] = None
+        self._delta_index: Optional[Tuple[_DeltaGroup, ...]] = None
         self._delta_baseline: List[_DeltaState] = []
-        self._fingerprint = provenance.fingerprint()
+        self._fingerprint: Optional[str] = provenance.fingerprint()
         self._store_path: Optional[str] = None
         self._keys: Tuple[Tuple, ...] = provenance.keys()
         variables = sorted(provenance.variables())
@@ -115,14 +151,12 @@ class _CompiledNumericSet(CompiledSemiringSet):
         key_index = {key: i for i, key in enumerate(self._keys)}
 
         self._constant = np.full(len(self._keys), self._identity, dtype=np.float64)
-        self._num_constants = 0
         by_width: Dict[int, List[Tuple[int, float, List[int], List[int]]]] = {}
         for key, polynomial in provenance.items():
             row = key_index[key]
             for monomial, coefficient in polynomial.terms():
                 if monomial.is_unit():
                     self._fold_constant(row, coefficient)
-                    self._num_constants += 1
                     continue
                 var_indices: List[int] = []
                 exponents: List[int] = []
@@ -175,34 +209,54 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     @property
     def keys(self) -> Tuple[Tuple, ...]:
+        """The result keys, in the order of the rows :meth:`evaluate` returns."""
         return self._keys
 
     @property
     def variables(self) -> Tuple[str, ...]:
+        """All variables of the compiled set, sorted."""
         return self._variables
 
     def size(self) -> int:
-        return self._num_constants + sum(len(g.coefficients) for g in self._groups)
+        """Total number of monomials (the provenance size).
+
+        A normalised polynomial has at most one unit monomial, so every
+        constant slot that differs from the identity is exactly one.
+        """
+        constants = int(np.count_nonzero(self._constant != self._identity))
+        return constants + sum(len(g.coefficients) for g in self._groups)
 
     @property
-    def source_fingerprint(self) -> str:
+    def source_fingerprint(self) -> Optional[str]:
         """The fingerprint of the provenance set this was compiled from."""
         return self._fingerprint
 
     @property
-    def store_path(self) -> "str | None":
-        """The compiled store backing this set's arrays (``None`` if in-memory)."""
+    def store_path(self) -> Optional[str]:
+        """The compiled store backing this set's arrays (``None`` if in-memory).
+
+        Set only by :func:`repro.provenance.store.open_store` — batch layers
+        use it to ship a path (not a pickle) to worker processes.
+        """
         return self._store_path
 
     def to_store(self, path: str) -> str:
-        """Persist this compiled set as a mmap-able store file at ``path``."""
+        """Persist this compiled set as a mmap-able store file at ``path``.
+
+        See :func:`repro.provenance.store.write_store`; the set itself keeps
+        its in-memory arrays (reopen via :meth:`from_store` for mapped ones).
+        """
         from repro.provenance.store import write_store
 
         return write_store(self, path)
 
     @classmethod
     def from_store(cls, path: str) -> "_CompiledNumericSet":
-        """Open the compiled store at ``path`` as an instance of this class."""
+        """Open the compiled store at ``path`` as an instance of this class.
+
+        Raises :class:`~repro.exceptions.SerializationError` if the store
+        was written by a different backend.
+        """
         from repro.exceptions import SerializationError
         from repro.provenance.store import open_store
 
@@ -215,9 +269,11 @@ class _CompiledNumericSet(CompiledSemiringSet):
         return compiled
 
     def variable_index(self) -> Dict[str, int]:
+        """A copy of the variable → column index shared by every polynomial."""
         return dict(self._index)
 
     def values_vector(self, valuation: Mapping[str, Any]) -> np.ndarray:
+        """Lower a valuation to a value vector in this set's variable order."""
         missing = [name for name in self._variables if name not in valuation]
         if missing:
             raise MissingValuationError(missing)
@@ -226,13 +282,37 @@ class _CompiledNumericSet(CompiledSemiringSet):
         )
 
     def evaluate(self, valuation: Mapping[str, Any]) -> Dict[Tuple, Any]:
-        totals = self.evaluate_matrix(self.values_vector(valuation)[np.newaxis, :])[0]
+        """Evaluate every polynomial, returning key → semiring value."""
+        totals = self._evaluate_values(self.values_vector(valuation))
         return {key: self._to_python(totals[i]) for i, key in enumerate(self._keys)}
 
     def _to_python(self, value: np.floating) -> Any:
         return float(value)
 
+    def evaluate_vector(self, valuation: Mapping[str, Any]) -> np.ndarray:
+        """Like :meth:`evaluate` but returning a bare numpy vector (fast path)."""
+        values = np.array(
+            [float(valuation[name]) for name in self._variables], dtype=np.float64
+        )
+        return self._evaluate_values(values)
+
+    def _evaluate_values(self, values: np.ndarray) -> np.ndarray:
+        totals = self._constant.copy()
+        for group in self._groups:
+            segments = self._reduce(
+                self._contributions(group, values), group.segment_starts, axis=0
+            )
+            self._fold_rows(totals, group.segment_rows, segments)
+        return totals
+
     def evaluate_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Evaluate a whole ``scenarios × variables`` matrix of valuations.
+
+        ``matrix`` must have one column per variable of :attr:`variables`, in
+        that order (build it with :meth:`values_vector` rows or via
+        :class:`repro.batch.ScenarioBatch`).  Returns a
+        ``scenarios × groups`` array whose columns follow :attr:`keys`.
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != len(self._variables):
             raise ValueError(
@@ -248,6 +328,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
         return totals
 
     def evaluate_many(self, valuations: Sequence[Mapping[str, Any]]) -> np.ndarray:
+        """Evaluate a batch of valuation mappings (rows follow the input order)."""
         if not valuations:
             return np.zeros((0, len(self._keys)), dtype=np.float64)
         matrix = np.stack([self.values_vector(v) for v in valuations])
@@ -256,36 +337,49 @@ class _CompiledNumericSet(CompiledSemiringSet):
     # -- sparse delta evaluation ----------------------------------------------
 
     def dense_row_footprint(self) -> int:
-        """float64 cells :meth:`evaluate_matrix` materialises per scenario row."""
+        """float64 cells :meth:`evaluate_matrix` materialises per scenario row.
+
+        The gather/power/product temporaries over every monomial factor
+        dominate; chunking layers use this to bound peak memory.
+        """
         cells = len(self._variables) + len(self._keys)
         for group in self._groups:
             cells += group.indices.size
         return max(1, cells)
 
-    def _delta_groups(self) -> Tuple[Tuple[Any, np.ndarray, np.ndarray], ...]:
-        """Per-group inverted index, per-monomial rows and segment extents."""
+    def _delta_groups(self) -> Tuple[_DeltaGroup, ...]:
+        """Per-group inverted index, per-monomial rows and segment extents.
+
+        Immutable once built (concurrent builders may race, but every result
+        is equivalent), so cached compiled sets stay safe to share.
+        """
         if self._delta_index is None:
-            built = []
-            for group in self._groups:
-                num_monomials = len(group.coefficients)
-                built.append(
-                    (
-                        VariableIncidence.from_factor_arrays(
-                            len(self._variables), group.indices, group.exponents
-                        ),
-                        expand_segment_rows(
-                            group.segment_starts, group.segment_rows, num_monomials
-                        ),
-                        np.append(
-                            group.segment_starts[1:], num_monomials
-                        ).astype(np.intp),
+            with trace(
+                "incidence.delta_index",
+                groups=len(self._groups),
+                variables=len(self._variables),
+            ):
+                built = []
+                for group in self._groups:
+                    num_monomials = len(group.coefficients)
+                    built.append(
+                        (
+                            VariableIncidence.from_factor_arrays(
+                                len(self._variables), group.indices, group.exponents
+                            ),
+                            expand_segment_rows(
+                                group.segment_starts, group.segment_rows, num_monomials
+                            ),
+                            np.append(
+                                group.segment_starts[1:], num_monomials
+                            ).astype(np.intp),
+                        )
                     )
-                )
-            self._delta_index = tuple(built)
+                self._delta_index = tuple(built)
         return self._delta_index
 
     def _delta_state(self, base_vector: np.ndarray) -> _DeltaState:
-        """Baseline-once state: totals plus per-segment baseline reductions."""
+        """Baseline-once state: contributions, segment reductions, totals."""
         base_vector = np.asarray(base_vector, dtype=np.float64)
         if base_vector.shape != (len(self._variables),):
             raise ValueError(
@@ -294,28 +388,27 @@ class _CompiledNumericSet(CompiledSemiringSet):
             )
         key = base_vector.tobytes()
         cache = self._delta_baseline
-        if cache is None:
-            cache = self._delta_baseline = []
         for i, cached in enumerate(cache):
             if cached[0] == key:
                 if i:
                     # Move-to-front LRU: the factored batch path alternates
-                    # between the original and the factored baseline.
+                    # between the original and the factored baseline, so a
+                    # one-slot cache would rebuild on every alternation.
                     cache.insert(0, cache.pop(i))
                 return cached
+        contributions: List[np.ndarray] = []
         segment_values: List[np.ndarray] = []
         totals = self._constant.copy()
         for group in self._groups:
-            segments = self._reduce(
-                self._contributions(group, base_vector),
-                group.segment_starts,
-                axis=0,
-            )
+            contrib = self._contributions(group, base_vector)
+            segments = self._reduce(contrib, group.segment_starts, axis=0)
+            contributions.append(contrib)
             segment_values.append(segments)
             self._fold_rows(totals, group.segment_rows, segments)
         entry: _DeltaState = (
             key,
             base_vector.copy(),
+            tuple(contributions),
             tuple(segment_values),
             totals,
         )
@@ -325,10 +418,10 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     def baseline_totals(self, base_vector: np.ndarray) -> np.ndarray:
         """The per-group results under ``base_vector`` (the sparse baseline)."""
-        return self._delta_state(base_vector)[3].copy()
+        return self._delta_state(base_vector)[4].copy()
 
     def evaluate_deltas(
-        self, base_vector: np.ndarray, plans: Sequence[Tuple[np.ndarray, np.ndarray]]
+        self, base_vector: np.ndarray, plans: Sequence[DeltaPlanRow]
     ) -> np.ndarray:
         """Evaluate sparse scenarios against one shared base vector.
 
@@ -342,7 +435,9 @@ class _CompiledNumericSet(CompiledSemiringSet):
         O(monomials inside affected segments), not O(all monomials).
         """
         index = self._delta_groups()
-        _key, base, segment_values, totals = self._delta_state(base_vector)
+        _key, base, _contributions, segment_values, totals = self._delta_state(
+            base_vector
+        )
         num_keys = len(self._keys)
         out = np.empty((len(plans), num_keys), dtype=np.float64)
         scratch = base.copy()
@@ -406,6 +501,208 @@ class _CompiledNumericSet(CompiledSemiringSet):
                     folded[np.searchsorted(in_rows, segments)] = recomputed
                 self._fold_rows(row, group.segment_rows[in_rows], folded)
             scratch[columns] = base[columns]
+        return out
+
+
+class CompiledProvenanceSet(_CompiledNumericSet):
+    """The counting semiring ``(R, +, *)`` compiled — the float pipeline.
+
+    A monomial contributes ``coefficient · ∏ x^e``, rows sum their
+    monomials (``np.add.reduceat``) and unit monomials fold into the
+    constant by addition.  Because ``+`` is invertible, sparse scenarios
+    take the ratio kernel of :meth:`evaluate_deltas` instead of the base
+    class's segment re-reduction.
+    """
+
+    __slots__ = ()
+
+    backend_name = "real"
+    _identity = 0.0
+
+    def _fold_constant(self, row: int, coefficient: float) -> None:
+        self._constant[row] += coefficient
+
+    def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
+        gathered = matrix[..., group.indices]
+        if group.has_higher_powers:
+            gathered = np.power(gathered, group.exponents)
+        return np.prod(gathered, axis=-1) * group.coefficients
+
+    def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
+        return np.add.reduceat(contributions, starts, axis=axis)
+
+    def _accumulate(self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray, axis: int) -> None:
+        totals[:, rows] += segments
+
+    def _fold_rows(
+        self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray
+    ) -> None:
+        totals[rows] += segments
+
+    def evaluate_deltas(
+        self, base_vector: np.ndarray, plans: Sequence[DeltaPlanRow]
+    ) -> np.ndarray:
+        """Evaluate sparse scenarios as deltas against one shared base vector.
+
+        Each plan is ``(changed_columns, new_values)`` over this set's
+        variable order, with distinct columns per plan (what
+        :meth:`~repro.batch.planner.ScenarioBatch.delta_plan` emits).  The
+        base valuation is evaluated once; the whole
+        batch of scenarios is then answered with a handful of vectorised
+        passes over the *occurrences* of changed variables (via the inverted
+        variable→monomial index) — O(touched monomials), not O(monomials ×
+        scenarios):
+
+        * every occurrence contributes its monomial's multiplicative ratio
+          update ``old · (new/base − 1)``, accumulated into per-scenario
+          result rows with one global ``bincount``;
+        * monomials touched by several changed variables of one scenario get
+          an exact product fix-up through two persistent scatter buffers;
+        * scenarios whose ratios misbehave (a zero, subnormal or otherwise
+          over/underflowing base value) fall back to one exact full
+          re-evaluation of their row.
+
+        Returns the same ``scenarios × groups`` array the dense
+        :meth:`evaluate_matrix` path produces for the corresponding rows.
+        """
+        index = self._delta_groups()
+        _key, base, contributions, _segments, totals = self._delta_state(
+            base_vector
+        )
+        num_keys = len(self._keys)
+        num_plans = len(plans)
+        out = np.tile(totals, (num_plans, 1))
+        if num_plans == 0 or num_keys == 0:
+            return out
+
+        # Split the batch: scenarios with finite per-column ratios take the
+        # vectorised delta passes; the rest (zero/subnormal base values) are
+        # re-evaluated exactly, one full row each.
+        column_parts: List[np.ndarray] = []
+        ratio_parts: List[np.ndarray] = []
+        sid_parts: List[np.ndarray] = []
+        exact: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        # Scenarios with a single changed column can never need the
+        # multi-touch product fix-up (a variable occurs once per monomial).
+        multi_column = np.zeros(num_plans, dtype=np.bool_)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for s, (columns, values) in enumerate(plans):
+                # Plans arrive as caller-shaped sequences; coercion is per-plan.
+                columns = np.asarray(columns, dtype=np.intp)  # cobralint: disable=CL003 -- per-plan input coercion
+                values = np.asarray(values, dtype=np.float64)  # cobralint: disable=CL003 -- per-plan input coercion
+                if columns.size == 0:
+                    continue
+                ratios = values / base[columns]
+                if np.isfinite(ratios).all():
+                    column_parts.append(columns)
+                    ratio_parts.append(ratios)
+                    sid_parts.append(
+                        np.full(columns.size, s, dtype=np.intp)
+                    )
+                    multi_column[s] = columns.size > 1
+                else:
+                    exact.append((s, columns, values))
+
+            bad_sids: Set[int] = set()
+            if column_parts:
+                all_columns = np.concatenate(column_parts)
+                all_ratios = np.concatenate(ratio_parts)
+                all_sids = np.concatenate(sid_parts)
+                corrections = np.zeros(num_plans * num_keys, dtype=np.float64)
+                any_multi = bool(multi_column.any())
+                for (incidence, monomial_rows, _ends), group, base_contrib in zip(
+                    index, self._groups, contributions
+                ):
+                    # Scatter buffers for the product fix-up, allocated per
+                    # call (not cached on the instance) so concurrently
+                    # shared compiled sets never race on them; they are
+                    # reset to the identity after each scenario segment.
+                    if any_multi:
+                        products = np.ones(
+                            len(group.coefficients), dtype=np.float64
+                        )
+                        counts = np.zeros(
+                            len(group.coefficients), dtype=np.float64
+                        )
+                    occ_pos, occ_exp, occ_counts = incidence.occurrences(
+                        all_columns
+                    )
+                    if occ_pos.size == 0:
+                        continue
+                    occ_ratio = np.repeat(all_ratios, occ_counts)
+                    if group.has_higher_powers:
+                        occ_ratio = np.power(occ_ratio, occ_exp)
+                    occ_sid = np.repeat(all_sids, occ_counts)
+                    old = base_contrib[occ_pos]
+                    linear = old * (occ_ratio - 1.0)
+                    if not np.isfinite(linear).all():
+                        # Over/underflowed updates poison their scenarios'
+                        # correction rows; re-evaluate those rows exactly
+                        # (the pollution is overwritten below).
+                        bad = ~np.isfinite(linear)
+                        bad_sids.update(int(s) for s in np.unique(occ_sid[bad]))
+                    corrections += np.bincount(
+                        occ_sid * num_keys + monomial_rows[occ_pos],
+                        weights=linear,
+                        minlength=num_plans * num_keys,
+                    )[: num_plans * num_keys]
+                    # Product fix-up: within one scenario, a monomial touched
+                    # by k >= 2 changed variables must contribute
+                    # old·(∏ratios − 1), not the sum of its linear updates.
+                    if not any_multi:
+                        continue
+                    boundaries = np.flatnonzero(
+                        np.concatenate(([True], occ_sid[1:] != occ_sid[:-1]))
+                    )
+                    ends = np.append(boundaries[1:], occ_sid.size)
+                    # cobralint: disable=CL003 -- iterates scenario segments,
+                    # not elements: one step per scenario with multi-touch
+                    # monomials, each step fully vectorised via ufunc.at.
+                    for b, e in zip(boundaries, ends):
+                        if e - b < 2 or not multi_column[occ_sid[b]]:
+                            continue
+                        pos = occ_pos[b:e]
+                        np.add.at(counts, pos, 1.0)
+                        k = counts[pos]
+                        collided = k > 1.0
+                        if collided.any():
+                            cpos = pos[collided]
+                            cratio = occ_ratio[b:e][collided]
+                            np.multiply.at(products, cpos, cratio)
+                            fix = old[b:e][collided] * (
+                                (products[cpos] - 1.0) / k[collided]
+                                - (cratio - 1.0)
+                            )
+                            if np.isfinite(fix).all():
+                                np.add.at(
+                                    corrections,
+                                    int(occ_sid[b]) * num_keys
+                                    + monomial_rows[cpos],
+                                    fix,
+                                )
+                            else:
+                                bad_sids.add(int(occ_sid[b]))
+                            products[cpos] = 1.0
+                        counts[pos] = 0.0
+                out += corrections.reshape(num_plans, num_keys)
+
+            # Exact fallback: one full (still vectorised) row re-evaluation
+            # per affected scenario — the cost of one dense row, only for
+            # the scenarios that need it.
+            if exact or bad_sids:
+                scratch = base.copy()
+                for s in sorted(bad_sids):
+                    exact.append(
+                        (
+                            s,
+                            np.asarray(plans[s][0], dtype=np.intp),  # cobralint: disable=CL003 -- rare overflow fallback, off the fast path
+                            np.asarray(plans[s][1], dtype=np.float64),  # cobralint: disable=CL003 -- rare overflow fallback, off the fast path
+                        )
+                    )
+                for s, columns, values in exact:
+                    scratch[columns] = values
+                    out[s] = self._evaluate_values(scratch)
+                    scratch[columns] = base[columns]
         return out
 
 
@@ -544,9 +841,7 @@ class RealBackend(NumericBackend):
     def semiring(self) -> Semiring:
         return self._semiring
 
-    def compile(self, provenance: ProvenanceSet) -> CompiledSemiringSet:
-        from repro.provenance.valuation import CompiledProvenanceSet
-
+    def compile(self, provenance: ProvenanceSet) -> CompiledProvenanceSet:
         with trace("backend.compile", backend=self.name, monomials=provenance.size()):
             return CompiledProvenanceSet(provenance)
 

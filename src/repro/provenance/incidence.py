@@ -7,8 +7,8 @@ place that question is answered:
 * :class:`VariableIncidence` — a column-indexed CSR inverted index over the
   flat ``(monomial, variable, exponent)`` factor arrays a compiled provenance
   set stores per width-group.  The sparse delta kernels
-  (:meth:`~repro.provenance.valuation.CompiledProvenanceSet.evaluate_deltas`
-  and the numeric backends') use it to find the monomial rows a scenario's
+  of the numeric backends' compiled sets
+  (:mod:`repro.provenance.backends.numeric`) use it to find the monomial rows a scenario's
   changed variables affect in O(occurrences), not O(monomials);
 * :class:`ProvenanceIncidence` / :func:`provenance_incidence` — the
   name-keyed incidence over the canonical enumeration order of a provenance

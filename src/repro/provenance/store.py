@@ -7,9 +7,9 @@ but every consumer then re-pays compilation (one pass over every monomial)
 — and PR 4's process pool re-pickled the whole compiled set into every
 worker.  This module persists the *compiled* form instead:
 
-* one binary file holding the width-group arrays of a
-  :class:`~repro.provenance.valuation.CompiledProvenanceSet` (or a numeric
-  backend's compiled set) **plus** the pre-built
+* one binary file holding the width-group arrays of a numeric backend's
+  compiled set (real, tropical or bool; see
+  :mod:`repro.provenance.backends.numeric`) **plus** the pre-built
   :class:`~repro.provenance.incidence.VariableIncidence` CSR arrays
   (``ptr``/``positions``/``exponents``) of its sparse delta index;
 * :func:`write_store` lays them out as 64-byte-aligned raw blocks behind a
@@ -115,8 +115,9 @@ def _compiled_blocks(compiled: Any) -> List[Tuple[str, np.ndarray]]:
         ("constant", np.ascontiguousarray(compiled._constant, dtype=_FLOAT_DTYPE))
     ]
     delta_index = compiled._delta_groups()
-    for i, (group, entry) in enumerate(zip(compiled._groups, delta_index)):
-        incidence, monomial_rows = entry[0], entry[1]
+    for i, (group, (incidence, monomial_rows, _ends)) in enumerate(
+        zip(compiled._groups, delta_index)
+    ):
         blocks.extend(
             (
                 (f"g{i}.coefficients", np.ascontiguousarray(group.coefficients, dtype=_FLOAT_DTYPE)),
@@ -136,9 +137,8 @@ def _compiled_blocks(compiled: Any) -> List[Tuple[str, np.ndarray]]:
 def write_store(compiled: Any, path: PathLike) -> str:
     """Persist ``compiled`` as a mmap-able store at ``path`` (atomically).
 
-    ``compiled`` must be one of the numeric compiled forms — a real
-    :class:`~repro.provenance.valuation.CompiledProvenanceSet` or a
-    tropical/bool backend set; its ``backend_name`` attribute names which.
+    ``compiled`` must be one of the numeric compiled forms (real, tropical
+    or bool); its ``backend_name`` attribute names which.
     Returns ``path`` (as a string) for chaining.
     """
     backend_name = getattr(compiled, "backend_name", None)
@@ -163,22 +163,19 @@ def write_store(compiled: Any, path: PathLike) -> str:
             }
             cursor += array.nbytes
 
-        groups_meta = []
-        for group in compiled._groups:
-            meta: Dict[str, object] = {
+        groups_meta = [
+            {
                 "monomials": int(len(group.coefficients)),
+                "has_higher_powers": bool(group.has_higher_powers),
             }
-            has_higher = getattr(group, "has_higher_powers", None)
-            if has_higher is not None:
-                meta["has_higher_powers"] = bool(has_higher)
-            groups_meta.append(meta)
+            for group in compiled._groups
+        ]
 
         payload = {
             "backend": backend_name,
             "fingerprint": compiled.source_fingerprint,
             "keys": [list(key) for key in compiled.keys],
             "variables": list(compiled.variables),
-            "num_constants": int(getattr(compiled, "_num_constants", 0)),
             "groups": groups_meta,
             "blocks": directory,
         }
@@ -340,36 +337,31 @@ def _as_key(item: object) -> object:
     return tuple(_as_key(part) for part in item) if isinstance(item, list) else item
 
 
-def _store_classes() -> Dict[str, Tuple[type, type]]:
-    # Imported lazily: valuation/backends import is cheap but would be a
-    # cycle at module import time (valuation lazily imports this module).
+def _open_store(path: str) -> "CompiledSemiringSet":
+    # Imported lazily: the compiled sets lazily import this module, so a
+    # module-level import would be a cycle.
     from repro.provenance.backends.numeric import (
+        CompiledProvenanceSet,
         _CompiledBooleanSet,
         _CompiledTropicalSet,
         _SegmentGroup,
     )
-    from repro.provenance.valuation import CompiledProvenanceSet, _MonomialGroup
-
-    return {
-        "real": (CompiledProvenanceSet, _MonomialGroup),
-        "tropical": (_CompiledTropicalSet, _SegmentGroup),
-        "bool": (_CompiledBooleanSet, _SegmentGroup),
-    }
-
-
-def _open_store(path: str) -> "CompiledSemiringSet":
     from repro.provenance.incidence import VariableIncidence
 
     fault_point("store.open", path=path)
     header = read_store_header(path)
     backend_name = header.get("backend")
-    classes = _store_classes()
+    classes: Dict[str, type] = {
+        "real": CompiledProvenanceSet,
+        "tropical": _CompiledTropicalSet,
+        "bool": _CompiledBooleanSet,
+    }
     if backend_name not in classes:
         raise SerializationError(
             f"{path}: unknown compiled-store backend {backend_name!r} "
             f"(this build reads {sorted(classes)})"
         )
-    set_class, group_class = classes[backend_name]
+    set_class = classes[backend_name]
     block = _BlockReader(path, header["blocks"], _data_start(path))
 
     compiled = set_class.__new__(set_class)
@@ -379,37 +371,29 @@ def _open_store(path: str) -> "CompiledSemiringSet":
     compiled._constant = block("constant")
     compiled._fingerprint = header.get("fingerprint")
     compiled._store_path = os.path.abspath(path)
-    if hasattr(compiled, "_num_constants"):
-        compiled._num_constants = int(header.get("num_constants", 0))
 
     groups = []
     delta_index = []
     for i, meta in enumerate(header.get("groups", [])):
-        group = group_class.__new__(group_class)
+        group = _SegmentGroup.__new__(_SegmentGroup)
         group.coefficients = block(f"g{i}.coefficients")
         group.indices = block(f"g{i}.indices")
         group.exponents = block(f"g{i}.exponents")
         group.segment_starts = block(f"g{i}.segment_starts")
         group.segment_rows = block(f"g{i}.segment_rows")
-        if hasattr(group_class, "has_higher_powers") or "has_higher_powers" in getattr(
-            group_class, "__slots__", ()
-        ):
-            group.has_higher_powers = bool(meta.get("has_higher_powers", False))
+        # Stores written before every backend recorded the flag lack it;
+        # True is always correct (it only enables the exponent power step).
+        group.has_higher_powers = bool(meta.get("has_higher_powers", True))
         groups.append(group)
         incidence = VariableIncidence(
             block(f"g{i}.inc.ptr"),
             block(f"g{i}.inc.positions"),
             block(f"g{i}.inc.exponents"),
         )
-        monomial_rows = block(f"g{i}.monomial_rows")
-        if backend_name == "real":
-            delta_index.append((incidence, monomial_rows))
-        else:
-            num_monomials = int(meta["monomials"])
-            ends = np.append(
-                group.segment_starts[1:], num_monomials
-            ).astype(np.intp)
-            delta_index.append((incidence, monomial_rows, ends))
+        ends = np.append(
+            group.segment_starts[1:], int(meta["monomials"])
+        ).astype(np.intp)
+        delta_index.append((incidence, block(f"g{i}.monomial_rows"), ends))
     compiled._groups = groups
     compiled._delta_index = tuple(delta_index)
     compiled._delta_baseline = []
@@ -439,7 +423,7 @@ def open_store(path: PathLike, cached: bool = True) -> "CompiledSemiringSet":
 
     The returned object is the exact compiled class the store's backend
     produces (``CompiledProvenanceSet`` for ``"real"``, the tropical/bool
-    kernels otherwise) with every array viewing the read-only mapped file —
+    compiled sets otherwise) with every array viewing the read-only mapped file —
     opening is O(header), not O(monomials), and concurrent processes share
     one page-cache copy of the data.
 

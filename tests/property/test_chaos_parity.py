@@ -153,10 +153,10 @@ class TestStoreChaos:
         scenarios = _scenarios()
         clean = BatchEvaluator().evaluate(provenance, scenarios)
         from repro.provenance.store import clear_store_cache, write_store
-        from repro.provenance.valuation import CompiledProvenanceSet
+        from repro.provenance.backends import resolve_backend
 
         path = tmp_path / "chaos.cps"
-        write_store(CompiledProvenanceSet(provenance), path)
+        write_store(resolve_backend("real").compile(provenance), path)
         clear_store_cache()
         quarantines_before = _counter("resilience.quarantines")
         plan = FaultPlan(
@@ -173,10 +173,10 @@ class TestStoreChaos:
     def test_transient_open_faults_are_retried(self, tmp_path):
         provenance = _provenance()
         from repro.provenance.store import clear_store_cache, write_store
-        from repro.provenance.valuation import CompiledProvenanceSet
+        from repro.provenance.backends import resolve_backend
 
         path = tmp_path / "flaky.cps"
-        write_store(CompiledProvenanceSet(provenance), path)
+        write_store(resolve_backend("real").compile(provenance), path)
         clear_store_cache()
         retries_before = _counter("resilience.retries.store.open")
         plan = FaultPlan([FaultSpec(site="store.open", kind="io", times=(0,))])
@@ -190,10 +190,10 @@ class TestStoreChaos:
         scenarios = _scenarios()
         clean = BatchEvaluator().evaluate(provenance, scenarios, mode="sparse")
         from repro.provenance.store import clear_store_cache, write_store
-        from repro.provenance.valuation import CompiledProvenanceSet
+        from repro.provenance.backends import resolve_backend
 
         path = tmp_path / "sharded.cps"
-        write_store(CompiledProvenanceSet(provenance), path)
+        write_store(resolve_backend("real").compile(provenance), path)
         clear_store_cache()
         plan = FaultPlan(
             [FaultSpec(site="batch.shard", kind="io", times=(0,))]

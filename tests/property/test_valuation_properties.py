@@ -4,13 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
-from repro.provenance.valuation import (
-    CompiledPolynomial,
-    CompiledProvenanceSet,
-    Valuation,
-)
+from repro.provenance.semiring import evaluate_in_semiring
+from repro.provenance.valuation import Valuation
 
 VARIABLE_NAMES = ["a", "b", "c", "d", "e", "f"]
 
@@ -44,52 +42,53 @@ def provenance_sets(draw, max_groups=4):
 
 @st.composite
 def valuations(draw):
-    return Valuation(
-        {
-            name: draw(
-                st.floats(
-                    min_value=-2.5, max_value=2.5, allow_nan=False, allow_infinity=False
-                )
+    return {
+        name: draw(
+            st.floats(
+                min_value=-2.5, max_value=2.5, allow_nan=False, allow_infinity=False
             )
-            for name in VARIABLE_NAMES
-        }
-    )
-
-
-class TestCompiledPolynomial:
-    @settings(max_examples=60)
-    @given(polynomials(), valuations())
-    def test_matches_naive_evaluation(self, polynomial, valuation):
-        compiled = CompiledPolynomial(polynomial)
-        assert compiled.evaluate(valuation) == pytest.approx(
-            polynomial.evaluate(valuation), rel=1e-6, abs=1e-6
         )
-
-    @given(polynomials())
-    def test_monomial_count_preserved(self, polynomial):
-        assert CompiledPolynomial(polynomial).num_monomials() == polynomial.num_monomials()
+        for name in VARIABLE_NAMES
+    }
 
 
-class TestCompiledProvenanceSet:
+def _reference(provenance, backend, valuation):
+    return {
+        key: evaluate_in_semiring(
+            polynomial,
+            backend.semiring,
+            valuation,
+            coefficient_embedding=backend.embed_coefficient,
+        )
+        for key, polynomial in provenance.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["real", "tropical", "bool"])
+class TestCompiledNumericSet:
     @settings(max_examples=40)
-    @given(provenance_sets(), valuations())
-    def test_matches_naive_evaluation(self, provenance, valuation):
-        compiled = CompiledProvenanceSet(provenance)
-        naive = provenance.evaluate(valuation)
-        fast = compiled.evaluate(valuation)
+    @given(provenance=provenance_sets(), values=valuations())
+    def test_matches_reference_evaluation(self, name, provenance, values):
+        backend = resolve_backend(name)
+        valuation = Valuation(values, semiring=name)
+        naive = _reference(provenance, backend, valuation)
+        fast = backend.compile(provenance).evaluate(valuation)
         assert set(fast) == set(naive)
         for key in naive:
             assert fast[key] == pytest.approx(naive[key], rel=1e-6, abs=1e-6)
 
-    @given(provenance_sets())
-    def test_size_preserved(self, provenance):
-        assert CompiledProvenanceSet(provenance).size() == provenance.size()
+    @given(provenance=provenance_sets())
+    def test_size_preserved(self, name, provenance):
+        assert resolve_backend(name).compile(provenance).size() == provenance.size()
 
     @settings(max_examples=40)
-    @given(provenance_sets(), valuations())
-    def test_vector_and_mapping_agree(self, provenance, valuation):
-        compiled = CompiledProvenanceSet(provenance)
+    @given(provenance=provenance_sets(), values=valuations())
+    def test_vector_and_mapping_agree(self, name, provenance, values):
+        compiled = resolve_backend(name).compile(provenance)
+        valuation = Valuation(values, semiring=name)
         vector = compiled.evaluate_vector(valuation)
         mapping = compiled.evaluate(valuation)
         for index, key in enumerate(compiled.keys):
-            assert vector[index] == pytest.approx(mapping[key], rel=1e-9, abs=1e-9)
+            assert vector[index] == pytest.approx(
+                float(mapping[key]), rel=1e-9, abs=1e-9
+            )

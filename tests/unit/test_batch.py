@@ -7,9 +7,10 @@ from repro.batch import BatchEvaluator, BatchReport, ScenarioBatch
 from repro.batch.evaluator import lower_meta_matrix
 from repro.core.compression import Abstraction
 from repro.engine.scenario import Scenario
+from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
-from repro.provenance.valuation import CompiledProvenanceSet, Valuation
+from repro.provenance.valuation import Valuation
 
 
 @pytest.fixture
@@ -70,9 +71,10 @@ class TestScenarioBatch:
         assert ScenarioBatch([], []).touched_fraction() == 0.0
 
 
+@pytest.mark.parametrize("name", ["real", "tropical", "bool"])
 class TestEvaluateMatrix:
-    def test_matches_per_valuation_evaluate(self, provenance):
-        compiled = CompiledProvenanceSet(provenance)
+    def test_matches_per_valuation_evaluate(self, provenance, name):
+        compiled = resolve_backend(name).compile(provenance)
         rng = np.random.default_rng(3)
         matrix = rng.uniform(0.0, 2.0, size=(7, len(compiled.variables)))
         results = compiled.evaluate_matrix(matrix)
@@ -80,17 +82,17 @@ class TestEvaluateMatrix:
             valuation = dict(zip(compiled.variables, matrix[row]))
             expected = compiled.evaluate(valuation)
             for column, key in enumerate(compiled.keys):
-                assert results[row, column] == pytest.approx(expected[key])
+                assert results[row, column] == pytest.approx(float(expected[key]))
 
-    def test_shape_validation(self, provenance):
-        compiled = CompiledProvenanceSet(provenance)
+    def test_shape_validation(self, provenance, name):
+        compiled = resolve_backend(name).compile(provenance)
         with pytest.raises(ValueError):
             compiled.evaluate_matrix(np.ones((2, len(compiled.variables) + 1)))
         with pytest.raises(ValueError):
             compiled.evaluate_matrix(np.ones(len(compiled.variables)))
 
-    def test_evaluate_many_mappings(self, provenance):
-        compiled = CompiledProvenanceSet(provenance)
+    def test_evaluate_many_mappings(self, provenance, name):
+        compiled = resolve_backend(name).compile(provenance)
         valuations = [
             {name: 1.0 for name in compiled.variables},
             {name: 0.5 for name in compiled.variables},

@@ -264,7 +264,7 @@ class TestHotPathAllocation:
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/provenance/valuation.py": """
+                "src/repro/provenance/backends/numeric.py": """
                 import numpy as np
 
                 def evaluate_matrix(matrix):
@@ -317,7 +317,7 @@ class TestHotPathAllocation:
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/provenance/valuation.py": """
+                "src/repro/provenance/backends/numeric.py": """
                 import numpy as np
 
                 def evaluate_matrix(matrix):
@@ -372,7 +372,7 @@ class TestHotPathAllocation:
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/provenance/valuation.py": """
+                "src/repro/provenance/backends/numeric.py": """
                 import numpy as np
 
                 def helper(matrix):
@@ -389,7 +389,7 @@ class TestHotPathAllocation:
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/provenance/valuation.py": """
+                "src/repro/provenance/backends/numeric.py": """
                 import numpy as np
 
                 def evaluate_deltas(base, plans):

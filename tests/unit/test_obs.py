@@ -230,15 +230,6 @@ class TestCacheStatUnification:
         # The registry keeps the process-wide total.
         assert registry.snapshot()["counters"]["test.obs_cache2.misses"] >= 1
 
-    def test_deprecated_cache_stats_views_still_work(self):
-        from repro.batch import BatchEvaluator
-        from repro.core.compression import Compressor
-
-        stats = BatchEvaluator().cache_stats
-        assert stats["entries"] == 0 and stats["hits"] == 0 and stats["misses"] == 0
-        stats = Compressor().cache_stats
-        assert stats["entries"] == 0 and stats["hits"] == 0
-
 
 class TestRendering:
     def _spans(self):

@@ -19,7 +19,7 @@ from repro.engine.scenario import Scenario
 from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
-from repro.provenance.valuation import CompiledProvenanceSet, Valuation
+from repro.provenance.valuation import Valuation
 
 
 def _random_provenance(seed=0, num_groups=4, monomials=30, num_variables=12):
@@ -60,67 +60,57 @@ def _dense_rows(base, plans):
     return matrix
 
 
-class TestEvaluateDeltasKernels:
-    @pytest.mark.parametrize("zero_base", [False, True])
-    def test_real_matches_dense_matrix(self, zero_base):
-        provenance = _random_provenance(seed=1)
-        compiled = CompiledProvenanceSet(provenance)
-        rng = np.random.default_rng(2)
-        num_variables = len(compiled.variables)
-        base = rng.uniform(0.5, 2.0, num_variables)
-        if zero_base:
-            base[::3] = 0.0  # zero crossings exercise the re-gather fallback
-        plans = _random_plans(num_variables, 40, rng)
-        expected = compiled.evaluate_matrix(_dense_rows(base, plans))
-        got = compiled.evaluate_deltas(base, plans)
-        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
+NUMERIC_BACKENDS = ("real", "tropical", "bool")
 
-    @pytest.mark.parametrize("backend_name", ["tropical", "bool"])
-    def test_idempotent_backends_match_exactly(self, backend_name):
-        provenance = _random_provenance(seed=3)
-        compiled = resolve_backend(backend_name).compile(provenance)
-        rng = np.random.default_rng(4)
-        num_variables = len(compiled.variables)
-        base = rng.uniform(0.0, 3.0, num_variables)
-        if backend_name == "bool":
-            base = (base > 1.0).astype(np.float64)
-        base[2] = 0.0
-        plans = _random_plans(num_variables, 50, rng)
-        if backend_name == "bool":
-            plans = [
-                (columns, (values > 1.0).astype(np.float64))
-                for columns, values in plans
-            ]
-        expected = compiled.evaluate_matrix(_dense_rows(base, plans))
-        got = compiled.evaluate_deltas(base, plans)
+
+def _assert_sparse_parity(name, got, expected, rtol):
+    if name == "real":
+        # Ratio updates reassociate the sums, so real results are close.
+        np.testing.assert_allclose(got, expected, rtol=rtol, atol=rtol)
+    else:
         # Idempotent reductions recompute the same contributions, so the
         # sparse path is bit-identical, not merely close.
         assert np.array_equal(got, expected)
 
-    def test_baseline_totals_equal_dense_baseline(self):
-        provenance = _random_provenance(seed=5)
-        for backend_name in ("real", "tropical", "bool"):
-            compiled = resolve_backend(backend_name).compile(provenance)
-            base = np.linspace(0.1, 1.7, len(compiled.variables))
-            expected = compiled.evaluate_matrix(base[np.newaxis, :])[0]
-            np.testing.assert_allclose(compiled.baseline_totals(base), expected)
 
-    def test_empty_plan_returns_baseline(self):
-        compiled = CompiledProvenanceSet(_random_provenance(seed=6))
+@pytest.mark.parametrize("name", NUMERIC_BACKENDS)
+class TestEvaluateDeltasKernels:
+    @pytest.mark.parametrize("zero_base", [False, True])
+    def test_matches_dense_matrix(self, name, zero_base):
+        provenance = _random_provenance(seed=1)
+        compiled = resolve_backend(name).compile(provenance)
+        rng = np.random.default_rng(2)
+        num_variables = len(compiled.variables)
+        base = rng.uniform(0.5, 2.0, num_variables)
+        if zero_base:
+            base[::3] = 0.0  # zero crossings exercise the exact fallbacks
+        plans = _random_plans(num_variables, 40, rng)
+        expected = compiled.evaluate_matrix(_dense_rows(base, plans))
+        got = compiled.evaluate_deltas(base, plans)
+        _assert_sparse_parity(name, got, expected, rtol=1e-9)
+
+    def test_baseline_totals_equal_dense_baseline(self, name):
+        compiled = resolve_backend(name).compile(_random_provenance(seed=5))
+        base = np.linspace(0.1, 1.7, len(compiled.variables))
+        expected = compiled.evaluate_matrix(base[np.newaxis, :])[0]
+        np.testing.assert_allclose(compiled.baseline_totals(base), expected)
+
+    def test_empty_plan_returns_baseline(self, name):
+        compiled = resolve_backend(name).compile(_random_provenance(seed=6))
         base = np.ones(len(compiled.variables))
         empty = (np.zeros(0, dtype=np.intp), np.zeros(0))
         got = compiled.evaluate_deltas(base, [empty, empty])
         np.testing.assert_allclose(got[0], compiled.baseline_totals(base))
         np.testing.assert_allclose(got[1], got[0])
 
-    def test_base_vector_shape_is_validated(self):
-        compiled = CompiledProvenanceSet(_random_provenance(seed=7))
+    def test_base_vector_shape_is_validated(self, name):
+        compiled = resolve_backend(name).compile(_random_provenance(seed=7))
         with pytest.raises(ValueError):
             compiled.evaluate_deltas(np.ones(len(compiled.variables) + 1), [])
 
-    def test_overflowing_updates_fall_back_to_exact_rows(self):
-        # Huge base contributions make the linear ratio update overflow to
-        # inf; the kernel must re-evaluate those scenarios' rows exactly
+    def test_overflowing_updates_fall_back_to_exact_rows(self, name):
+        # Huge base contributions make the real kernel's linear ratio update
+        # overflow to inf; it must re-evaluate those scenarios' rows exactly
         # instead of leaving inf/nan pollution behind.
         provenance = ProvenanceSet(
             {
@@ -129,7 +119,7 @@ class TestEvaluateDeltasKernels:
                 )
             }
         )
-        compiled = CompiledProvenanceSet(provenance)
+        compiled = resolve_backend(name).compile(provenance)
         base = np.array([1.0, 1.0, 1.0])  # variables sorted: a, b, c
         plans = [
             (np.array([0, 1], dtype=np.intp), np.array([8.0, 2.0])),  # overflows
@@ -138,7 +128,7 @@ class TestEvaluateDeltasKernels:
         with np.errstate(over="ignore"):
             expected = compiled.evaluate_matrix(_dense_rows(base, plans))
         got = compiled.evaluate_deltas(base, plans)
-        np.testing.assert_allclose(got, expected)
+        _assert_sparse_parity(name, got, expected, rtol=1e-7)
 
 
 class TestDeltaPlan:
@@ -196,7 +186,7 @@ class TestNoopFastPath:
 
     def test_all_noop_batch_never_hits_the_matrix_kernel(self):
         provenance = _random_provenance(seed=8)
-        compiled = CompiledProvenanceSet(provenance)
+        compiled = resolve_backend("real").compile(provenance)
         calls = []
         original = compiled.evaluate_matrix
 
@@ -256,9 +246,10 @@ class TestChunkBudget:
             self.chunk_rows.append(matrix.shape[0])
             return self._compiled.evaluate_matrix(matrix)
 
-    def test_max_bytes_bounds_every_chunk(self):
+    @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
+    def test_max_bytes_bounds_every_chunk(self, name):
         provenance = _random_provenance(seed=10)
-        recorder = self._Recorder(CompiledProvenanceSet(provenance))
+        recorder = self._Recorder(resolve_backend(name).compile(provenance))
         per_row_bytes = 8 * recorder.dense_row_footprint()
         budget = per_row_bytes * 3  # three rows per chunk
         evaluator = BatchEvaluator(max_bytes=budget)
@@ -269,9 +260,10 @@ class TestChunkBudget:
         assert max(recorder.chunk_rows) * per_row_bytes <= budget
         assert sum(recorder.chunk_rows) == 50
 
-    def test_tiny_budget_still_evaluates_row_by_row(self):
+    @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
+    def test_tiny_budget_still_evaluates_row_by_row(self, name):
         provenance = _random_provenance(seed=11)
-        recorder = self._Recorder(CompiledProvenanceSet(provenance))
+        recorder = self._Recorder(resolve_backend(name).compile(provenance))
         evaluator = BatchEvaluator(max_bytes=1)
         result = evaluator.evaluate_matrix(
             recorder, np.ones((4, len(recorder.variables)))
@@ -279,17 +271,19 @@ class TestChunkBudget:
         assert result.shape[0] == 4
         assert recorder.chunk_rows == [1, 1, 1, 1]
 
-    def test_budget_default_comes_from_environment(self, monkeypatch):
+    @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
+    def test_budget_default_comes_from_environment(self, name, monkeypatch):
         provenance = _random_provenance(seed=12)
-        compiled = CompiledProvenanceSet(provenance)
+        compiled = resolve_backend(name).compile(provenance)
         per_row_bytes = 8 * compiled.dense_row_footprint()
         monkeypatch.setenv(MAX_BYTES_ENV, str(per_row_bytes * 2))
         evaluator = BatchEvaluator()
         assert evaluator._resolve_chunk_size(compiled, rows=100) == 2
 
-    def test_explicit_chunk_size_wins(self):
+    @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
+    def test_explicit_chunk_size_wins(self, name):
         provenance = _random_provenance(seed=13)
-        compiled = CompiledProvenanceSet(provenance)
+        compiled = resolve_backend(name).compile(provenance)
         evaluator = BatchEvaluator(chunk_size=7, max_bytes=10**12)
         assert evaluator._resolve_chunk_size(compiled, rows=100) == 7
 
@@ -465,7 +459,7 @@ class TestProcessSharding:
         The pool-bringup probe now owns the fallback, so a shard kernel's own
         exception must reach the caller unchanged."""
         provenance = _random_provenance(seed=21)
-        compiled = CompiledProvenanceSet(provenance)
+        compiled = resolve_backend("real").compile(provenance)
         with pytest.raises(RuntimeError, match="shard kernel exploded"):
             _process_map(2, compiled, None, _exploding_worker, [object()])
 

@@ -23,13 +23,14 @@ from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.provenance.serialization import save_provenance_set
 from repro.provenance.store import (
+    ALIGNMENT,
     MAGIC,
     clear_store_cache,
     open_store,
     read_store_header,
     write_store,
 )
-from repro.provenance.valuation import CompiledProvenanceSet, Valuation
+from repro.provenance.valuation import Valuation
 
 
 @pytest.fixture
@@ -46,6 +47,12 @@ def provenance():
     return result
 
 
+@pytest.fixture(params=["real", "tropical", "bool"])
+def name(request):
+    """The numeric backend every compiled set in a test is built for."""
+    return request.param
+
+
 @pytest.fixture
 def scenarios():
     return [
@@ -55,32 +62,43 @@ def scenarios():
     ]
 
 
-def _store(provenance, tmp_path, name="c.cps"):
-    compiled = CompiledProvenanceSet(provenance)
-    path = tmp_path / name
+def _store(provenance, tmp_path, name, filename="c.cps"):
+    compiled = resolve_backend(name).compile(provenance)
+    path = tmp_path / filename
     write_store(compiled, path)
     return compiled, path
 
 
+def _data_offset(header_end):
+    return -(-header_end // ALIGNMENT) * ALIGNMENT
+
+
 def _rewrite_header(path, mutate):
-    """Re-serialise the header after ``mutate(document)`` edited it in place."""
+    """Re-serialise the header after ``mutate(document)`` edited it in place.
+
+    The data blocks move behind the new header's alignment padding, so a
+    rewritten store still opens.
+    """
     raw = path.read_bytes()
     prefix_len = len(MAGIC) + 4
     (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
     document = json.loads(raw[prefix_len : prefix_len + header_len])
+    data = raw[_data_offset(prefix_len + header_len) :]
     mutate(document)
     header = json.dumps(document).encode("utf-8")
+    padding = _data_offset(prefix_len + len(header)) - prefix_len - len(header)
     path.write_bytes(
         raw[: len(MAGIC)]
         + struct.pack("<I", len(header))
         + header
-        + raw[prefix_len + header_len :]
+        + b"\0" * padding
+        + data
     )
 
 
 class TestStoreFormat:
-    def test_round_trip_matches_compiled(self, provenance, scenarios, tmp_path):
-        compiled, path = _store(provenance, tmp_path)
+    def test_round_trip_matches_compiled(self, name, provenance, scenarios, tmp_path):
+        compiled, path = _store(provenance, tmp_path, name)
         mapped = open_store(path, cached=False)
         assert mapped.keys == compiled.keys
         assert mapped.variables == compiled.variables
@@ -95,23 +113,23 @@ class TestStoreFormat:
             mapped.evaluate_matrix(matrix), compiled.evaluate_matrix(matrix)
         )
 
-    def test_header_payload(self, provenance, tmp_path):
-        compiled, path = _store(provenance, tmp_path)
+    def test_header_payload(self, name, provenance, tmp_path):
+        compiled, path = _store(provenance, tmp_path, name)
         header = read_store_header(path)
-        assert header["backend"] == "real"
+        assert header["backend"] == name
         assert header["fingerprint"] == compiled.source_fingerprint
         assert "constant" in header["blocks"]
         assert header["groups"][0]["monomials"] >= 1
 
-    def test_mapped_arrays_are_read_only_views(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_mapped_arrays_are_read_only_views(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         mapped = open_store(path, cached=False)
         group = mapped._groups[0]
         with pytest.raises((ValueError, RuntimeError)):
             group.coefficients[0] = 123.0
 
-    def test_every_mapped_block_is_unwriteable(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_every_mapped_block_is_unwriteable(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         mapped = open_store(path, cached=False)
         views = [mapped._constant]
         for group in mapped._groups:
@@ -157,28 +175,28 @@ class TestStoreFormat:
         with pytest.raises(SerializationError, match="truncated"):
             read_store_header(path)
 
-    def test_truncated_header(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_truncated_header(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         path.write_bytes(path.read_bytes()[: len(MAGIC) + 4 + 10])
         with pytest.raises(SerializationError, match="truncated"):
             read_store_header(path)
 
-    def test_corrupted_header_json(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_corrupted_header_json(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         raw = bytearray(path.read_bytes())
         raw[len(MAGIC) + 4] = ord("!")
         path.write_bytes(bytes(raw))
         with pytest.raises(SerializationError, match="corrupted"):
             read_store_header(path)
 
-    def test_unversioned_header_rejected(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_unversioned_header_rejected(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         _rewrite_header(path, lambda doc: doc.pop("version"))
         with pytest.raises(SerializationError, match="version envelope"):
             read_store_header(path)
 
-    def test_future_version_rejected(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_future_version_rejected(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
 
         def bump(doc):
             doc["version"] = 99
@@ -187,8 +205,8 @@ class TestStoreFormat:
         with pytest.raises(SerializationError, match="version"):
             read_store_header(path)
 
-    def test_wrong_kind_rejected(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_wrong_kind_rejected(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
 
         def retag(doc):
             doc["kind"] = "provenance_set"
@@ -197,12 +215,53 @@ class TestStoreFormat:
         with pytest.raises(SerializationError):
             read_store_header(path)
 
-    def test_truncated_blocks_rejected(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_truncated_blocks_rejected(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(SerializationError):
             open_store(path, cached=False)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_parent_shaped_header_opens_unchanged(
+        self, name, version, provenance, scenarios, tmp_path
+    ):
+        """Stores whose header predates the shared compiled set still open.
+
+        Such headers carry a ``num_constants`` field (0 for real stores,
+        whatever their constant term), tropical/bool groups lack
+        ``has_higher_powers``, and version-1 blocks lack checksums.
+        """
+        compiled, path = _store(provenance, tmp_path, name)
+
+        def to_parent_shape(document):
+            payload = document["store"]
+            payload["num_constants"] = 0 if name == "real" else 2
+            if name != "real":
+                for meta in payload["groups"]:
+                    del meta["has_higher_powers"]
+            if version == 1:
+                document["version"] = 1
+                for meta in payload["blocks"].values():
+                    del meta["crc32"]
+
+        _rewrite_header(path, to_parent_shape)
+        mapped = open_store(path, cached=False)
+        assert mapped.size() == compiled.size() == provenance.size()
+
+        from repro.batch.planner import ScenarioBatch
+
+        batch = ScenarioBatch(scenarios, compiled.variables)
+        base = Valuation({"x": 2.0, "y": 0.5, "z": 1.5})
+        assert np.array_equal(
+            mapped.evaluate_matrix(batch.valuation_matrix(base)),
+            compiled.evaluate_matrix(batch.valuation_matrix(base)),
+        )
+        plan = batch.delta_plan(base)
+        assert np.array_equal(
+            mapped.evaluate_deltas(plan.base_row, plan.changes),
+            compiled.evaluate_deltas(plan.base_row, plan.changes),
+        )
 
     def test_write_store_rejects_non_compiled(self, tmp_path):
         with pytest.raises(SerializationError, match="no compiled-store form"):
@@ -210,85 +269,92 @@ class TestStoreFormat:
 
 
 class TestStoreCache:
-    def test_cached_open_returns_same_object(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_cached_open_returns_same_object(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         clear_store_cache()
         first = open_store(path)
         assert open_store(path) is first
 
-    def test_uncached_open_is_fresh(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_uncached_open_is_fresh(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         assert open_store(path, cached=False) is not open_store(path, cached=False)
 
-    def test_rewrite_invalidates(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_rewrite_invalidates(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         clear_store_cache()
         first = open_store(path)
         bigger = ProvenanceSet()
         for key, polynomial in provenance.items():
             bigger[key] = polynomial
         bigger[("g4",)] = Polynomial.from_terms([(1.0, ["x", "y", "z"])])
-        write_store(CompiledProvenanceSet(bigger), path)
+        write_store(resolve_backend(name).compile(bigger), path)
         second = open_store(path)
         assert second is not first
         assert second.source_fingerprint != first.source_fingerprint
 
-    def test_clear_store_cache(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_clear_store_cache(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         first = open_store(path)
         clear_store_cache()
         assert open_store(path) is not first
 
 
 class TestCompiledSetSurface:
-    def test_to_store_from_store(self, provenance, tmp_path):
-        compiled = CompiledProvenanceSet(provenance)
+    def test_to_store_from_store(self, name, provenance, tmp_path):
+        compiled = resolve_backend(name).compile(provenance)
         path = tmp_path / "c.cps"
         assert compiled.to_store(path) == str(path)
-        mapped = CompiledProvenanceSet.from_store(path)
-        assert isinstance(mapped, CompiledProvenanceSet)
+        mapped = type(compiled).from_store(path)
+        assert type(mapped) is type(compiled)
         assert mapped.source_fingerprint == compiled.source_fingerprint
 
-    def test_from_store_rejects_other_backend(self, provenance, tmp_path):
-        compiled = resolve_backend("tropical").compile(provenance)
-        path = tmp_path / "trop.cps"
-        compiled.to_store(path)
-        with pytest.raises(SerializationError, match="tropical"):
-            CompiledProvenanceSet.from_store(path)
+    def test_from_store_rejects_other_backend(self, name, provenance, tmp_path):
+        other = "bool" if name == "tropical" else "tropical"
+        path = tmp_path / "other.cps"
+        resolve_backend(other).compile(provenance).to_store(path)
+        compiled_class = type(resolve_backend(name).compile(provenance))
+        with pytest.raises(SerializationError, match=other):
+            compiled_class.from_store(path)
 
-    def test_fresh_compiled_set_has_no_store_path(self, provenance):
-        assert CompiledProvenanceSet(provenance).store_path is None
+    def test_fresh_compiled_set_has_no_store_path(self, name, provenance):
+        assert resolve_backend(name).compile(provenance).store_path is None
 
 
 class TestEvaluatorStore:
     def test_adopt_store_matches_direct_evaluation(
-        self, provenance, scenarios, tmp_path
+        self, name, provenance, scenarios, tmp_path
     ):
-        _, path = _store(provenance, tmp_path)
+        _, path = _store(provenance, tmp_path, name)
         evaluator = BatchEvaluator()
         mapped = evaluator.adopt_store(path)
         assert mapped.store_path == str(path)
         for mode in ("dense", "sparse"):
-            adopted = evaluator.evaluate(provenance, scenarios, mode=mode)
-            direct = BatchEvaluator().evaluate(provenance, scenarios, mode=mode)
+            adopted = evaluator.evaluate(
+                provenance, scenarios, semiring=name, mode=mode
+            )
+            direct = BatchEvaluator().evaluate(
+                provenance, scenarios, semiring=name, mode=mode
+            )
             np.testing.assert_array_equal(
                 adopted.full_results, direct.full_results
             )
 
     def test_store_backed_sharding_matches_serial(
-        self, provenance, scenarios, tmp_path
+        self, name, provenance, scenarios, tmp_path
     ):
-        _, path = _store(provenance, tmp_path)
-        serial = BatchEvaluator().evaluate(provenance, scenarios, mode="sparse")
+        _, path = _store(provenance, tmp_path, name)
+        serial = BatchEvaluator().evaluate(
+            provenance, scenarios, semiring=name, mode="sparse"
+        )
         with BatchEvaluator() as evaluator:
             evaluator.adopt_store(path)
             sharded = evaluator.evaluate(
-                provenance, scenarios, mode="sparse", processes=2
+                provenance, scenarios, semiring=name, mode="sparse", processes=2
             )
         np.testing.assert_allclose(sharded.full_results, serial.full_results)
 
-    def test_close_is_idempotent(self, provenance, tmp_path):
-        _, path = _store(provenance, tmp_path)
+    def test_close_is_idempotent(self, name, provenance, tmp_path):
+        _, path = _store(provenance, tmp_path, name)
         evaluator = BatchEvaluator()
         evaluator.adopt_store(path)
         evaluator.close()
@@ -296,12 +362,14 @@ class TestEvaluatorStore:
 
 
 class TestSessionStore:
-    def test_compile_and_open_round_trip(self, provenance, scenarios, tmp_path):
+    def test_compile_and_open_round_trip(
+        self, name, provenance, scenarios, tmp_path
+    ):
         path = tmp_path / "s.cps"
-        producer = CobraSession(provenance)
+        producer = CobraSession(provenance, semiring=name)
         producer.compile_to_store(path)
 
-        consumer = CobraSession(provenance)
+        consumer = CobraSession(provenance, semiring=name)
         mapped = consumer.open_from_store(path)
         assert mapped.store_path == str(path)
         direct = producer.evaluate_many(scenarios)

@@ -19,6 +19,7 @@ from repro.engine.scenario import Scenario
 from repro.engine.session import CobraSession
 from repro.exceptions import SerializationError
 from repro.obs.metrics import get_registry
+from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.provenance.store import (
@@ -29,7 +30,6 @@ from repro.provenance.store import (
     read_store_header,
     write_store,
 )
-from repro.provenance.valuation import CompiledProvenanceSet
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ def provenance():
 
 
 def _store(provenance, tmp_path, name="c.cps"):
-    compiled = CompiledProvenanceSet(provenance)
+    compiled = resolve_backend("real").compile(provenance)
     path = tmp_path / name
     write_store(compiled, path)
     return compiled, path

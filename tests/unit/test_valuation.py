@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MissingValuationError
+from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
-from repro.provenance.valuation import (
-    CompiledPolynomial,
-    CompiledProvenanceSet,
-    FingerprintCache,
-    Valuation,
-)
+from repro.provenance.semiring import evaluate_in_semiring
+from repro.provenance.valuation import FingerprintCache, Valuation
 
 
 @pytest.fixture
@@ -72,43 +69,23 @@ class TestValuation:
         assert valuation.missing(["b", "a", "c"]) == ("b", "c")
 
 
-class TestCompiledPolynomial:
-    def test_matches_naive_evaluation(self, p1):
-        compiled = CompiledPolynomial(p1)
-        valuation = {"p1": 1.1, "v": 0.9, "m1": 1.0, "m3": 0.8}
-        assert compiled.evaluate(valuation) == pytest.approx(p1.evaluate(valuation))
-
-    def test_constant_only_polynomial(self):
-        compiled = CompiledPolynomial(Polynomial.constant(4.5))
-        assert compiled.evaluate({}) == pytest.approx(4.5)
-        assert compiled.num_monomials() == 1
-
-    def test_exponents(self):
-        p = Polynomial({Monomial({"x": 3}): 2.0, Monomial.of("x", "y"): 1.0})
-        compiled = CompiledPolynomial(p)
-        valuation = {"x": 2.0, "y": 5.0}
-        assert compiled.evaluate(valuation) == pytest.approx(p.evaluate(valuation))
-
-    def test_missing_variable_raises(self, p1):
-        with pytest.raises(MissingValuationError):
-            CompiledPolynomial(p1).evaluate({"p1": 1.0})
-
-    def test_num_monomials(self, p1):
-        assert CompiledPolynomial(p1).num_monomials() == p1.num_monomials()
-
-    def test_evaluate_many(self, p1):
-        compiled = CompiledPolynomial(p1)
-        valuations = [
-            {"p1": 1.0, "v": 1.0, "m1": 1.0, "m3": 1.0},
-            {"p1": 1.0, "v": 1.0, "m1": 1.0, "m3": 0.8},
-        ]
-        results = compiled.evaluate_many(valuations)
-        assert results.shape == (2,)
-        assert results[0] == pytest.approx(p1.evaluate(valuations[0]))
-        assert results[1] == pytest.approx(p1.evaluate(valuations[1]))
+NUMERIC_BACKENDS = ("real", "tropical", "bool")
 
 
-class TestCompiledProvenanceSet:
+def _reference(provenance, backend, valuation):
+    return {
+        key: evaluate_in_semiring(
+            polynomial,
+            backend.semiring,
+            valuation,
+            coefficient_embedding=backend.embed_coefficient,
+        )
+        for key, polynomial in provenance.items()
+    }
+
+
+@pytest.mark.parametrize("name", NUMERIC_BACKENDS)
+class TestCompiledNumericSet:
     @pytest.fixture
     def provenance(self, p1):
         provenance = ProvenanceSet()
@@ -116,37 +93,43 @@ class TestCompiledProvenanceSet:
         provenance[("10002",)] = Polynomial.from_terms(
             [(77.9, ["b1", "m1"]), (80.5, ["b1", "m3"]), (3.0, [])]
         )
+        provenance[("10003",)] = Polynomial(
+            {Monomial({"m1": 3}): 2.0, Monomial.of("m1", "b1"): 1.0}
+        )
         return provenance
 
-    def test_matches_naive_evaluation(self, provenance):
-        compiled = CompiledProvenanceSet(provenance)
-        valuation = Valuation.uniform(provenance.variables(), 1.0).updated({"m3": 0.8})
-        naive = provenance.evaluate(valuation)
+    def test_matches_reference_evaluation(self, provenance, name):
+        backend = resolve_backend(name)
+        compiled = backend.compile(provenance)
+        valuation = Valuation.identity_for(provenance, semiring=name).scaled(
+            ["m3"], 0.8
+        ).set_to(["b1"], 0.0)
+        naive = _reference(provenance, backend, valuation)
         fast = compiled.evaluate(valuation)
         assert set(fast) == set(naive)
         for key in naive:
             assert fast[key] == pytest.approx(naive[key])
 
-    def test_size_matches(self, provenance):
-        assert CompiledProvenanceSet(provenance).size() == provenance.size()
+    def test_size_matches(self, provenance, name):
+        assert resolve_backend(name).compile(provenance).size() == provenance.size()
 
-    def test_keys_order_preserved(self, provenance):
-        assert CompiledProvenanceSet(provenance).keys == provenance.keys()
+    def test_keys_order_preserved(self, provenance, name):
+        assert resolve_backend(name).compile(provenance).keys == provenance.keys()
 
-    def test_evaluate_vector_alignment(self, provenance):
-        compiled = CompiledProvenanceSet(provenance)
-        valuation = Valuation.uniform(provenance.variables(), 1.0)
+    def test_evaluate_vector_alignment(self, provenance, name):
+        compiled = resolve_backend(name).compile(provenance)
+        valuation = Valuation.identity_for(provenance, semiring=name)
         vector = compiled.evaluate_vector(valuation)
         mapping = compiled.evaluate(valuation)
         for index, key in enumerate(compiled.keys):
-            assert vector[index] == pytest.approx(mapping[key])
+            assert vector[index] == pytest.approx(float(mapping[key]))
 
-    def test_missing_variable_raises(self, provenance):
+    def test_missing_variable_raises(self, provenance, name):
         with pytest.raises(MissingValuationError):
-            CompiledProvenanceSet(provenance).evaluate({"p1": 1.0})
+            resolve_backend(name).compile(provenance).evaluate({"p1": 1.0})
 
-    def test_empty_set(self):
-        compiled = CompiledProvenanceSet(ProvenanceSet())
+    def test_empty_set(self, name):
+        compiled = resolve_backend(name).compile(ProvenanceSet())
         assert compiled.size() == 0
         assert compiled.evaluate({}) == {}
 

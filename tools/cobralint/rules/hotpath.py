@@ -3,8 +3,9 @@
 The engine's speed rests on a handful of vectorised kernels; a stray
 ``.copy()`` or per-element Python loop inside one silently turns an
 O(touched) pass into an O(everything) one.  The designated kernels are the
-matrix/delta evaluators and their per-group helpers in
-``provenance/valuation.py`` and ``provenance/backends/numeric.py``, the
+matrix/delta evaluators and their per-group algebra hooks in
+``provenance/backends/numeric.py`` (one compiled-set implementation for
+every numeric semiring), the
 incremental-greedy coarsening loop in ``core/kernel/greedy.py``, and the
 shared-delta factoring loop in ``batch/factored.py``.
 
@@ -42,12 +43,9 @@ from tools.cobralint.engine import (
 
 #: ``(path substring, function name)`` pairs naming the guarded kernels.
 KERNELS: Tuple[Tuple[str, str], ...] = (
-    ("provenance/valuation.py", "evaluate_matrix"),
-    ("provenance/valuation.py", "evaluate_deltas"),
-    ("provenance/valuation.py", "_evaluate_values"),
-    ("provenance/valuation.py", "contributions"),
     ("provenance/backends/numeric.py", "evaluate_matrix"),
     ("provenance/backends/numeric.py", "evaluate_deltas"),
+    ("provenance/backends/numeric.py", "_evaluate_values"),
     ("provenance/backends/numeric.py", "_contributions"),
     ("provenance/backends/numeric.py", "_restricted_contributions"),
     ("provenance/backends/numeric.py", "_reduce"),
@@ -80,7 +78,6 @@ class HotPathAllocationRule(Rule):
     name = "hot-path-allocation"
     description = "per-iteration allocation or Python loop in a kernel"
     include = (
-        "src/repro/provenance/valuation.py",
         "src/repro/provenance/backends/numeric.py",
         "src/repro/core/kernel/greedy.py",
         "src/repro/batch/factored.py",
