@@ -12,19 +12,19 @@ of the variables.  Three pipelines are measured end-to-end through
    scenario applied as ``(changed_columns, new_values)`` deltas through the
    inverted variable→monomial index;
 3. **sharded** — the sparse pipeline with scenario rows partitioned across
-   worker processes;
-4. **store-backed sharded** — the same sharding off a persistent worker pool
-   that mmaps the compiled store (workers receive a *path* per task instead
-   of the per-call pool + pickled compiled set of pipeline 3);
-5. **cold start** — opening the compiled store (header parse + ``memmap``)
+   the evaluator's worker pool (workers map the compiled set from a store
+   file: the in-memory set is spilled once);
+4. **cold start** — opening the compiled store (header parse + ``memmap``)
    vs recompiling the provenance from its symbolic form.
+
+A store-backed evaluator (``adopt_store``) is also sharded once, and its
+results are checked against the dense ones.
 
 Parity of dense and sparse results is asserted in the same run, and
 ``mode="auto"`` is checked to pick the sparse path for this workload without
 any caller hints.  The acceptance bars at the full size (≥200 scenarios,
-≥5k monomials, ≤5% variables touched): sparse ≥10x over dense, store-backed
-sharding ≥1.5x over per-call pools (when ≥2 workers run), store cold start
-≥10x over recompilation.  Run::
+≥5k monomials, ≤5% variables touched): sparse ≥10x over dense, store cold
+start ≥10x over recompilation.  Run::
 
     PYTHONPATH=src python benchmarks/bench_sparse_deltas.py
     PYTHONPATH=src python benchmarks/bench_sparse_deltas.py --quick   # CI smoke
@@ -180,26 +180,18 @@ def measure(
         )
 
         # Store-backed sharding: a fresh evaluator adopts the store so its
-        # persistent pool ships the path per task; parity vs dense results
-        # is asserted before the timed passes.
-        store_evaluator = BatchEvaluator()
-        store_evaluator.adopt_store(store_path)
-        store_report = store_evaluator.evaluate(
-            provenance, scenarios, mode="sparse", processes=processes
-        )
+        # pool maps the adopted file; parity vs dense results is asserted.
+        with BatchEvaluator() as store_evaluator:
+            store_evaluator.adopt_store(store_path)
+            store_report = store_evaluator.evaluate(
+                provenance, scenarios, mode="sparse", processes=processes
+            )
         np.testing.assert_allclose(
             store_report.full_results,
             dense_report.full_results,
             rtol=1e-9,
             atol=1e-9,
         )
-        sharded_store_seconds = _best_of(
-            lambda: store_evaluator.evaluate(
-                provenance, scenarios, mode="sparse", processes=processes
-            ),
-            repeats,
-        )
-        store_evaluator.close()
         clear_store_cache()
 
     # One traced pass through a fresh evaluator (so compilation is not
@@ -239,9 +231,6 @@ def measure(
         "recompile_seconds": recompile_seconds,
         "store_cold_start_speedup": recompile_seconds
         / max(store_open_seconds, 1e-12),
-        "sharded_store_seconds": sharded_store_seconds,
-        "store_shard_speedup": sharded_seconds
-        / max(sharded_store_seconds, 1e-12),
         "stages": stages,
     }
 
@@ -254,7 +243,6 @@ def run_benchmark(
     touched: int,
     repeats: int,
     min_speedup: float,
-    min_store_speedup: float = 0.0,
     min_cold_speedup: float = 0.0,
     processes: Optional[int] = None,
     json_path: Optional[str] = None,
@@ -282,10 +270,6 @@ def run_benchmark(
         ("dense (scenarios x variables matrix)", "dense_seconds"),
         ("sparse (baseline-once deltas)", "sparse_seconds"),
         (f"sharded sparse ({record['processes']} processes)", "sharded_seconds"),
-        (
-            f"store-backed sharded ({record['processes']} processes)",
-            "sharded_store_seconds",
-        ),
     ):
         seconds = record[key]
         print(
@@ -312,10 +296,6 @@ def run_benchmark(
         f"recompile {record['recompile_seconds'] * 1e3:.1f}ms "
         f"({record['store_cold_start_speedup']:.1f}x)"
     )
-    print(
-        f"store-backed sharding: {record['store_shard_speedup']:.2f}x vs "
-        f"per-call pool sharding"
-    )
 
     if json_path:
         with open(json_path, "w") as handle:
@@ -335,19 +315,6 @@ def run_benchmark(
             file=sys.stderr,
         )
         return 1
-    if record["processes"] >= 2:
-        if record["store_shard_speedup"] < min_store_speedup:
-            print(
-                f"FAIL: store-backed sharding speedup "
-                f"{record['store_shard_speedup']:.2f}x is below the "
-                f"{min_store_speedup:.2f}x bar",
-                file=sys.stderr,
-            )
-            return 1
-    elif min_store_speedup > 0:
-        print(
-            "note: store-sharding bar skipped (fewer than 2 worker processes)"
-        )
     if record["store_cold_start_speedup"] < min_cold_speedup:
         print(
             f"FAIL: store cold-start speedup "
@@ -388,11 +355,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="exit non-zero below this sparse-vs-dense speedup",
     )
     parser.add_argument(
-        "--min-store-speedup", type=float, default=None,
-        help="exit non-zero below this store-backed vs per-call-pool "
-        "sharding speedup (skipped with < 2 worker processes)",
-    )
-    parser.add_argument(
         "--min-cold-speedup", type=float, default=None,
         help="exit non-zero below this store-open vs recompile speedup",
     )
@@ -407,9 +369,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         touched = args.touched or 4
         repeats = args.repeats or 2
         min_speedup = args.min_speedup if args.min_speedup is not None else 2.0
-        min_store_speedup = (
-            args.min_store_speedup if args.min_store_speedup is not None else 1.1
-        )
         min_cold_speedup = (
             args.min_cold_speedup if args.min_cold_speedup is not None else 3.0
         )
@@ -423,9 +382,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         touched = args.touched or 10
         repeats = args.repeats or 3
         min_speedup = args.min_speedup if args.min_speedup is not None else 10.0
-        min_store_speedup = (
-            args.min_store_speedup if args.min_store_speedup is not None else 1.5
-        )
         min_cold_speedup = (
             args.min_cold_speedup if args.min_cold_speedup is not None else 10.0
         )
@@ -438,7 +394,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         touched=touched,
         repeats=repeats,
         min_speedup=min_speedup,
-        min_store_speedup=min_store_speedup,
         min_cold_speedup=min_cold_speedup,
         processes=args.processes,
         json_path=args.json,

@@ -14,7 +14,7 @@ Comparison policy (recursive over dicts and lists):
   from a different box — the gate catches "the speedup collapsed", not
   "the speedup wobbled".  The compiled-store cold-start scalar
   (``store_cold_start_speedup``) rides this rule like any other speedup.
-* ``*seconds`` and ``*bytes`` keys, ``processes`` and everything under
+* ``*seconds`` and ``*bytes`` keys and everything under
   ``stages`` are machine- or layout-dependent and therefore informational:
   printed, never failed on.  (``store_bytes`` varies with the JSON header
   and alignment padding, not with correctness.)  For ``stages`` the *names*
@@ -22,6 +22,8 @@ Comparison policy (recursive over dicts and lists):
   instrumentation point was dropped.
 * Every other scalar (sizes, counts, booleans, workload parameters) is
   deterministic and must match exactly (floats within 1e-6 relative).
+  That includes ``processes``: a sharded timing taken at another pool
+  width is not comparable, so the quick records pin it (``--processes 2``).
 * A baseline key missing from the fresh record is a failure; extra fresh
   keys are fine (records may grow).
 
@@ -50,7 +52,7 @@ def _is_speedup_key(key: str) -> bool:
 
 
 def _is_informational_key(key: str) -> bool:
-    return key.endswith("seconds") or key.endswith("bytes") or key == "processes"
+    return key.endswith("seconds") or key.endswith("bytes")
 
 
 def _compare(

@@ -185,7 +185,7 @@ def report_batch(json_path: str, quick: bool = False) -> None:
     if quick:
         record = measure(
             num_variables=300, num_monomials=12_000, num_groups=24,
-            num_scenarios=80, touched=4, repeats=2,
+            num_scenarios=80, touched=4, repeats=2, processes=2,
         )
     else:
         record = measure(
@@ -215,8 +215,7 @@ def report_batch(json_path: str, quick: bool = False) -> None:
         f"\ncompiled store: {record['store_bytes'] / 1e6:.2f} MB; cold open "
         f"{record['store_open_seconds'] * 1e3:.2f} ms vs recompile "
         f"{record['recompile_seconds'] * 1e3:.1f} ms "
-        f"({record['store_cold_start_speedup']:.1f}x); store-backed sharding "
-        f"{record['store_shard_speedup']:.2f}x vs per-call pools"
+        f"({record['store_cold_start_speedup']:.1f}x)"
     )
     stages = record.get("stages", {})
     if stages:

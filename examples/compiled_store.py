@@ -16,8 +16,8 @@ This example runs the whole split locally:
    — note their open time vs the producer's compile time;
 3. a consumer session adopts the store with ``open_from_store`` (backend and
    provenance fingerprint are validated) and runs a sharded sweep whose
-   persistent worker pool ships the store *path* per task instead of
-   pickling compiled arrays.
+   persistent worker pool ships the adopted store's *path* per task, so
+   no temporary copy of the compiled set is spilled.
 
 Run with ``PYTHONPATH=src python examples/compiled_store.py``.
 """

@@ -12,8 +12,9 @@ built for heavy multi-scenario traffic:
 * :mod:`repro.batch.evaluator` — :class:`BatchEvaluator` compiles provenance
   sets once (LRU-cached by content fingerprint) and evaluates whole sweeps
   with chunked matrix kernels or baseline-once sparse delta kernels
-  (``mode="auto"`` picks per batch), optionally sharded across worker
-  processes;
+  (``mode="auto"`` picks per batch), optionally sharded across one
+  persistent worker pool that maps each compiled set from a store file
+  (in-memory sets are spilled once to a temporary store);
 * :mod:`repro.batch.factored` — shared-delta factoring for structured
   sweeps: the scenarios' common operation prefix is evaluated once against
   the base row and only small per-scenario residual deltas hit the kernels

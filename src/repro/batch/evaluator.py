@@ -25,6 +25,13 @@ evaluates the whole sweep with one of three vectorised pipelines:
 and prefix-sharing statistics; ``processes=N`` shards scenario rows of any
 pipeline across worker processes with chunked, memory-bounded assembly.
 
+Sharding has one path: each evaluator owns one persistent worker pool, and
+every task ships the *path* of a compiled store that the worker maps.  An
+adopted store (:meth:`BatchEvaluator.adopt_store`) is used as is; an
+in-memory compiled set is spilled once into a private temporary directory
+(``cobra-shards-*``) that :meth:`BatchEvaluator.close` — or garbage
+collection — deletes along with the pool.
+
 Resilience: shard maps run in *rounds* under the evaluator's
 :class:`~repro.resilience.RetryPolicy` — a broken pool salvages every
 completed shard result and re-submits only the failed shards to a fresh
@@ -40,7 +47,12 @@ make all of it deterministically testable.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
+import weakref
+from collections import OrderedDict
+from contextlib import suppress
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import replace
@@ -118,70 +130,58 @@ _EVALUATION_MODES = ("auto", "dense", "sparse", "factored")
 # Process-pool sharding
 # ---------------------------------------------------------------------------
 
-#: Per-worker state installed by the pool initializer, so the compiled set
-#: (and sparse base vector) is pickled once per worker, not once per shard.
-_SHARD_STATE: Dict[str, object] = {}
 
+def _run_shard(compiled, kind, base_vector, piece):
+    """Evaluate one shard: the one kernel call site of every sharded map.
 
-def _init_shard_worker(
-    compiled, base_vector, obs: bool = False, fault_spec=None
-) -> None:
-    _SHARD_STATE["compiled"] = compiled
-    _SHARD_STATE["base"] = base_vector
-    _SHARD_STATE["obs"] = obs
-    if fault_spec is not None:
-        # Re-arm the parent's fault plan in this worker (spawn platforms
-        # inherit nothing; fork platforms get fresh per-worker counters).
-        install_plan(plan_from_spec(fault_spec))
-    if obs:
-        # Fresh observability state in the worker: a forked child inherits
-        # the parent's open span stack and recorded roots, which must not
-        # leak into the subtrees this worker ships home.
-        tracer = get_tracer()
-        tracer.reset()
-        tracer.enabled = True
-
-
-def _obs_shard(func, **attributes):
-    """Run one shard under a ``batch.shard`` span and capture its telemetry.
-
-    The worker returns ``(result, span_dicts, metrics_delta)``: its completed
-    span subtrees serialised to dicts plus the metric delta the shard
-    produced, which the parent grafts back via :meth:`Tracer.attach` and
-    :meth:`MetricsRegistry.merge`.
+    ``kind`` is ``"dense"`` (``piece`` is a matrix chunk) or ``"sparse"``
+    (``piece`` is a slice of delta plans against ``base_vector``).  The pool
+    task and the in-process serial rung both come through here, so the
+    ``batch.shard`` fault point fires identically on either.
     """
-    registry = get_registry()
+    fault_point("batch.shard", kind=kind)
+    if kind == "dense":
+        return compiled.evaluate_matrix(piece)
+    return compiled.evaluate_deltas(base_vector, piece)
+
+
+def _shard_task(task):
+    """One task of the evaluator's worker pool: open the store, run a shard.
+
+    ``task`` is ``(store_path, kind, base_vector, obs, fault_spec, piece)``.
+    The pool is generic (no initializer), so each task names its compiled
+    store; the per-process store cache
+    (:func:`repro.provenance.store.open_store`) makes repeated opens
+    O(header), and every worker mapping the same file shares one page-cache
+    copy of the arrays.
+    """
+    path, kind, base_vector, obs, fault_spec, piece = task
+    if active_plan_spec() != fault_spec:
+        # Track the parent's fault plan: armed once per plan, so its
+        # counters persist across this worker's tasks and injection
+        # schedules stay deterministic.
+        install_plan(None if fault_spec is None else plan_from_spec(fault_spec))
+    # Persistent workers serve many calls: start each task with a clean
+    # tracer so reused workers never accumulate undrained spans, and only
+    # record when the parent is tracing this call.
     tracer = get_tracer()
+    tracer.reset()
+    tracer.enabled = bool(obs)
+    from repro.provenance.store import open_store
+
+    compiled = open_store(path)
+    if not obs:
+        return _run_shard(compiled, kind, base_vector, piece)
+    # Traced: return ``(result, span_dicts, metrics_delta)`` — the shard's
+    # completed span subtrees and the metric delta it produced, which the
+    # parent grafts back via Tracer.attach and MetricsRegistry.merge.
+    registry = get_registry()
     before = registry.snapshot()
-    with trace("batch.shard", **attributes):
-        result = func()
+    rows = int(piece.shape[0]) if kind == "dense" else len(piece)
+    with trace("batch.shard", kind=kind, rows=rows):
+        result = _run_shard(compiled, kind, base_vector, piece)
     spans = [span.to_dict() for span in tracer.drain()]
     return result, spans, registry.diff(before, registry.snapshot())
-
-
-def _dense_shard_worker(matrix: np.ndarray):
-    fault_point("batch.shard", kind="dense")
-    compiled = _SHARD_STATE["compiled"]
-
-    def run_kernel():
-        return compiled.evaluate_matrix(matrix)
-
-    if not _SHARD_STATE.get("obs"):
-        return run_kernel()
-    return _obs_shard(run_kernel, kind="dense", rows=int(matrix.shape[0]))
-
-
-def _sparse_shard_worker(plans):
-    fault_point("batch.shard", kind="sparse")
-    compiled = _SHARD_STATE["compiled"]
-    base_vector = _SHARD_STATE["base"]
-
-    def run_kernel():
-        return compiled.evaluate_deltas(base_vector, plans)
-
-    if not _SHARD_STATE.get("obs"):
-        return run_kernel()
-    return _obs_shard(run_kernel, kind="sparse", rows=len(plans))
 
 
 def _pool_probe() -> bool:
@@ -189,7 +189,7 @@ def _pool_probe() -> bool:
     return True
 
 
-def _bringup_pool(processes, initializer=None, initargs=(), policy=None):
+def _bringup_pool(processes, policy):
     """A live ``ProcessPoolExecutor`` of ``processes`` workers, or ``None``.
 
     Process pools need working ``fork``/semaphores; sandboxes and exotic
@@ -203,20 +203,15 @@ def _bringup_pool(processes, initializer=None, initargs=(), policy=None):
     either the platform refuses (``ImportError``/``PermissionError``) or
     retries were exhausted; the swallowed cause is logged to the metrics
     registry (``resilience.pool_bringup_failures.<ExcName>``) and recorded
-    as a degradation, never silently eaten.  Any *other* exception — a
-    genuine worker bug such as a ``RuntimeError`` from an initializer that
-    survives bringup — propagates to the caller.
+    as a degradation, never silently eaten.  Any *other* exception
+    propagates to the caller.
     """
-    if policy is None:
-        policy = policy_from_env()
 
     def attempt():
         fault_point("pool.bringup", processes=processes)
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(
-            max_workers=processes, initializer=initializer, initargs=initargs
-        )
+        pool = ProcessPoolExecutor(max_workers=processes)
         probed = False
         try:
             pool.submit(_pool_probe).result()
@@ -244,52 +239,28 @@ def _bringup_pool(processes, initializer=None, initargs=(), policy=None):
         return None
 
 
-def _unpack_shard(raw, obs: bool, shard: int):
-    """Normalise one shard result, grafting worker telemetry immediately."""
-    if not obs:
-        return raw
-    result, spans, delta = raw
-    get_tracer().attach(spans, shard=shard)
-    get_registry().merge(delta)
-    return result
+def _release(pool, spill_dir) -> None:
+    """Shut ``pool`` down and delete ``spill_dir``; either may be ``None``.
 
-
-def _serial_shards(compiled, base_vector, worker, pieces, indices, results, policy):
-    """The last rung of the escalation ladder: failed shards, in-process.
-
-    Each shard is evaluated serially under ``policy`` (transient
-    I/O / corruption faults are retried; genuine kernel bugs propagate)
-    and written into its slot of ``results``.
+    Module-level so the evaluator's :func:`weakref.finalize` holds no
+    reference back to the evaluator it cleans up after.
     """
-    _init_shard_worker(compiled, base_vector, False)
-    try:
-        for i in indices:
-            with trace("batch.shard", shard=i, fallback="serial"):
-                piece = pieces[i]
-
-                def run_shard(piece=piece):
-                    return worker(piece)
-
-                results[i] = policy.run(
-                    run_shard,
-                    retryable=(OSError, SerializationError),
-                    site="batch.shard.serial",
-                )
-    finally:
-        # The fallback runs in-process: drop the references so a large
-        # compiled set is not pinned for the life of the service.
-        _SHARD_STATE.clear()
+    if pool is not None:
+        pool.shutdown(wait=False, cancel_futures=True)
+    if spill_dir is not None:
+        shutil.rmtree(spill_dir, ignore_errors=True)
 
 
-def _harvest_round(pool, submit, indices, pieces, results, policy, obs):
+def _harvest_round(pool, task, indices, pieces, results, policy, obs):
     """Submit one round of shards and harvest: the indices that failed.
 
-    Completed shard results are written straight into ``results`` — a pool
-    that breaks mid-round loses only its unfinished shards.  A shard misses
-    its ``policy.shard_timeout`` deadline → counted under
-    ``resilience.timeouts`` and marked failed; transient worker failures
-    (``OSError``, store corruption) are marked failed for re-run; anything
-    else is a genuine worker bug and propagates.
+    ``task`` is the shared head of every shard's :func:`_shard_task` tuple
+    (the piece is appended per shard).  Completed shard results are written
+    straight into ``results`` — a pool that breaks mid-round loses only its
+    unfinished shards.  A shard misses its ``policy.shard_timeout`` deadline
+    → counted under ``resilience.timeouts`` and marked failed; transient
+    worker failures (``OSError``, store corruption) are marked failed for
+    re-run; anything else is a genuine worker bug and propagates.
     """
     timeout = policy.shard_timeout
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -297,7 +268,7 @@ def _harvest_round(pool, submit, indices, pieces, results, policy, obs):
     unsubmitted = []
     for position, i in enumerate(indices):
         try:
-            futures.append((i, submit(pool, pieces[i])))
+            futures.append((i, pool.submit(_shard_task, task + (pieces[i],))))
         except BrokenProcessPool:
             # The pool died while we were still submitting: everything not
             # yet submitted joins the failed set for the next round.
@@ -327,160 +298,13 @@ def _harvest_round(pool, submit, indices, pieces, results, policy, obs):
             )
             failed.append(i)
         else:
-            results[i] = _unpack_shard(raw, obs, i)
+            if obs:
+                raw, spans, delta = raw
+                get_tracer().attach(spans, shard=i)
+                get_registry().merge(delta)
+            results[i] = raw
     failed.extend(unsubmitted)
     return failed
-
-
-def _resilient_map(pieces, policy, obs, make_pool, submit, release, run_serial):
-    """Map shards over pool rounds with salvage, then serial escalation.
-
-    Round *n* submits every still-pending shard to the pool ``make_pool``
-    yields; completed results are kept (``resilience.salvaged_shards``)
-    and only failures re-run.  ``policy.attempts - 1`` pool rounds (fresh
-    pool each round on the in-memory path, evaluator-managed persistent
-    pool on the store path) are tried before ``run_serial`` finishes the
-    stragglers in-process.  Returns results in piece order.
-    """
-    registry = get_registry()
-    results = [None] * len(pieces)
-    pending = list(range(len(pieces)))
-    pool_rounds = max(1, policy.attempts - 1)
-    for round_no in range(pool_rounds):
-        pool = make_pool(round_no)
-        if pool is None:
-            break
-        submitted = list(pending)
-        completed_ok = False
-        try:
-            failed = _harvest_round(
-                pool, submit, submitted, pieces, results, policy, obs
-            )
-            completed_ok = True
-        finally:
-            release(pool, broken=not completed_ok or bool(failed))
-        if not failed:
-            return results
-        salvaged = len(submitted) - len(failed)
-        if salvaged:
-            registry.inc("resilience.salvaged_shards", salvaged)
-        record_degradation(
-            f"shard round {round_no + 1} degraded: salvaged "
-            f"{salvaged}/{len(submitted)} shards, re-running {len(failed)}"
-        )
-        pending = failed
-    run_serial(pending, results)
-    return results
-
-
-def _process_map(processes, compiled, base_vector, worker, pieces, policy=None):
-    """Map ``worker`` over ``pieces`` on per-call process pools with salvage.
-
-    The in-memory flavour: each pool round pickles the compiled set into
-    worker initargs (fresh pool per round, so a broken pool never poisons
-    the retry).  Escalation and salvage semantics are
-    :func:`_resilient_map`'s; with no pool at all every shard runs serially.
-
-    With tracing enabled, pool workers record their own span subtrees and
-    metric deltas (see :func:`_obs_shard`) and the parent grafts them as
-    each future completes, stamping each root with its shard index; the
-    serial rung records plain nested ``batch.shard`` spans instead — it
-    already runs inside the parent's live trace, so nothing needs shipping.
-    """
-    if policy is None:
-        policy = policy_from_env()
-    obs = tracing_enabled()
-    fault_spec = active_plan_spec()
-
-    def make_pool(round_no):
-        return _bringup_pool(
-            processes,
-            initializer=_init_shard_worker,
-            initargs=(compiled, base_vector, obs, fault_spec),
-            policy=policy,
-        )
-
-    def submit_shard(pool, piece):
-        return pool.submit(worker, piece)
-
-    def release(pool, broken):
-        pool.shutdown(wait=not broken, cancel_futures=broken)
-
-    def run_serial(indices, results):
-        _serial_shards(
-            compiled, base_vector, worker, pieces, indices, results, policy
-        )
-
-    return _resilient_map(
-        pieces, policy, obs, make_pool, submit_shard, release, run_serial
-    )
-
-
-def _store_shard_task(task):
-    """One task of the persistent store-backed pool: open + evaluate a shard.
-
-    ``task`` is ``(store_path, kind, base_vector, obs, fault_spec, piece)`` —
-    the pool is generic (no initializer), so each task names its compiled
-    store.  The per-process store cache
-    (:func:`repro.provenance.store.open_store`) makes repeated opens
-    O(header), and every worker mapping the same file shares one page-cache
-    copy of the arrays.
-    """
-    path, kind, base_vector, obs, fault_spec, piece = task
-    if fault_spec is not None:
-        from repro.resilience import active_plan
-
-        # Arm once per worker process (counters persist across this
-        # worker's tasks, keeping injection schedules deterministic).
-        if active_plan() is None:
-            install_plan(plan_from_spec(fault_spec))
-    fault_point("batch.shard", kind=kind, store=True)
-    # Persistent workers serve many calls: start each task with a clean
-    # tracer so reused workers never accumulate undrained spans, and only
-    # record when the parent is tracing this call.
-    tracer = get_tracer()
-    tracer.reset()
-    tracer.enabled = bool(obs)
-    from repro.provenance.store import open_store
-
-    compiled = open_store(path)
-    if kind == "dense":
-        rows = int(piece.shape[0])
-
-        def run_kernel():
-            return compiled.evaluate_matrix(piece)
-    else:
-        rows = len(piece)
-
-        def run_kernel():
-            return compiled.evaluate_deltas(base_vector, piece)
-    if not obs:
-        return run_kernel()
-    return _obs_shard(run_kernel, kind=kind, rows=rows, store=True)
-
-
-class _StoreShardPool:
-    """A persistent, store-generic worker pool owned by one evaluator.
-
-    Store-backed sharding ships a *path* per task instead of pickling the
-    compiled set into per-call pool initargs, which is what lets the pool
-    outlive individual calls — amortising bringup/teardown across a sweep of
-    calls is where the store's sharding win comes from on warm services.
-    """
-
-    __slots__ = ("pool", "processes")
-
-    def __init__(self, pool, processes: int) -> None:
-        self.pool = pool
-        self.processes = processes
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-            self.pool = None
-
-    def __del__(self):  # pragma: no cover — best-effort cleanup
-        self.close()
 
 
 def _resolve_max_bytes(max_bytes: Optional[int]) -> Optional[int]:
@@ -681,7 +505,15 @@ class BatchEvaluator:
         self._retry = retry_policy if retry_policy is not None else policy_from_env()
         self._compiled = FingerprintCache(cache_size, metrics="batch.compile_cache")
         self._compressor = compressor
-        self._store_pool: Optional[_StoreShardPool] = None
+        # The one worker pool (and its width), plus the directory holding
+        # in-memory compiled sets spilled for it, keyed like the compile
+        # cache and bounded by the same capacity.
+        self._pool = None
+        self._pool_width = 0
+        self._spill_dir: Optional[str] = None
+        self._spills: "OrderedDict[Tuple[Optional[str], str], str]" = OrderedDict()
+        self._spill_capacity = cache_size
+        self._finalizer = weakref.finalize(self, _release, None, None)
 
     @property
     def retry_policy(self) -> RetryPolicy:
@@ -730,9 +562,9 @@ class BatchEvaluator:
 
         Subsequent :meth:`evaluate` calls over provenance with the store's
         fingerprint (and backend) reuse the mapped arrays instead of
-        recompiling, and ``processes=N`` sharding ships the store *path* to a
-        persistent worker pool instead of pickling the compiled set per call.
-        Returns the mapped compiled set.
+        recompiling, and ``processes=N`` sharding ships this store's path to
+        the worker pool without spilling a copy.  Returns the mapped
+        compiled set.
 
         Opening runs under the evaluator's retry policy (transient I/O
         failures back off and retry).  A store that fails verification —
@@ -769,14 +601,16 @@ class BatchEvaluator:
         return compiled
 
     def close(self) -> None:
-        """Shut down the persistent store-shard worker pool (if one is live).
+        """Shut down the worker pool and delete the spilled compiled sets.
 
-        Safe to call repeatedly; the evaluator stays usable (a later
-        store-backed sharded call simply brings a fresh pool up).
+        Safe to call repeatedly; the evaluator stays usable (a later sharded
+        call simply brings a fresh pool up and spills again).  Evaluators
+        nobody closes are cleaned up the same way when garbage-collected.
         """
-        if self._store_pool is not None:
-            self._store_pool.close()
-            self._store_pool = None
+        self._finalizer()
+        self._pool = None
+        self._spill_dir = None
+        self._spills.clear()
 
     def __enter__(self) -> "BatchEvaluator":
         return self
@@ -785,61 +619,129 @@ class BatchEvaluator:
         self.close()
         return False
 
-    def _store_pool_for(self, processes: int) -> Optional[_StoreShardPool]:
-        """The persistent store-shard pool, (re)built at ``processes`` width."""
-        if self._store_pool is not None and self._store_pool.processes != processes:
-            self.close()
-        if self._store_pool is None:
-            pool = _bringup_pool(processes, policy=self._retry)
-            if pool is None:
-                return None
-            self._store_pool = _StoreShardPool(pool, processes)
-        return self._store_pool
-
-    def _shard_map(self, processes, compiled, base_vector, worker, kind, pieces):
-        """Dispatch shards to the right pool flavour.
-
-        Store-backed compiled sets take the evaluator's persistent pool with
-        path-per-task shipping; in-memory ones take the per-call pool that
-        pickles the compiled set into worker initargs.  Both run the same
-        salvage/retry rounds (:func:`_resilient_map`): a broken pool keeps
-        completed shards and re-runs only the failures on a fresh pool,
-        escalating to in-process serial evaluation; genuine worker
-        exceptions still propagate.
-        """
-        store_path = getattr(compiled, "store_path", None)
-        policy = self._retry
-        if store_path is None:
-            return _process_map(
-                processes, compiled, base_vector, worker, pieces, policy
-            )
-        obs = tracing_enabled()
-        fault_spec = active_plan_spec()
-
-        def make_pool(round_no):
-            if round_no:
-                # The previous round broke the persistent pool; force a
-                # fresh one for the re-run.
-                self.close()
-            shard_pool = self._store_pool_for(processes)
-            return None if shard_pool is None else shard_pool.pool
-
-        def submit_shard(pool, piece):
-            task = (store_path, kind, base_vector, obs, fault_spec, piece)
-            return pool.submit(_store_shard_task, task)
-
-        def release(pool, broken):
-            if broken:
-                self.close()
-
-        def run_serial(indices, results):
-            _serial_shards(
-                compiled, base_vector, worker, pieces, indices, results, policy
-            )
-
-        return _resilient_map(
-            pieces, policy, obs, make_pool, submit_shard, release, run_serial
+    def _track(self) -> None:
+        """Point the finalizer at the live pool and spill directory."""
+        self._finalizer.detach()
+        self._finalizer = weakref.finalize(
+            self, _release, self._pool, self._spill_dir
         )
+
+    def _drop_pool(self) -> None:
+        """Shut the worker pool down (the spilled stores stay)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            self._track()
+            _release(pool, None)
+
+    def _pool_for(self, processes: int):
+        """The worker pool, (re)built at ``processes`` width; ``None`` if
+        the platform cannot run one."""
+        if self._pool is not None and self._pool_width != processes:
+            self._drop_pool()
+        if self._pool is None:
+            self._pool = _bringup_pool(processes, policy=self._retry)
+            if self._pool is not None:
+                self._pool_width = processes
+                self._track()
+        return self._pool
+
+    def _store_path_for(self, compiled) -> Optional[str]:
+        """The compiled store pool workers open for ``compiled``.
+
+        An adopted store is used as is.  An in-memory compiled set is
+        spilled once, with :func:`~repro.provenance.store.write_store`, into
+        this evaluator's private temporary directory; later calls over the
+        same ``(source_fingerprint, backend_name)`` reuse the file.  ``None``
+        when the set cannot be spilled (the shards then run in-process).
+        """
+        if compiled.store_path is not None:
+            return compiled.store_path
+        key = (compiled.source_fingerprint, compiled.backend_name)
+        path = self._spills.get(key)
+        if path is not None:
+            self._spills.move_to_end(key)
+            return path
+        from repro.provenance.store import write_store
+
+        try:
+            if self._spill_dir is None:
+                self._spill_dir = tempfile.mkdtemp(prefix="cobra-shards-")
+                self._track()
+            name = f"{compiled.backend_name}-{compiled.source_fingerprint}.cps"
+            path = write_store(compiled, os.path.join(self._spill_dir, name))
+        except OSError as exc:
+            record_degradation(
+                f"could not spill the compiled set for worker processes "
+                f"({type(exc).__name__}: {exc}); evaluating shards in-process"
+            )
+            return None
+        self._spills[key] = path
+        if len(self._spills) > self._spill_capacity:
+            _, stale = self._spills.popitem(last=False)
+            with suppress(OSError):
+                os.remove(stale)
+        return path
+
+    def _shard_map(self, processes, compiled, base_vector, kind, pieces):
+        """Map shards over the worker pool in salvage rounds, then serially.
+
+        Every task ships the compiled set's store path (see
+        :meth:`_store_path_for`), never the set itself.  Round *n* submits
+        every still-pending shard; completed results are kept
+        (``resilience.salvaged_shards``) and only failures re-run, on a
+        fresh pool — a pool that failed a round is never reused.  After
+        ``policy.attempts - 1`` pool rounds (or with no pool at all) the
+        stragglers run in-process, each retried under the policy; genuine
+        worker exceptions propagate.  Returns results in piece order.
+
+        With tracing enabled, pool workers record their own span subtrees
+        and metric deltas (see :func:`_shard_task`) and the parent grafts
+        them as each future completes, stamping each root with its shard
+        index; the serial rung records plain nested ``batch.shard`` spans —
+        it already runs inside the parent's live trace.
+        """
+        policy = self._retry
+        obs = tracing_enabled()
+        registry = get_registry()
+        results = [None] * len(pieces)
+        pending = list(range(len(pieces)))
+        path = self._store_path_for(compiled)
+        task = (path, kind, base_vector, obs, active_plan_spec())
+        for round_no in range(max(1, policy.attempts - 1)):
+            pool = None if path is None else self._pool_for(processes)
+            if pool is None:
+                break
+            failed = None
+            try:
+                failed = _harvest_round(
+                    pool, task, pending, pieces, results, policy, obs
+                )
+            finally:
+                if failed is None or failed:
+                    self._drop_pool()
+            if not failed:
+                return results
+            salvaged = len(pending) - len(failed)
+            if salvaged:
+                registry.inc("resilience.salvaged_shards", salvaged)
+            record_degradation(
+                f"shard round {round_no + 1} degraded: salvaged "
+                f"{salvaged}/{len(pending)} shards, re-running {len(failed)}"
+            )
+            pending = failed
+        for i in pending:
+            with trace("batch.shard", shard=i, fallback="serial"):
+                piece = pieces[i]
+
+                def run_shard(piece=piece):
+                    return _run_shard(compiled, kind, base_vector, piece)
+
+                results[i] = policy.run(
+                    run_shard,
+                    retryable=(OSError, SerializationError),
+                    site="batch.shard.serial",
+                )
+        return results
 
     # -- compression ----------------------------------------------------------
 
@@ -889,7 +791,7 @@ class BatchEvaluator:
             if processes and processes > 1 and len(pieces) > 1:
                 span.set("processes", processes)
                 results = self._shard_map(
-                    processes, compiled, None, _dense_shard_worker, "dense", pieces
+                    processes, compiled, None, "dense", pieces
                 )
             elif (
                 self._max_workers is not None
@@ -927,8 +829,7 @@ class BatchEvaluator:
                 return compiled.evaluate_deltas(base_vector, plans)
             span.update({"processes": processes, "shards": len(pieces)})
             results = self._shard_map(
-                processes, compiled, base_vector, _sparse_shard_worker, "sparse",
-                pieces,
+                processes, compiled, base_vector, "sparse", pieces
             )
             return np.concatenate(results, axis=0)
 

@@ -263,33 +263,32 @@ def run_batch(args: argparse.Namespace) -> int:
             f"{session.compressed_provenance.size()} monomials"
         )
 
-    evaluator = BatchEvaluator(max_workers=args.workers)
-    if getattr(args, "store", None):
-        from repro.exceptions import SerializationError, SessionStateError
+    with BatchEvaluator(max_workers=args.workers) as evaluator:
+        if getattr(args, "store", None):
+            from repro.exceptions import SerializationError, SessionStateError
 
-        try:
-            # The session validates backend + fingerprint; the explicit
-            # evaluator then adopts the same mapped arrays so sharding ships
-            # the store path, not a pickled compiled set.
-            mapped = session.open_from_store(args.store)
-            evaluator.adopt_store(args.store)
-        except (SerializationError, SessionStateError) as exc:
-            _print(f"cobra batch: cannot use compiled store: {exc}")
-            return 1
-        _print(
-            f"Using compiled store {args.store} "
-            f"({mapped.size()} monomials, mmap-backed)"
-        )
-    _print()
+            try:
+                # The session validates backend + fingerprint; the explicit
+                # evaluator then adopts the same mapped arrays so sharding
+                # ships this store's path instead of spilling a copy.
+                mapped = session.open_from_store(args.store)
+                evaluator.adopt_store(args.store)
+            except (SerializationError, SessionStateError) as exc:
+                _print(f"cobra batch: cannot use compiled store: {exc}")
+                return 1
+            _print(
+                f"Using compiled store {args.store} "
+                f"({mapped.size()} monomials, mmap-backed)"
+            )
+        _print()
 
-    with Timer() as timer:
-        report = session.evaluate_many(
-            scenarios,
-            evaluator=evaluator,
-            mode=args.mode,
-            processes=args.processes,
-        )
-    evaluator.close()
+        with Timer() as timer:
+            report = session.evaluate_many(
+                scenarios,
+                evaluator=evaluator,
+                mode=args.mode,
+                processes=args.processes,
+            )
     per_scenario = timer.elapsed / max(1, len(scenarios))
     _print(report.render_text(max_rows=args.top))
     _print()
@@ -419,15 +418,13 @@ def run_sweep(args: argparse.Namespace) -> int:
 
     registry = get_registry()
     before = registry.snapshot()
-    evaluator = BatchEvaluator()
-    with Timer() as timer:
+    with BatchEvaluator() as evaluator, Timer() as timer:
         report = session.evaluate_plan(
             plan,
             evaluator=evaluator,
             mode=args.mode,
             processes=args.processes,
         )
-    evaluator.close()
     delta = registry.diff(before, registry.snapshot())
     counters = delta.get("counters", {})
 
@@ -821,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--store", metavar="PATH",
         help="open a compiled store written by `cobra compile` instead of "
-        "recompiling; worker processes mmap it instead of unpickling",
+        "recompiling; worker processes map it instead of a spilled copy",
     )
     _add_strategy_argument(batch, default="auto")
     _add_trace_arguments(batch)

@@ -17,7 +17,7 @@ which is what lets the chaos suite assert bit-identical recovery.
 
 Plans cross process boundaries as plain dicts (:meth:`FaultPlan.to_spec`
 / :func:`plan_from_spec`) because the live object holds a lock; pool
-workers re-arm themselves from the spec shipped through initargs.  The
+workers re-arm themselves from the spec shipped with each shard task.  The
 ``COBRA_FAULTS`` environment variable (inline JSON or a path to a JSON
 file) arms the process at import time via :func:`plan_from_env`.
 """

@@ -169,7 +169,8 @@ class TestWorkerPayload:
             {
                 "src/repro/batch/mod.py": """
                 def run(items):
-                    return _process_map(lambda x: x + 1, items)
+                    pool = _bringup_pool(2)
+                    return pool.submit(lambda x: x + 1, items)
                 """
             },
             select=["CL002"],
@@ -184,7 +185,8 @@ class TestWorkerPayload:
                 def run(items):
                     def task(x):
                         return x + 1
-                    return _process_map(task, items)
+                    pool = _bringup_pool(2)
+                    return pool.submit(task, items)
                 """
             },
             select=["CL002"],
@@ -199,7 +201,7 @@ class TestWorkerPayload:
                 from repro.obs.tracer import get_tracer
 
                 def run():
-                    return _bringup_pool(
+                    return ProcessPoolExecutor(
                         2, initializer=_init, initargs=(get_tracer(),)
                     )
                 """
@@ -232,7 +234,8 @@ class TestWorkerPayload:
                     return x + 1
 
                 def run(items):
-                    return _process_map(worker, items)
+                    pool = _bringup_pool(2)
+                    return pool.submit(worker, items)
                 """
             },
             select=["CL002"],
@@ -245,7 +248,8 @@ class TestWorkerPayload:
             {
                 "src/repro/batch/mod.py": """
                 def run(items):
-                    return _process_map(lambda x: x, items)  # cobralint: disable=CL002 -- fixture
+                    pool = _bringup_pool(2)
+                    return pool.submit(lambda x: x, items)  # cobralint: disable=CL002 -- fixture
                 """
             },
             select=["CL002"],

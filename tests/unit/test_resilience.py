@@ -8,13 +8,16 @@ logging, the mid-map pool-break salvage regression, and the CLI
 """
 
 import json
+import multiprocessing
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.batch import BatchEvaluator
-from repro.batch.evaluator import _bringup_pool, _process_map
+from repro.batch import evaluator as evaluator_module
+from repro.batch.evaluator import _bringup_pool
 from repro.cli.main import main
 from repro.engine.scenario import Scenario
 from repro.obs.metrics import get_registry
@@ -334,10 +337,6 @@ class TestDegradationEvents:
 # ---------------------------------------------------------------------------
 
 
-def _broken_initializer():
-    raise RuntimeError("worker bringup bug")
-
-
 class TestPoolBringup:
     def test_bringup_retries_injected_io_faults(self):
         before = _counter("resilience.retries.pool.bringup")
@@ -352,10 +351,11 @@ class TestPoolBringup:
     def test_bringup_failure_logs_swallowed_cause(self):
         before = _counter("resilience.pool_bringup_failures")
         policy = RetryPolicy(attempts=2, backoff=0.0, jitter=0.0)
-        with collect_degradations() as events:
-            pool = _bringup_pool(
-                2, initializer=_broken_initializer, policy=policy
-            )
+        plan = FaultPlan(
+            [FaultSpec(site="pool.bringup", kind="io", times=(0, 1), max_fires=2)]
+        )
+        with fault_plan(plan), collect_degradations() as events:
+            pool = _bringup_pool(2, policy=policy)
         assert pool is None
         assert _counter("resilience.pool_bringup_failures") == before + 1
         snapshot = get_registry().snapshot()["counters"]
@@ -373,37 +373,56 @@ class TestPoolBringup:
 _EXIT_SENTINEL_ENV = "COBRA_TEST_EXIT_SENTINEL"
 
 
-def _exit_once_worker(piece):
-    """Doubles ``piece``; hard-kills its process the first time it sees 13.
+def _exit_once_shard(run_shard):
+    """Wrap the shard kernel to hard-kill its process on one shard, once.
 
-    The sentinel file makes the crash fire exactly once across pool rounds,
-    so the re-run converges — a deterministic mid-map pool break.
+    The shard whose scenario scales ``x`` by 13 crashes its worker the
+    first time it runs; the sentinel file keeps the re-run from crashing
+    again, so the map converges — a deterministic mid-map pool break.
     """
-    sentinel = os.environ[_EXIT_SENTINEL_ENV]
-    if piece == 13 and not os.path.exists(sentinel):
-        with open(sentinel, "w", encoding="utf-8") as handle:
-            handle.write("crashed")
-        os._exit(1)
-    return piece * 2
+
+    def shard(compiled, kind, base_vector, piece):
+        sentinel = os.environ[_EXIT_SENTINEL_ENV]
+        crashing = any(13.0 in values for _, values in piece)
+        if crashing and not os.path.exists(sentinel):
+            with open(sentinel, "w", encoding="utf-8") as handle:
+                handle.write("crashed")
+            os._exit(1)
+        return run_shard(compiled, kind, base_vector, piece)
+
+    return shard
 
 
 class TestPoolBreakSalvage:
     def test_completed_shards_survive_a_mid_map_pool_break(
         self, tmp_path, monkeypatch
     ):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the wrapped kernel reaches pool workers only by fork")
         monkeypatch.setenv(_EXIT_SENTINEL_ENV, str(tmp_path / "crash.sentinel"))
-        pieces = [1, 2, 13, 4, 5, 6]
+        provenance = _small_provenance()
+        scenarios = [
+            Scenario(f"s{i}").scale(["x"], float(factor))
+            for i, factor in enumerate([1, 2, 13, 4, 5, 6])
+        ]
+        clean = BatchEvaluator().evaluate(provenance, scenarios, mode="sparse")
+        monkeypatch.setattr(
+            evaluator_module,
+            "_run_shard",
+            _exit_once_shard(evaluator_module._run_shard),
+        )
         before = _counter("resilience.salvaged_shards")
         policy = RetryPolicy(attempts=3, backoff=0.0, jitter=0.0)
-        with collect_degradations() as events:
-            results = _process_map(
-                2, None, None, _exit_once_worker, pieces, policy
+        with BatchEvaluator(retry_policy=policy) as evaluator:
+            report = evaluator.evaluate(
+                provenance, scenarios, mode="sparse", processes=2
             )
-        assert results == [2, 4, 26, 8, 10, 12]
+        assert os.path.exists(os.environ[_EXIT_SENTINEL_ENV])
+        np.testing.assert_array_equal(report.full_results, clean.full_results)
         # The pool broke mid-map; every shard finished before the break must
         # have been salvaged rather than recomputed.
         assert _counter("resilience.salvaged_shards") > before
-        assert any("salvaged" in event for event in events)
+        assert any("salvaged" in event for event in report.degradations)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +482,23 @@ class TestCliFaultPlan:
         assert "fault injection armed (seed 1)" in out
         assert "batch.compile:io" in out
         assert "resilience" in out
+
+    @pytest.mark.parametrize("command", ["batch", "sweep"])
+    def test_raising_sweep_leaves_no_spill_behind(
+        self, command, tmp_path, monkeypatch
+    ):
+        """A sweep that raises still closes its evaluator: no worker pool
+        and no spilled compiled set outlive the command."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        raw = json.dumps(
+            {"faults": [{"site": "batch.shard", "kind": "worker", "times": [0]}]}
+        )
+        with pytest.raises(InjectedWorkerError):
+            main(
+                [command, *self.WORKLOAD, "--processes", "2",
+                 "--mode", "sparse", "--fault-plan", raw]
+            )
+        assert not list(tmp_path.glob("cobra-shards-*"))
 
     def test_bad_fault_plan_is_a_clean_cli_error(self, capsys):
         assert (

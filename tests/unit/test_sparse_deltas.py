@@ -2,6 +2,10 @@
 sets' ``evaluate_deltas`` kernels, and the evaluator's mode/sharding/budget
 machinery)."""
 
+import gc
+import stat
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -9,17 +13,18 @@ from repro.batch import BatchEvaluator, DeltaPlan, ScenarioBatch
 from repro.batch.evaluator import (
     MAX_BYTES_ENV,
     SPARSE_TOUCHED_FRACTION,
-    _process_map,
     _resolve_max_bytes,
     lower_meta_deltas,
     lower_meta_matrix,
 )
 from repro.core.compression import Abstraction
 from repro.engine.scenario import Scenario
+from repro.obs.metrics import get_registry
 from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.provenance.valuation import Valuation
+from repro.resilience import FaultPlan, FaultSpec, InjectedWorkerError, fault_plan
 
 
 def _random_provenance(seed=0, num_groups=4, monomials=30, num_variables=12):
@@ -406,11 +411,6 @@ class TestLowerMetaDeltas:
         assert meta_plans[0][0].size == 0  # noop scenario stays a noop
 
 
-def _exploding_worker(piece):
-    """A picklable shard worker that fails the way a real kernel bug would."""
-    raise RuntimeError("shard kernel exploded")
-
-
 class TestProcessSharding:
     def test_sparse_sharded_matches_serial(self):
         provenance = _random_provenance(seed=17, num_variables=30)
@@ -459,9 +459,112 @@ class TestProcessSharding:
         The pool-bringup probe now owns the fallback, so a shard kernel's own
         exception must reach the caller unchanged."""
         provenance = _random_provenance(seed=21)
-        compiled = resolve_backend("real").compile(provenance)
-        with pytest.raises(RuntimeError, match="shard kernel exploded"):
-            _process_map(2, compiled, None, _exploding_worker, [object()])
+        scenarios = [
+            Scenario(f"s{i}").scale([f"v{i}"], 1.5) for i in range(8)
+        ]
+        plan = FaultPlan(
+            [FaultSpec(site="batch.shard", kind="worker", times=(0,))]
+        )
+        with fault_plan(plan), BatchEvaluator() as evaluator:
+            with pytest.raises(InjectedWorkerError):
+                evaluator.evaluate(
+                    provenance, scenarios, mode="sparse", processes=2
+                )
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    @pytest.mark.parametrize("semiring", ["real", "tropical", "bool"])
+    def test_in_memory_set_spills_once_onto_one_pool(
+        self, semiring, mode, tmp_path, monkeypatch
+    ):
+        from repro.batch import evaluator as evaluator_module
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        bringups = []
+        bringup = evaluator_module._bringup_pool
+
+        def counting_bringup(*args, **kwargs):
+            bringups.append(args)
+            return bringup(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "_bringup_pool", counting_bringup)
+        provenance = _random_provenance(seed=24, num_variables=16)
+        scenarios = [
+            Scenario(f"s{i}").scale([f"v{i % 16}"], 0.5 + 0.1 * i)
+            for i in range(8)
+        ]
+        serial = BatchEvaluator().evaluate(
+            provenance, scenarios, semiring=semiring, mode=mode
+        )
+        builds = get_registry().counter("store.builds")
+        before = builds.value
+        evaluator = BatchEvaluator(chunk_size=2)
+        reports = [
+            evaluator.evaluate(
+                provenance, scenarios, semiring=semiring, mode=mode, processes=2
+            )
+            for _ in range(2)
+        ]
+        assert builds.value == before + 1
+        assert len(bringups) == 1
+        for report in reports:
+            assert not report.degraded
+            if semiring == "real":
+                np.testing.assert_allclose(
+                    report.full_results, serial.full_results, rtol=1e-9
+                )
+            else:
+                np.testing.assert_array_equal(
+                    report.full_results, serial.full_results
+                )
+        (spill_dir,) = tmp_path.glob("cobra-shards-*")
+        assert stat.S_IMODE(spill_dir.stat().st_mode) == 0o700
+        evaluator.close()
+        assert not spill_dir.exists()
+
+    def test_unwritable_spill_falls_back_to_serial(self, monkeypatch):
+        def no_space(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_space)
+        provenance = _random_provenance(seed=28)
+        scenarios = [
+            Scenario(f"s{i}").scale([f"v{i}"], 1.5) for i in range(8)
+        ]
+        with BatchEvaluator() as evaluator:
+            sharded = evaluator.evaluate(
+                provenance, scenarios, mode="sparse", processes=2
+            )
+        serial = BatchEvaluator().evaluate(provenance, scenarios, mode="sparse")
+        np.testing.assert_array_equal(sharded.full_results, serial.full_results)
+        assert any("could not spill" in event for event in sharded.degradations)
+
+    def test_spills_are_bounded_by_the_cache_size(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        scenarios = [
+            Scenario(f"s{i}").scale([f"v{i}"], 1.5) for i in range(8)
+        ]
+        with BatchEvaluator(cache_size=1) as evaluator:
+            for seed in (26, 27):
+                evaluator.evaluate(
+                    _random_provenance(seed=seed), scenarios, mode="sparse",
+                    processes=2,
+                )
+            (spill_dir,) = tmp_path.glob("cobra-shards-*")
+            assert len(list(spill_dir.iterdir())) == 1
+
+    def test_unclosed_evaluator_removes_its_spill_when_collected(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        provenance = _random_provenance(seed=25)
+        scenarios = [
+            Scenario(f"s{i}").scale([f"v{i}"], 1.5) for i in range(8)
+        ]
+        BatchEvaluator().evaluate(
+            provenance, scenarios, mode="sparse", processes=2
+        )
+        gc.collect()
+        assert not list(tmp_path.glob("cobra-shards-*"))
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
         import concurrent.futures as futures

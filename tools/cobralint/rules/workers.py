@@ -6,9 +6,8 @@ must be module-level and picklable.  Lambdas, nested functions (closures)
 and the process-wide tracer/metrics singletons are not: shipping them dies
 at submit time on a good day and silently on a forked platform.
 
-Flagged, at every call to ``_process_map`` / ``_bringup_pool`` /
-``ProcessPoolExecutor`` / ``_StoreShardPool`` and every ``.submit``/``.map``
-on a name bound from one of those:
+Flagged, at every call to ``_bringup_pool`` / ``ProcessPoolExecutor`` and
+every ``.submit``/``.map`` on a name bound from one of those:
 
 * a ``lambda`` argument (positional, keyword, or inside an ``initargs``
   tuple);
@@ -16,7 +15,7 @@ on a name bound from one of those:
   (a closure — its cell contents never pickle);
 * ``get_tracer()`` / ``get_registry()`` results (the singletons are
   process-local by design; workers must rebuild their own — see
-  ``_init_shard_worker``).
+  ``_shard_task``).
 """
 
 from __future__ import annotations
@@ -34,12 +33,7 @@ from tools.cobralint.engine import (
 )
 
 #: Callables whose arguments are shipped to worker processes.
-POOL_ENTRYPOINTS = {
-    "_process_map",
-    "_bringup_pool",
-    "ProcessPoolExecutor",
-    "_StoreShardPool",
-}
+POOL_ENTRYPOINTS = {"_bringup_pool", "ProcessPoolExecutor"}
 
 #: Calls producing process-local singletons that must never be shipped.
 SINGLETON_SOURCES = {"get_tracer", "get_registry"}
