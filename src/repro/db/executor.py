@@ -12,6 +12,17 @@ Cell-level instrumentation is handled transparently: if a referenced cell
 holds a :class:`~repro.provenance.polynomial.Polynomial` (e.g. a price
 parameterised as ``0.4·p1·m1``) the aggregate expression simply multiplies it
 in.
+
+Capture costs time linear in the input: each SUM/COUNT group and each
+DISTINCT duplicate set is added up with one n-ary
+:meth:`~repro.provenance.polynomial.Polynomial.sum` rather than a chain of
+``+`` (which copies the running total at every step), and joining with an
+untagged row's unit annotation returns the other annotation unchanged.
+
+Every run is traced (free when tracing is off): a ``db.execute`` span wraps
+the plan, with one nested child per operator — ``db.scan``, ``db.filter``,
+``db.project``, ``db.join``, ``db.groupby``, ``db.union``, ``db.rename`` —
+each carrying ``rows_out``, and ``rows_in`` where it has a single input.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from numbers import Real
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union as TUnion
 
 from repro.exceptions import QueryError, SchemaError
+from repro.obs import current_span, trace
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.db.catalog import Catalog
 from repro.db.schema import Column, ColumnType, Schema
@@ -61,7 +73,10 @@ def execute(
         needs no entry here — instrumented cells already hold polynomials.
     """
     plan = query.plan if isinstance(query, Query) else query
-    return _Executor(catalog, annotations or {}).run(plan)
+    with trace("db.execute", plan=type(plan).__name__) as span:
+        relation = _Executor(catalog, annotations or {}).run(plan)
+        span.set("rows_out", len(relation))
+    return relation
 
 
 class _Executor:
@@ -72,20 +87,12 @@ class _Executor:
         self._annotations = annotations
 
     def run(self, plan: LogicalPlan) -> Relation:
-        if isinstance(plan, Scan):
-            return self._scan(plan)
-        if isinstance(plan, Filter):
-            return self._filter(plan)
-        if isinstance(plan, Project):
-            return self._project(plan)
-        if isinstance(plan, Join):
-            return self._join(plan)
-        if isinstance(plan, GroupBy):
-            return self._groupby(plan)
-        if isinstance(plan, Rename):
-            return self._rename(plan)
-        if isinstance(plan, Union):
-            return self._union(plan)
+        for node_type, span_name, operator in _OPERATORS:
+            if isinstance(plan, node_type):
+                with trace(span_name) as span:
+                    relation = operator(self, plan)
+                    span.set("rows_out", len(relation))
+                return relation
         raise QueryError(f"unsupported plan node: {type(plan).__name__}")
 
     # -- leaf ------------------------------------------------------------------
@@ -93,17 +100,20 @@ class _Executor:
     def _scan(self, plan: Scan) -> Relation:
         table = self._catalog.get(plan.table)
         provider = self._annotations.get(plan.table)
+        current_span().set("table", plan.table)
         return table.to_relation(provider)
 
     # -- unary -----------------------------------------------------------------
 
     def _filter(self, plan: Filter) -> Relation:
         child = self.run(plan.child)
+        current_span().set("rows_in", len(child))
         rows = [row for row in child.rows if plan.predicate.evaluate(row.values)]
         return Relation(child.schema, rows)
 
     def _project(self, plan: Project) -> Relation:
         child = self.run(plan.child)
+        current_span().set("rows_in", len(child))
         columns: List[Column] = []
         for name, expression in plan.columns:
             referenced = expression.columns()
@@ -125,26 +135,25 @@ class _Executor:
         if not plan.distinct:
             return Relation(schema, projected)
 
-        # Duplicate elimination: merge equal rows, summing their annotations.
-        merged: Dict[Tuple, Polynomial] = {}
-        order: List[Tuple] = []
+        # Duplicate elimination: merge equal rows, summing their annotations
+        # and keeping the first row's values.
+        duplicates: Dict[Tuple, List[AnnotatedRow]] = {}
         names = schema.names()
         for row in projected:
-            key = tuple(_hashable(row[name]) for name in names)
-            if key not in merged:
-                merged[key] = row.annotation
-                order.append(key)
-            else:
-                merged[key] = merged[key] + row.annotation
-        value_for: Dict[Tuple, Mapping[str, object]] = {}
-        for row in projected:
-            key = tuple(_hashable(row[name]) for name in names)
-            value_for.setdefault(key, row.values)
-        rows = [AnnotatedRow(dict(value_for[key]), merged[key]) for key in order]
+            key = tuple(row[name] for name in names)
+            duplicates.setdefault(key, []).append(row)
+        rows = [
+            AnnotatedRow(
+                dict(group[0].values),
+                Polynomial.sum(row.annotation for row in group),
+            )
+            for group in duplicates.values()
+        ]
         return Relation(schema, rows)
 
     def _rename(self, plan: Rename) -> Relation:
         child = self.run(plan.child)
+        current_span().set("rows_in", len(child))
         mapping = dict(plan.mapping)
         for old in mapping:
             child.schema.column(old)
@@ -194,12 +203,12 @@ class _Executor:
         # Hash join on the equi-columns.
         index: Dict[Tuple, List[AnnotatedRow]] = {}
         for row in right.rows:
-            key = tuple(_hashable(row[right_col]) for _, right_col in plan.on)
+            key = tuple(row[right_col] for _, right_col in plan.on)
             index.setdefault(key, []).append(row)
 
         rows: List[AnnotatedRow] = []
         for left_row in left.rows:
-            key = tuple(_hashable(left_row[left_col]) for left_col, _ in plan.on)
+            key = tuple(left_row[left_col] for left_col, _ in plan.on)
             for right_row in index.get(key, ()):
                 values = dict(left_row.values)
                 for column in right_kept:
@@ -224,17 +233,13 @@ class _Executor:
 
     def _groupby(self, plan: GroupBy) -> Relation:
         child = self.run(plan.child)
+        current_span().set("rows_in", len(child))
         for key in plan.keys:
             child.schema.column(key)
 
         groups: Dict[Tuple, List[AnnotatedRow]] = {}
-        order: List[Tuple] = []
         for row in child.rows:
-            key = tuple(_hashable(row[k]) for k in plan.keys)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+            groups.setdefault(tuple(row[k] for k in plan.keys), []).append(row)
 
         columns = [child.schema.column(k) for k in plan.keys]
         columns += [
@@ -243,8 +248,7 @@ class _Executor:
         schema = Schema(columns)
 
         rows: List[AnnotatedRow] = []
-        for key in order:
-            members = groups[key]
+        for members in groups.values():
             values: Dict[str, object] = {
                 k: members[0][k] for k in plan.keys
             }
@@ -252,6 +256,18 @@ class _Executor:
                 values[name] = _aggregate(function, expression, members)
             rows.append(AnnotatedRow(values, Polynomial.one()))
         return Relation(schema, rows)
+
+
+#: Plan node type → span name and operator, in :meth:`_Executor.run` order.
+_OPERATORS: Tuple[Tuple[type, str, Callable[..., Relation]], ...] = (
+    (Scan, "db.scan", _Executor._scan),
+    (Filter, "db.filter", _Executor._filter),
+    (Project, "db.project", _Executor._project),
+    (Join, "db.join", _Executor._join),
+    (GroupBy, "db.groupby", _Executor._groupby),
+    (Rename, "db.rename", _Executor._rename),
+    (Union, "db.union", _Executor._union),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +287,22 @@ def _aggregate(function: str, expression, members: Sequence[AnnotatedRow]):
 
 def _symbolic_sum(expression, members: Sequence[AnnotatedRow]):
     """SUM with semimodule propagation; returns a float when fully concrete."""
-    total = Polynomial.zero()
+    contributions: List[Polynomial] = []
     concrete = True
     for row in members:
         value = expression.evaluate(row.values)
         if isinstance(value, Polynomial):
-            contribution = value * row.annotation
+            contributions.append(value * row.annotation)
             concrete = False
         elif isinstance(value, Real):
-            contribution = row.annotation.scale(float(value))
+            contributions.append(row.annotation.scale(float(value)))
             if not _is_trivial(row.annotation):
                 concrete = False
         else:
             raise QueryError(
                 f"cannot SUM non-numeric value {value!r}"
             )
-        total = total + contribution
+    total = Polynomial.sum(contributions)
     if concrete:
         return total.constant_term()
     return total
@@ -294,13 +310,8 @@ def _symbolic_sum(expression, members: Sequence[AnnotatedRow]):
 
 def _symbolic_count(members: Sequence[AnnotatedRow]):
     """COUNT: the sum of annotations (a number when nothing is instrumented)."""
-    total = Polynomial.zero()
-    concrete = True
-    for row in members:
-        total = total + row.annotation
-        if not _is_trivial(row.annotation):
-            concrete = False
-    if concrete:
+    total = Polynomial.sum(row.annotation for row in members)
+    if all(_is_trivial(row.annotation) for row in members):
         return int(total.constant_term())
     return total
 
@@ -333,13 +344,6 @@ def _is_trivial(annotation: Polynomial) -> bool:
     return not annotation.variables()
 
 
-def _hashable(value):
-    """Make a cell value usable as (part of) a dictionary key."""
-    if isinstance(value, Polynomial):
-        return value
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Bridging to the COBRA input format
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def to_provenance_set(
     """
     for name in list(key_columns) + [value_column]:
         relation.schema.column(name)
-    result = ProvenanceSet()
+    grouped: Dict[Tuple, List[Polynomial]] = {}
     for row in relation.rows:
         key = tuple(row[name] for name in key_columns)
         value = row[value_column]
@@ -371,5 +375,7 @@ def to_provenance_set(
                 f"column {value_column!r} holds non-numeric, non-symbolic "
                 f"value {value!r}"
             )
-        result.add(key, polynomial)
-    return result
+        grouped.setdefault(key, []).append(polynomial)
+    return ProvenanceSet(
+        {key: Polynomial.sum(polynomials) for key, polynomials in grouped.items()}
+    )

@@ -162,11 +162,12 @@ class Table:
         annotated with the polynomial ``1`` (no tuple-level instrumentation).
         """
         names = self.schema.names()
+        one = Polynomial.one()
         rows = []
         for raw in self._rows:
             values = dict(zip(names, raw))
             if annotation_for_row is None:
-                annotation = Polynomial.one()
+                annotation = one
             else:
                 annotation = annotation_for_row(values)
             rows.append(AnnotatedRow(values, annotation))

@@ -37,6 +37,9 @@ Number = Union[int, float]
 #: against float dust produced by long chains of additions.
 _ZERO_EPSILON = 1e-12
 
+#: The unit monomial, looked up by the ``p * 1`` short-circuit in ``__mul__``.
+_UNIT = Monomial.unit()
+
 
 class Polynomial:
     """An immutable provenance polynomial: a map from monomials to coefficients.
@@ -118,6 +121,33 @@ class Polynomial:
             accumulated[monomial] = accumulated.get(monomial, 0.0) + float(coefficient)
         return cls(accumulated)
 
+    @classmethod
+    def sum(cls, polynomials: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of ``polynomials``, built as one polynomial in one pass.
+
+        The result equals ``reduce(operator.add, polynomials,
+        Polynomial.zero())`` coefficient for coefficient and in term order: a
+        running coefficient is dropped as soon as it cancels to within
+        ``_ZERO_EPSILON``, as each intermediate ``+`` would drop it, and a
+        monomial that comes back afterwards is appended at the end.  The fold
+        copies and re-validates its running total at every step, which is
+        quadratic in the number of summands; this accumulates into one dict
+        and validates each surviving coefficient once.
+        """
+        running: Dict[Monomial, float] = {}
+        for polynomial in polynomials:
+            if not isinstance(polynomial, Polynomial):
+                raise InvalidPolynomialError(
+                    f"Polynomial.sum takes polynomials, got {type(polynomial).__name__}"
+                )
+            for monomial, coefficient in polynomial._terms.items():
+                value = running.get(monomial, 0.0) + coefficient
+                if abs(value) > _ZERO_EPSILON:
+                    running[monomial] = value
+                else:
+                    running.pop(monomial, None)
+        return cls(running)
+
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> Tuple[Tuple[Monomial, float], ...]:
@@ -188,6 +218,12 @@ class Polynomial:
             return self.scale(float(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
+        # ``c * 1.0 == c``, so a unit factor returns the other (immutable)
+        # operand unchanged instead of rebuilding it.
+        if _is_one(other._terms):
+            return self
+        if _is_one(self._terms):
+            return other
         product: Dict[Monomial, float] = {}
         for mono_a, coeff_a in self._terms.items():
             for mono_b, coeff_b in other._terms.items():
@@ -311,6 +347,11 @@ class Polynomial:
             else:
                 parts.append(f"{coeff_text}*{monomial.to_text()}")
         return " + ".join(parts)
+
+
+def _is_one(terms: Mapping[Monomial, float]) -> bool:
+    """Whether ``terms`` is exactly the unit polynomial ``{1: 1.0}``."""
+    return len(terms) == 1 and terms.get(_UNIT) == 1.0
 
 
 def _format_number(value: float, precision: int) -> str:

@@ -100,10 +100,7 @@ class AggregateExpression:
 
     def flatten(self) -> Polynomial:
         """Flatten into an N[X] polynomial (sum of ``value * annotation``)."""
-        result = Polynomial.zero()
-        for term in self._terms:
-            result = result + term.flatten()
-        return result
+        return Polynomial.sum(term.flatten() for term in self._terms)
 
     def evaluate(self, valuation: Mapping[str, Number]) -> float:
         """Evaluate the aggregate under a valuation of the provenance variables."""

@@ -6,6 +6,9 @@ rename operation must commute with evaluation.  These are the invariants
 everything above (compression, valuation, the engine) relies on.
 """
 
+import operator
+from functools import reduce
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
@@ -59,6 +62,51 @@ def renamings(draw):
         name: draw(st.sampled_from(targets))
         for name in draw(st.sets(st.sampled_from(VARIABLE_NAMES), max_size=5))
     }
+
+
+def fold(polynomials_):
+    """The reference for ``Polynomial.sum``: ``+`` folded from zero."""
+    return reduce(operator.add, polynomials_, Polynomial.zero())
+
+
+def layout(polynomial):
+    """Terms in insertion order, coefficients as exact ``float.hex()`` strings."""
+    return [(monomial, coefficient.hex()) for monomial, coefficient in polynomial._terms.items()]
+
+
+@st.composite
+def cancelling_sequences(draw):
+    """Summand lists whose running coefficients cancel to ``|c| <= 1e-12`` mid-way.
+
+    After some summands a polynomial is appended that negates chosen running
+    coefficients up to a residue at or below the drop threshold, so the
+    per-step drop fires and later summands may bring the monomial back.
+    """
+    sequence = []
+    running = Polynomial.zero()
+    for polynomial in draw(st.lists(polynomials(), min_size=1, max_size=6)):
+        sequence.append(polynomial)
+        running = running + polynomial
+        if running.is_zero() or not draw(st.booleans()):
+            continue
+        residue = draw(st.sampled_from([0.0, 4e-13, -4e-13, 1e-12, -1e-12]))
+        cancelled = draw(
+            st.sets(st.sampled_from([m for m, _ in running.terms()]), min_size=1)
+        )
+        canceller = Polynomial({m: residue - running.coefficient(m) for m in cancelled})
+        sequence.append(canceller)
+        running = running + canceller
+    return sequence
+
+
+class TestNarySum:
+    @given(st.lists(polynomials(), max_size=8))
+    def test_sum_matches_fold_term_for_term(self, sequence):
+        assert layout(Polynomial.sum(sequence)) == layout(fold(sequence))
+
+    @given(cancelling_sequences())
+    def test_sum_matches_fold_through_cancellation(self, sequence):
+        assert layout(Polynomial.sum(sequence)) == layout(fold(sequence))
 
 
 class TestRingAxioms:

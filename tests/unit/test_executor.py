@@ -9,8 +9,10 @@ from repro.db.expressions import col, const
 from repro.db.query import Query
 from repro.db.schema import ColumnType, Schema
 from repro.db.table import Table
+from repro.obs import get_tracer
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial
+from repro.workloads.telephony import build_revenue_provenance, figure1_catalog
 
 
 @pytest.fixture
@@ -260,3 +262,74 @@ class TestToProvenanceSet:
         relation = execute(Query.scan("R"), catalog)
         with pytest.raises(QueryError):
             to_provenance_set(relation, ["k"], "tag")
+
+
+@pytest.fixture
+def tracer():
+    """The process tracer, emptied, with its enabled flag restored afterwards."""
+    tracer = get_tracer()
+    was_enabled = tracer.enabled
+    tracer.reset()
+    yield tracer
+    tracer.reset()
+    tracer.enabled = was_enabled
+
+
+class TestTracing:
+    def test_revenue_query_span_tree(self, tracer):
+        tracer.enabled = True
+        catalog = figure1_catalog()
+        build_revenue_provenance(catalog)
+        (root,) = [span for span in tracer.drain() if span.name == "db.execute"]
+        assert root.attributes["rows_out"] == 2
+
+        (groupby,) = root.children
+        assert groupby.name == "db.groupby"
+        assert groupby.attributes == {"rows_in": 14, "rows_out": 2}
+        (outer_join,) = groupby.children
+        assert outer_join.name == "db.join"
+        assert outer_join.attributes == {"rows_out": 14}
+        inner_join, plans = outer_join.children
+        assert inner_join.name == "db.join"
+        assert inner_join.attributes == {"rows_out": 14}
+
+        scans = [inner_join.children[0], inner_join.children[1], plans]
+        assert [span.name for span in scans] == ["db.scan"] * 3
+        assert [
+            (span.attributes["table"], span.attributes["rows_out"]) for span in scans
+        ] == [(name, len(catalog.get(name))) for name in ("Calls", "Cust", "Plans")]
+
+    def test_single_input_operators_carry_rows_in(self, tracer, catalog):
+        tracer.enabled = True
+        execute(
+            Query.scan("R")
+            .filter(col("v") > 7.0)
+            .rename({"v": "value"})
+            .project(["tag"], distinct=True),
+            catalog,
+        )
+        (root,) = tracer.drain()
+        rows = {
+            span.name: (span.attributes.get("rows_in"), span.attributes["rows_out"])
+            for span in root.walk()
+        }
+        assert rows == {
+            "db.execute": (None, 2),
+            "db.project": (3, 2),
+            "db.rename": (3, 3),
+            "db.filter": (4, 3),
+            "db.scan": (None, 4),
+        }
+
+    def test_union_span(self, tracer, catalog):
+        tracer.enabled = True
+        execute(Query.scan("S").union(Query.scan("S")), catalog)
+        (root,) = tracer.drain()
+        (union,) = root.children
+        assert union.name == "db.union"
+        assert union.attributes == {"rows_out": 6}
+
+    def test_no_span_when_tracing_is_disabled(self, tracer):
+        tracer.enabled = False
+        build_revenue_provenance(figure1_catalog())
+        assert tracer.drain() == []

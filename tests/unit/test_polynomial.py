@@ -111,6 +111,39 @@ class TestAlgebra:
         p = poly(x=2, y=1)
         assert p * Polynomial.one() == p
 
+    def test_unit_factor_returns_the_other_operand(self):
+        p = poly(x=2, y=1)
+        assert p * Polynomial.one() is p
+        assert Polynomial.one() * p is p
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-15, 2.0])
+    def test_non_unit_constant_goes_through_the_product(self, factor):
+        p = poly(x=2, y=1)
+        for product in (p * Polynomial.constant(factor), Polynomial.constant(factor) * p):
+            assert product is not p
+            assert product.coefficient(Monomial.of("x")) == 2.0 * factor
+            assert product.coefficient(Monomial.of("y")) == 1.0 * factor
+
+
+class TestNarySum:
+    def test_empty_sum_is_zero(self):
+        assert Polynomial.sum([]).is_zero()
+
+    def test_cancelled_term_is_dropped_and_readded_at_the_end(self):
+        x, y = Polynomial.variable("x"), Polynomial.variable("y")
+        total = Polynomial.sum([x + y, -x, x * 2.0])
+        assert total == (x + y) + (-x) + x * 2.0
+        assert [m.to_text() for m, _ in total._terms.items()] == ["y", "x"]
+
+    def test_running_coefficient_within_epsilon_is_dropped(self):
+        x = Polynomial.variable("x")
+        total = Polynomial.sum([x, Polynomial.variable("x", -1.0 + 5e-13)])
+        assert total.is_zero()
+
+    def test_rejects_non_polynomials(self):
+        with pytest.raises(InvalidPolynomialError):
+            Polynomial.sum([poly(x=1), 2.0])
+
 
 class TestRenameSubstituteEvaluate:
     def test_rename_merges_monomials(self):

@@ -46,6 +46,21 @@ class TestAggregateExpression:
         assert flattened.num_monomials() == 1
         assert flattened.coefficient(Monomial.of("p1", "m1")) == pytest.approx(5.0)
 
+    def test_flatten_matches_the_addition_fold_exactly(self):
+        expression = AggregateExpression(
+            AggregateTerm(value, annotation(*names))
+            for value, names in [
+                (0.1, ["x"]), (0.2, ["y"]), (-0.1, ["x"]), (0.7, ["x", "y"]), (0.3, ["x"]),
+            ]
+        )
+        folded = Polynomial.zero()
+        for term in expression.terms():
+            folded = folded + term.flatten()
+        flattened = expression.flatten()
+        assert [(m, c.hex()) for m, c in flattened._terms.items()] == [
+            (m, c.hex()) for m, c in folded._terms.items()
+        ]
+
     def test_scale_by_annotation(self):
         expression = AggregateExpression.of(2.0, annotation("x"))
         scaled = expression.scale_by_annotation(annotation("y"))
