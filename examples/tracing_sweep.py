@@ -58,7 +58,7 @@ def main() -> None:
     session.set_abstraction_trees(plans_tree())
     for bound in (50 * 12 * 7, 50 * 12 * 3):
         session.set_bound(bound)
-        result = session.compress(method="incremental")
+        result = session.compress(method="greedy")
         print(f"bound {bound}: compressed to {result.achieved_size} monomials")
     report = session.evaluate_many(scenarios)
     print(f"batch evaluated {len(scenarios)} scenarios via mode={report.mode!r}\n")

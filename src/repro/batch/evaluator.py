@@ -1342,7 +1342,7 @@ class BatchEvaluator:
         bound: int,
         scenarios: Sequence[Scenario],
         base_valuation: Optional[Mapping[str, float]] = None,
-        strategy: str = "incremental",
+        method: str = "greedy",
         allow_infeasible: bool = False,
         semiring: BackendLike = None,
         mode: str = "auto",
@@ -1362,7 +1362,7 @@ class BatchEvaluator:
             provenance,
             trees,
             bound,
-            strategy=strategy,
+            method=method,
             allow_infeasible=allow_infeasible,
         )
         report = self.evaluate(

@@ -38,8 +38,10 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core.abstraction_tree import AbstractionTree
+from repro.core.compression import METHODS
 from repro.engine.scenario import Scenario
 from repro.engine.session import CobraSession
+from repro.exceptions import AbstractionError
 from repro.provenance.backends import SEMIRING_BACKEND_NAMES, resolve_backend
 from repro.provenance.serialization import (
     load_provenance_set,
@@ -145,7 +147,7 @@ def run_telephony(args: argparse.Namespace) -> int:
 
     session = CobraSession(provenance)
     session.set_abstraction_trees(plans_tree())
-    # With --strategy incremental the whole bound sweep shares one cached
+    # With --strategy greedy the whole bound sweep shares one cached
     # coarsening trajectory (compress once, then sweep).
     for bound in args.bounds:
         session.set_bound(bound)
@@ -590,14 +592,17 @@ def run_compress(args: argparse.Namespace) -> int:
     tree = AbstractionTree.from_dict(json.loads(Path(args.tree).read_text()))
 
     session = CobraSession(provenance)
-    session.set_abstraction_trees(tree)
-    session.set_bound(args.bound)
-    result = session.compress(
-        method=args.strategy, allow_infeasible=args.allow_infeasible
-    )
+    try:
+        session.set_abstraction_trees(tree)
+        session.set_bound(args.bound)
+        result = session.compress(
+            method=args.strategy, allow_infeasible=args.allow_infeasible
+        )
+    except AbstractionError as exc:
+        _print(f"cobra compress: {exc}")
+        return 1
 
-    resolved = result.strategy or result.algorithm
-    _print(f"strategy: {args.strategy} -> {resolved} (algorithm: {result.algorithm})")
+    _print(f"strategy: {args.strategy} -> {result.algorithm}")
     _print(f"cut: {sorted(result.cut.nodes) if result.cut else None}")
     _print(
         f"size: {result.compression.original_size} -> {result.achieved_size} "
@@ -676,14 +681,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-#: Compression strategies the CLI exposes (``session.compress(method=...)``):
-#: ``incremental`` is the kernel-backed greedy with trajectory reuse across
-#: bound sweeps, ``legacy`` the full-rescan greedy baseline; ``greedy`` /
-#: ``dp`` / ``exact`` force the respective algorithms (``greedy`` picks its
-#: engine automatically); ``auto`` picks per instance.
-_STRATEGY_CHOICES = ("auto", "incremental", "legacy", "greedy", "dp", "exact")
-
-
 def _add_semiring_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--semiring",
@@ -734,9 +731,10 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_strategy_argument(parser: argparse.ArgumentParser, default: str) -> None:
     parser.add_argument(
         "--strategy",
-        choices=_STRATEGY_CHOICES,
+        choices=METHODS,
         default=default,
-        help=f"abstraction-selection strategy (default: {default})",
+        help="abstraction-selection method: greedy, dp, exact, or auto to "
+        f"pick per instance (default: {default})",
     )
 
 

@@ -15,9 +15,10 @@ This subpackage implements the paper's contribution:
   optimality on small instances;
 * :mod:`repro.core.greedy` — a greedy coarsening heuristic that also handles
   the general (multi-variable-per-monomial) case;
-* :mod:`repro.core.kernel` — the incremental compression kernel backing the
-  greedy: CSR monomial-incidence index, delta-updated merge-gain counters,
-  lazy-heap candidate selection and cached bound sweeps (``Compressor``);
+* :mod:`repro.core.kernel` — the greedy's one engine: CSR monomial-incidence
+  index, delta-updated merge-gain counters, lazy-heap candidate selection
+  and the bound-independent trajectory that ``Compressor`` caches for bound
+  sweeps;
 * :mod:`repro.core.multi_tree` — optimisation over forests of abstraction
   trees (exact for small forests, greedy budget allocation otherwise);
 * :mod:`repro.core.defaults` — default valuations for meta-variables

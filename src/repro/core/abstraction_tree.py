@@ -128,8 +128,14 @@ class AbstractionTree:
 
         self._root = root
         self._nodes = nodes
+        preorder = tuple(self._preorder())
         self._leaves: Tuple[str, ...] = tuple(
-            name for name in self._preorder() if nodes[name].is_leaf
+            name for name in preorder if nodes[name].is_leaf
+        )
+        # Every compression request checks the inner names against the
+        # provenance variables, so they are listed once here.
+        self._inner: Tuple[str, ...] = tuple(
+            name for name in preorder if not nodes[name].is_leaf
         )
         if not self._leaves:
             raise InvalidTreeError("an abstraction tree must have at least one leaf")
@@ -232,7 +238,7 @@ class AbstractionTree:
 
     def inner_nodes(self) -> Tuple[str, ...]:
         """All non-leaf node names, in preorder."""
-        return tuple(n for n in self._preorder() if not self._nodes[n].is_leaf)
+        return self._inner
 
     def children(self, name: str) -> Tuple[str, ...]:
         """The children of ``name``."""

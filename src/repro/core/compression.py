@@ -7,10 +7,10 @@ and merges monomials that become identical, summing their coefficients —
 the mechanism by which provenance shrinks (Example 4 of the paper).
 
 :class:`Compressor` is the service façade over the abstraction-selection
-algorithms: it routes a ``(provenance, trees, bound)`` request to the chosen
-strategy and, for the incremental kernel, caches the bound-independent
-coarsening trajectory by provenance fingerprint so bound sweeps pay for the
-search once ("compress once, then sweep").
+algorithms: it routes a ``(provenance, trees, bound)`` request to one of
+:data:`METHODS` and, for the greedy, caches the bound-independent coarsening
+trajectory by provenance fingerprint so bound sweeps pay for the search once
+("compress once, then sweep").
 """
 
 from __future__ import annotations
@@ -182,6 +182,11 @@ class CompressionResult:
 
 ProvenanceLike = Union[Polynomial, ProvenanceSet, Sequence[Polynomial]]
 
+#: The abstraction-selection methods, one name per algorithm: ``"greedy"``
+#: coarsening, the single-tree ``"dp"``, ``"exact"`` enumeration of cut
+#: combinations, and ``"auto"``, which picks among them per instance.
+METHODS = ("auto", "greedy", "dp", "exact")
+
 
 def _as_provenance_set(provenance: ProvenanceLike) -> ProvenanceSet:
     if isinstance(provenance, ProvenanceSet):
@@ -198,6 +203,30 @@ def _as_provenance_set(provenance: ProvenanceLike) -> ProvenanceSet:
             )
         result[(index,)] = polynomial
     return result
+
+
+def check_names_disjoint(
+    provenance: ProvenanceSet, forest: AbstractionForest
+) -> None:
+    """Reject a forest whose inner-node names are also provenance variables.
+
+    Coarsening at such a node would merge its meta-variable with the real
+    variable of the same name, so no abstraction of that input has a
+    meaningful answer.  Raises :class:`AbstractionError` naming the nodes.
+    """
+    variables = provenance.variables()
+    colliding = sorted(
+        name
+        for tree in forest.trees()
+        for name in tree.inner_nodes()
+        if name in variables
+    )
+    if colliding:
+        raise AbstractionError(
+            "inner abstraction-tree nodes also occur as provenance "
+            f"variables: {', '.join(colliding)}; rename them so "
+            "meta-variables cannot merge with real variables"
+        )
 
 
 def apply_abstraction(
@@ -229,27 +258,18 @@ def apply_abstraction(
 
 
 class Compressor:
-    """Strategy-routing compression service with a trajectory cache.
+    """Method-routing compression service with a greedy-trajectory cache.
 
-    ``strategy`` values:
-
-    * ``"incremental"`` (default) — the :mod:`repro.core.kernel` greedy: the
-      bound-independent coarsening trajectory is computed once per distinct
-      ``(provenance, forest)`` pair (keyed by content fingerprint + forest
-      structure), lazily extended, and every bound is answered from its
-      prefix.  Identical cuts to the legacy greedy, at a fraction of the
-      cost — and a *sweep* of bounds costs barely more than one.  Inputs
-      the kernel cannot model (an inner-node name colliding with a
-      provenance variable) fall back to the legacy greedy transparently.
-    * ``"legacy"`` — the original full-rescan greedy.
-    * ``"auto"`` / ``"dp"`` / ``"exact"`` / ``"greedy"`` — delegated to
-      :func:`repro.core.multi_tree.optimize_forest` unchanged.
+    ``method`` is one of :data:`METHODS`.  ``"greedy"`` (the default) is
+    answered from a :class:`~repro.core.kernel.trajectory.GreedyTrajectory`
+    computed once per distinct ``(provenance, forest)`` pair (keyed by
+    content fingerprint + forest structure) and lazily extended, so a
+    *sweep* of bounds costs barely more than one.  ``"auto"``, ``"dp"`` and
+    ``"exact"`` are delegated to :func:`repro.core.multi_tree.optimize_forest`.
 
     The cache makes a single ``Compressor`` shareable between a
     :class:`~repro.engine.session.CobraSession` and the batch service.
     """
-
-    _FOREST_STRATEGIES = ("auto", "dp", "exact", "greedy")
 
     def __init__(self, cache_size: int = 8) -> None:
         from repro.provenance.valuation import FingerprintCache
@@ -263,102 +283,41 @@ class Compressor:
         provenance: ProvenanceLike,
         trees: "AbstractionTree | AbstractionForest",
         bound: int,
-        strategy: str = "incremental",
+        method: str = "greedy",
         allow_infeasible: bool = False,
         keep_trace: bool = False,
     ) -> "OptimizationResult":
-        """Select and apply the best abstraction of ``trees`` under ``bound``."""
+        """Select and apply the best abstraction of ``trees`` under ``bound``.
+
+        ``method`` is one of :data:`METHODS`; any other name raises
+        ``ValueError``.
+        """
         if bound < 0:
             raise ValueError("bound must be non-negative")
-        with obs_trace("compress.run", strategy=strategy, bound=bound):
-            return self._compress(
-                provenance, trees, bound, strategy, allow_infeasible, keep_trace
-            )
+        with obs_trace("compress.run", method=method, bound=bound):
+            if method != "greedy":
+                from repro.core.multi_tree import optimize_forest
 
-    def _compress(
-        self,
-        provenance: ProvenanceLike,
-        trees: "AbstractionTree | AbstractionForest",
-        bound: int,
-        strategy: str,
-        allow_infeasible: bool,
-        keep_trace: bool,
-    ) -> "OptimizationResult":
-        if strategy == "legacy":
-            from repro.core.greedy import optimize_greedy
+                return optimize_forest(
+                    provenance,
+                    trees,
+                    bound,
+                    method=method,
+                    allow_infeasible=allow_infeasible,
+                    keep_trace=keep_trace,
+                )
+            from repro.core.greedy import greedy_result
 
-            return optimize_greedy(
-                provenance,
-                trees,
-                bound,
-                allow_infeasible=allow_infeasible,
-                keep_trace=keep_trace,
-                strategy="legacy",
-            )
-        if strategy in self._FOREST_STRATEGIES:
-            from repro.core.multi_tree import optimize_forest
-
-            return optimize_forest(
-                provenance,
-                trees,
-                bound,
-                method=strategy,
-                allow_infeasible=allow_infeasible,
-                keep_trace=keep_trace,
-            )
-        if strategy != "incremental":
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected 'incremental', "
-                f"'legacy' or one of {self._FOREST_STRATEGIES}"
-            )
-
-        provenance_set = _as_provenance_set(provenance)
-        forest = as_forest(trees)
-
-        from repro.core.kernel.greedy import kernel_supports
-
-        if not kernel_supports(provenance_set, forest):
-            # Inner-node name collides with a provenance variable: the
-            # kernel cannot model the resulting merges, so the service
-            # falls back to the (identical-output) legacy greedy rather
-            # than failing the request.
-            from repro.core.greedy import optimize_greedy
-
-            return optimize_greedy(
-                provenance_set,
-                forest,
-                bound,
-                allow_infeasible=allow_infeasible,
-                keep_trace=keep_trace,
-                strategy="legacy",
-            )
-        trajectory = self._trajectory(provenance_set, forest)
-        prefix, feasible = trajectory.resolve(bound, allow_infeasible)
-        cuts = trajectory.cuts_after(prefix)
-        abstraction = Abstraction.from_cuts(cuts)
-        compression = apply_abstraction(provenance_set, abstraction)
-        trace = {"steps": trajectory.trace_steps(prefix)} if keep_trace else None
-
-        from repro.core.optimizer import OptimizationResult
-
-        return OptimizationResult(
-            cut=cuts[0] if len(cuts) == 1 else None,
-            cuts=cuts,
-            compression=compression,
-            bound=bound,
-            feasible=feasible,
-            predicted_size=trajectory.size_after(prefix),
-            algorithm="greedy",
-            trace=trace,
-            strategy="incremental",
-        )
+            provenance_set = _as_provenance_set(provenance)
+            trajectory = self._trajectory(provenance_set, as_forest(trees))
+            return greedy_result(trajectory, bound, allow_infeasible, keep_trace)
 
     def sweep(
         self,
         provenance: ProvenanceLike,
         trees: "AbstractionTree | AbstractionForest",
         bounds: Iterable[int],
-        strategy: str = "incremental",
+        method: str = "greedy",
         allow_infeasible: bool = False,
     ) -> Dict[int, "OptimizationResult"]:
         """Compress under every bound in ``bounds`` (one trajectory, N prefixes)."""
@@ -367,7 +326,7 @@ class Compressor:
                 provenance,
                 trees,
                 int(bound),
-                strategy=strategy,
+                method=method,
                 allow_infeasible=allow_infeasible,
             )
             for bound in bounds
@@ -400,7 +359,7 @@ class Compressor:
         """Drop this instance's cached trajectories (counters are kept).
 
         The kernel's incidence-index cache is process-global (shared by all
-        compressors and the greedy's ``"auto"`` path); release it explicitly
-        via :func:`repro.core.kernel.index.clear_incidence_cache`.
+        compressors and :func:`~repro.core.greedy.optimize_greedy`); release
+        it explicitly via :func:`repro.core.kernel.index.clear_incidence_cache`.
         """
         self._trajectories.clear()

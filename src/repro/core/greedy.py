@@ -11,59 +11,31 @@ variables a monomial contains, and it handles forests of several trees, so
 it serves both as the general-case algorithm and as the ablation baseline
 against the exact DP (benchmark E8).
 
-Two interchangeable engines implement the search:
-
-* ``strategy="legacy"`` — the original full-rescan loop: every candidate's
-  gain is recomputed by scanning every monomial at every step;
-* ``strategy="incremental"`` — the :mod:`repro.core.kernel` pipeline:
-  delta-updated gain counters popped from a lazy max-heap, emitting the
-  identical cut sequence at a fraction of the cost.
-
-``strategy="auto"`` (the default) uses the incremental kernel whenever its
-precondition holds (no inner-node name collides with a provenance variable)
-and falls back to the legacy scan otherwise.
+The search runs on the :mod:`repro.core.kernel` pipeline: delta-updated
+gain counters popped from a lazy max-heap, recorded as a bound-independent
+:class:`~repro.core.kernel.trajectory.GreedyTrajectory`.  Every greedy
+:class:`~repro.core.optimizer.OptimizationResult` is assembled by
+:func:`greedy_result` from such a trajectory — a fresh one here, a cached
+one in :class:`~repro.core.compression.Compressor`.  The original
+full-rescan loop survives only as the parity oracle in
+``tests/oracles/greedy_scan.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Union
 
-from repro.exceptions import InfeasibleBoundError, UnsupportedPolynomialError
-from repro.provenance.polynomial import Monomial, ProvenanceSet
-from repro.core.abstraction_tree import AbstractionForest, AbstractionTree, as_forest
+from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
 from repro.core.compression import (
     Abstraction,
     ProvenanceLike,
     _as_provenance_set,
     apply_abstraction,
 )
-from repro.core.cut import Cut, leaf_cut
+from repro.core.kernel.trajectory import GreedyTrajectory
 from repro.core.optimizer import OptimizationResult
 
 TreeOrForest = Union[AbstractionTree, AbstractionForest]
-
-_STRATEGIES = ("auto", "legacy", "incremental")
-
-
-def _renamed_size(provenance: ProvenanceSet, rename: Dict[str, str]) -> int:
-    """The number of monomials of ``provenance`` after applying ``rename``.
-
-    Only monomials touching a renamed variable are re-keyed; untouched
-    monomials keep their key, and the per-polynomial count is the number of
-    distinct keys.  (Coefficient cancellation is ignored, so this is an upper
-    bound that coincides with the true size in all non-degenerate cases.)
-    """
-    affected = set(rename)
-    total = 0
-    for _key, polynomial in provenance.items():
-        keys: Set[Monomial] = set()
-        for monomial, _coefficient in polynomial.terms():
-            if any(name in affected for name, _ in monomial):
-                keys.add(monomial.rename(rename))
-            else:
-                keys.add(monomial)
-        total += len(keys)
-    return total
 
 
 def optimize_greedy(
@@ -72,7 +44,6 @@ def optimize_greedy(
     bound: int,
     allow_infeasible: bool = False,
     keep_trace: bool = False,
-    strategy: str = "auto",
 ) -> OptimizationResult:
     """Greedily coarsen cuts of ``trees`` until the provenance fits ``bound``.
 
@@ -82,158 +53,35 @@ def optimize_greedy(
     variables lost, then deeper nodes).  The search stops as soon as the
     current size is within the bound.
 
-    ``strategy`` selects the engine (``"auto"``, ``"legacy"`` or
-    ``"incremental"``); both engines produce identical cut sequences, and
-    the returned :class:`~repro.core.optimizer.OptimizationResult` always
-    has ``algorithm="greedy"`` with the engine recorded in ``strategy``.
+    Raises :class:`~repro.exceptions.AbstractionError` when an inner-node
+    name of ``trees`` is also a provenance variable.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if strategy not in _STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}"
-        )
-    forest = as_forest(trees)
-    provenance_set = _as_provenance_set(provenance)
-
-    if strategy != "legacy":
-        from repro.core.kernel.greedy import kernel_supports
-
-        if kernel_supports(provenance_set, forest):
-            return _optimize_greedy_incremental(
-                provenance_set, forest, bound, allow_infeasible, keep_trace
-            )
-        if strategy == "incremental":
-            raise UnsupportedPolynomialError(
-                "the incremental kernel requires inner-node names disjoint "
-                "from the provenance variables (use strategy='legacy')"
-            )
-    return _optimize_greedy_scan(
-        provenance_set, forest, bound, allow_infeasible, keep_trace
-    )
+    trajectory = GreedyTrajectory(_as_provenance_set(provenance), trees)
+    return greedy_result(trajectory, bound, allow_infeasible, keep_trace)
 
 
-def _optimize_greedy_incremental(
-    provenance_set: ProvenanceSet,
-    forest: AbstractionForest,
+def greedy_result(
+    trajectory: GreedyTrajectory,
     bound: int,
     allow_infeasible: bool,
     keep_trace: bool,
 ) -> OptimizationResult:
-    """The kernel-backed engine: delta-updated gains, lazy-heap selection."""
-    from repro.core.kernel.greedy import IncrementalGreedyKernel
-
-    kernel = IncrementalGreedyKernel(provenance_set, forest)
-    feasible = kernel.run(bound)
-    if not feasible and not allow_infeasible:
-        raise InfeasibleBoundError(bound, kernel.current_size)
-
-    cuts = kernel.cuts()
-    abstraction = Abstraction.from_cuts(cuts)
-    compression = apply_abstraction(provenance_set, abstraction)
-    trace = None
-    if keep_trace:
-        trace = {
-            "steps": [
-                {
-                    "coarsened_at": step["coarsened_at"],
-                    "tree": step["tree"],
-                    "size_before": step["size_before"],
-                    "size_after": step["size_after"],
-                }
-                for step in kernel.steps
-            ]
-        }
+    """The greedy's answer for ``bound``, read off ``trajectory``'s prefix."""
+    prefix, feasible = trajectory.resolve(bound, allow_infeasible)
+    cuts = trajectory.cuts_after(prefix)
+    compression = apply_abstraction(
+        trajectory.provenance, Abstraction.from_cuts(cuts)
+    )
+    trace = {"steps": trajectory.trace_steps(prefix)} if keep_trace else None
     return OptimizationResult(
         cut=cuts[0] if len(cuts) == 1 else None,
         cuts=cuts,
         compression=compression,
         bound=bound,
         feasible=feasible,
-        predicted_size=kernel.current_size,
+        predicted_size=trajectory.size_after(prefix),
         algorithm="greedy",
         trace=trace,
-        strategy="incremental",
-    )
-
-
-def _optimize_greedy_scan(
-    provenance_set: ProvenanceSet,
-    forest: AbstractionForest,
-    bound: int,
-    allow_infeasible: bool,
-    keep_trace: bool,
-) -> OptimizationResult:
-    """The original engine: full candidate rescans at every step."""
-    cuts: List[Cut] = [leaf_cut(tree) for tree in forest.trees()]
-    current = provenance_set
-    current_size = provenance_set.size()
-    steps: List[Dict[str, object]] = []
-
-    while current_size > bound:
-        best: Optional[Tuple[float, int, int, int, str, Cut, Dict[str, str], int]] = None
-        for index, tree in enumerate(forest.trees()):
-            cut = cuts[index]
-            for candidate in tree.inner_nodes():
-                if candidate in cut.nodes:
-                    continue
-                replaced = {
-                    name
-                    for name in cut.nodes
-                    if name == candidate or candidate in tree.ancestors(name)
-                }
-                if not replaced:
-                    continue
-                rename = {name: candidate for name in replaced}
-                new_size = _renamed_size(current, rename)
-                saved = current_size - new_size
-                lost = len(replaced) - 1
-                ratio = saved / max(lost, 1)
-                depth = tree.depth(candidate)
-                key = (ratio, -lost, depth)
-                if best is None or key > (best[0], best[1], best[2]):
-                    new_cut = cut.coarsen(candidate)
-                    best = (
-                        ratio,
-                        -lost,
-                        depth,
-                        index,
-                        candidate,
-                        new_cut,
-                        rename,
-                        new_size,
-                    )
-        if best is None:
-            break  # every tree is already at its root cut
-        _, _, _, index, candidate, new_cut, rename, new_size = best
-        cuts[index] = new_cut
-        current = current.rename(rename)
-        steps.append(
-            {
-                "coarsened_at": candidate,
-                "tree": forest.trees()[index].root,
-                "size_before": current_size,
-                "size_after": new_size,
-            }
-        )
-        current_size = new_size
-
-    feasible = current_size <= bound
-    if not feasible and not allow_infeasible:
-        raise InfeasibleBoundError(bound, current_size)
-
-    abstraction = Abstraction.from_cuts(cuts)
-    compression = apply_abstraction(provenance_set, abstraction)
-    single_cut = cuts[0] if len(cuts) == 1 else None
-    trace = {"steps": steps} if keep_trace else None
-    return OptimizationResult(
-        cut=single_cut,
-        cuts=tuple(cuts),
-        compression=compression,
-        bound=bound,
-        feasible=feasible,
-        predicted_size=current_size,
-        algorithm="greedy",
-        trace=trace,
-        strategy="legacy",
     )

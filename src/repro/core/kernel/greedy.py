@@ -1,10 +1,11 @@
 """The incremental greedy kernel: delta-updated merge-gain counters.
 
-The legacy greedy (:func:`repro.core.greedy.optimize_greedy`) evaluates a
-candidate coarsening at inner node ``v`` by renaming, for *every* monomial,
-all current cut nodes below ``v`` to ``v`` and counting how many distinct
-keys remain (``_renamed_size``).  This kernel maintains, per candidate, a
-counter over those renamed keys ("signatures") so the gain
+The greedy evaluates a candidate coarsening at inner node ``v`` by renaming,
+for *every* monomial, all current cut nodes below ``v`` to ``v`` and
+counting how many distinct keys remain — the full rescan the parity oracle
+``tests/oracles/greedy_scan.py`` (``renamed_size``) still performs.  This
+kernel maintains, per candidate, a counter over those renamed keys
+("signatures") so the gain
 
     ``gain(v) = touched(v) − |distinct signatures under v|``
 
@@ -15,13 +16,13 @@ ancestors of its variables — O(affected monomials × depth) per step instead
 of O(candidates × |provenance|).
 
 Candidate selection pops from a lazy max-heap ordered by the exact key the
-legacy greedy maximises — ``(ratio, -lost, depth)`` with ties broken towards
-the earliest candidate in (tree order, preorder) — so the kernel emits the
-**identical cut sequence** at every step, including the legacy quirks it
+rescan maximises — ``(ratio, -lost, depth)`` with ties broken towards the
+earliest candidate in (tree order, preorder) — so the kernel emits the
+**identical cut sequence** at every step, including the rescan's quirks it
 deliberately mirrors:
 
 * ``ratio`` is the same float division ``saved / max(lost, 1)``;
-* ``saved`` is measured against the legacy's *predicted* running size, which
+* ``saved`` is measured against the rescan's *predicted* running size, which
   ignores coefficient cancellation, while the maintained monomial rows mirror
   the *actual* renamed provenance (cancelled rows dropped at the same
   ``_ZERO_EPSILON`` threshold ``Polynomial`` uses) — the two can drift apart
@@ -30,10 +31,10 @@ deliberately mirrors:
   occur in the provenance.
 
 Precondition: no inner-node name of the forest may already occur as a
-provenance variable (otherwise a renamed monomial could silently merge with
-a pre-existing one, which the per-candidate counters do not model).  The
-kernel raises :class:`~repro.exceptions.UnsupportedPolynomialError` in that
-case; ``optimize_greedy(strategy="auto")`` falls back to the legacy scan.
+provenance variable (a renamed monomial would silently merge with a
+pre-existing one, so the abstraction has no meaningful answer).  The kernel
+rejects such input with :class:`~repro.exceptions.AbstractionError`, via
+:func:`~repro.core.compression.check_names_disjoint`.
 """
 
 from __future__ import annotations
@@ -41,15 +42,13 @@ from __future__ import annotations
 import heapq
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from repro.exceptions import UnsupportedPolynomialError
-from repro.obs.metrics import get_registry
-from repro.obs.tracer import trace
 from repro.provenance.polynomial import _ZERO_EPSILON, ProvenanceSet
 from repro.core.abstraction_tree import (
     AbstractionForest,
     AbstractionTree,
     as_forest,
 )
+from repro.core.compression import check_names_disjoint
 from repro.core.cut import Cut
 from repro.core.kernel.index import MonomialIncidenceIndex, incidence_index
 
@@ -103,21 +102,13 @@ class _Candidate:
         return self.touched - len(self.sig_counts)
 
 
-def kernel_supports(
-    provenance: ProvenanceSet, forest: AbstractionForest
-) -> bool:
-    """Whether the incremental kernel's precondition holds for this input."""
-    inner: Set[str] = set()
-    for tree in forest.trees():
-        inner.update(tree.inner_nodes())
-    return not (inner & set(provenance.variables()))
-
-
 class IncrementalGreedyKernel:
     """Incremental state of a greedy coarsening run over one provenance set.
 
     The kernel is driven step by step — :meth:`best` peeks the top candidate,
-    :meth:`apply` commits a coarsening — or in one go via :meth:`run`.
+    :meth:`apply` commits a coarsening;
+    :class:`~repro.core.kernel.trajectory.GreedyTrajectory` runs that loop
+    and records the steps.
     :meth:`gain_table` exposes the delta-maintained ``(saved, lost, ratio)``
     of every active candidate, which the property tests compare against a
     naive full recompute after every step.
@@ -130,12 +121,7 @@ class IncrementalGreedyKernel:
         index: Optional[MonomialIncidenceIndex] = None,
     ) -> None:
         forest = as_forest(trees)
-        if not kernel_supports(provenance, forest):
-            raise UnsupportedPolynomialError(
-                "an inner node of the abstraction forest already occurs as a "
-                "provenance variable; the incremental kernel cannot model the "
-                "resulting monomial merges (use the legacy greedy)"
-            )
+        check_names_disjoint(provenance, forest)
         self._forest = forest
         self._trees = forest.trees()
         if index is None:
@@ -187,14 +173,14 @@ class IncrementalGreedyKernel:
         ]
 
         # Sizes: ``live_size`` mirrors the actual renamed provenance
-        # (cancellation applied); ``current_size`` mirrors the legacy
+        # (cancellation applied); ``current_size`` mirrors the rescan
         # greedy's predicted running size.
         self.live_size = len(index.rows)
         self.current_size = len(index.rows)
         self._prev_drift = 0
-        self._steps: List[Dict[str, object]] = []
         # Plain-int instrumentation counters (flushed to the metrics
-        # registry per run(); attribute adds keep the inner loops hot).
+        # registry by GreedyTrajectory.extend_to; attribute adds keep the
+        # inner loops hot).
         self.heap_pops = 0
         self.gain_updates = 0
 
@@ -253,7 +239,7 @@ class IncrementalGreedyKernel:
             candidate.stamp += 1
             saved = candidate.gain() + drift
             lost = candidate.r_size - 1
-            ratio = saved / max(lost, 1)  # the legacy's exact float key
+            ratio = saved / max(lost, 1)  # the rescan's exact float key
             heapq.heappush(
                 self._heap,
                 (
@@ -267,7 +253,7 @@ class IncrementalGreedyKernel:
             )
 
     def best(self) -> Optional[str]:
-        """The candidate the legacy greedy would pick now (``None`` if done)."""
+        """The candidate the rescan greedy would pick now (``None`` if done)."""
         heap = self._heap
         while heap:
             _, _, _, _, name, stamp = heap[0]
@@ -338,7 +324,11 @@ class IncrementalGreedyKernel:
     # -- the coarsening step --------------------------------------------------
 
     def apply(self, name: str) -> Dict[str, object]:
-        """Coarsen at inner node ``name``, delta-updating all gain counters."""
+        """Coarsen at inner node ``name``, delta-updating all gain counters.
+
+        Returns the step's record, which
+        :class:`~repro.core.kernel.trajectory.GreedyTrajectory` keeps.
+        """
         candidate = self._candidates.get(name)
         if candidate is None or not candidate.active:
             raise ValueError(f"{name!r} is not an active coarsening candidate")
@@ -367,7 +357,7 @@ class IncrementalGreedyKernel:
             )
             merged[key] = merged.get(key, 0.0) + coefficient
 
-        # The legacy's predicted size ignores coefficient cancellation...
+        # The rescan's predicted size ignores coefficient cancellation...
         new_size = live_before - (len(affected) - len(merged))
         # ...while the maintained rows mirror the real rename (cancelled
         # rows dropped at the Polynomial normalisation threshold).
@@ -412,7 +402,7 @@ class IncrementalGreedyKernel:
             )
         self._refresh(dirty)
 
-        step = {
+        return {
             "coarsened_at": name,
             "tree": candidate.tree_root,
             "tree_index": candidate.tree_index,
@@ -420,47 +410,8 @@ class IncrementalGreedyKernel:
             "size_before": size_before,
             "size_after": new_size,
         }
-        self._steps.append(step)
-        return step
-
-    def run(self, bound: int) -> bool:
-        """Coarsen greedily until ``current_size <= bound`` (or no candidates).
-
-        Returns whether the bound was met.  Each run is one traced
-        ``kernel.run`` span; heap pops, gain updates and steps performed are
-        flushed to the metrics registry (``kernel.*`` counters).
-        """
-        pops_before = self.heap_pops
-        updates_before = self.gain_updates
-        steps_before = len(self._steps)
-        with trace(
-            "kernel.run", bound=bound, size_before=self.current_size
-        ) as span:
-            while self.current_size > bound:
-                name = self.best()
-                if name is None:
-                    break
-                self.apply(name)
-            met = self.current_size <= bound
-            span.update(
-                {
-                    "size_after": self.current_size,
-                    "steps": len(self._steps) - steps_before,
-                    "met": met,
-                }
-            )
-        registry = get_registry()
-        registry.inc("kernel.steps", len(self._steps) - steps_before)
-        registry.inc("kernel.heap_pops", self.heap_pops - pops_before)
-        registry.inc("kernel.gain_updates", self.gain_updates - updates_before)
-        return met
 
     # -- inspection -----------------------------------------------------------
-
-    @property
-    def steps(self) -> List[Dict[str, object]]:
-        """The coarsening steps applied so far (richer than the legacy trace)."""
-        return list(self._steps)
 
     def cuts(self) -> Tuple[Cut, ...]:
         """The current cut of every tree (trusted: valid by construction)."""
@@ -472,7 +423,7 @@ class IncrementalGreedyKernel:
     def gain_table(self) -> Dict[str, Dict[str, float]]:
         """``candidate → {saved, lost, ratio}`` for every active candidate.
 
-        ``saved`` is exactly the legacy's ``current_size − _renamed_size``
+        ``saved`` is exactly the rescan's ``current_size − renamed_size``
         (including prediction drift after coefficient cancellations).
         """
         drift = self.current_size - self.live_size
@@ -493,5 +444,5 @@ class IncrementalGreedyKernel:
         active = sum(1 for c in self._candidates.values() if c.active)
         return (
             f"IncrementalGreedyKernel(size={self.current_size}, "
-            f"steps={len(self._steps)}, active_candidates={active})"
+            f"active_candidates={active})"
         )

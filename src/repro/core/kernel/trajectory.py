@@ -5,7 +5,7 @@ only decides *where the sequence stops*.  A :class:`GreedyTrajectory`
 therefore runs the incremental kernel once, lazily extending the step
 sequence as lower bounds are requested, and answers any bound query from the
 recorded prefix: the cut for bound ``b`` is the state after the first step
-whose size is within ``b`` — exactly where the legacy greedy would have
+whose size is within ``b`` — exactly where a full-rescan greedy would have
 stopped.  A bound sweep (the ``cobra telephony`` experiment, the batch
 service's compress-then-evaluate path) pays for the kernel once instead of
 once per bound.
@@ -102,7 +102,7 @@ class GreedyTrajectory:
         """The first step count whose size fits ``bound`` (``None`` if never).
 
         Sizes are non-increasing along the trajectory, so this is exactly
-        the step at which the legacy greedy's ``while`` loop exits.
+        the step at which a full-rescan greedy's ``while`` loop exits.
         """
         self.extend_to(bound)
         for count, size in enumerate(self._sizes):
@@ -127,7 +127,7 @@ class GreedyTrajectory:
         )
 
     def trace_steps(self, count: int) -> List[Dict[str, object]]:
-        """The first ``count`` steps in the legacy greedy's trace format."""
+        """The first ``count`` steps in the greedy result's trace format."""
         return [
             {
                 "coarsened_at": step["coarsened_at"],
@@ -143,8 +143,7 @@ class GreedyTrajectory:
 
         Raises :class:`InfeasibleBoundError` when the bound is unreachable
         and ``allow_infeasible`` is false; otherwise an unreachable bound
-        resolves to the fully-coarsened end of the trajectory, mirroring the
-        legacy greedy's behaviour.
+        resolves to the fully-coarsened end of the trajectory.
         """
         prefix = self.prefix_for(bound)
         if prefix is not None:

@@ -21,10 +21,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.exceptions import InfeasibleBoundError, UnsupportedPolynomialError
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree, as_forest
 from repro.core.compression import (
+    METHODS,
     Abstraction,
     ProvenanceLike,
     _as_provenance_set,
     apply_abstraction,
+    check_names_disjoint,
 )
 from repro.core.cut import Cut, count_cuts, enumerate_cuts
 from repro.core.greedy import optimize_greedy
@@ -51,28 +53,20 @@ def optimize_forest(
         exhaustive enumeration when the number of cut combinations is at most
         ``max_combinations``, and the greedy heuristic otherwise.  ``"exact"``
         forces enumeration (raising ``ValueError`` if too large), ``"greedy"``
-        forces the heuristic, ``"dp"`` forces the single-tree DP, and
-        ``"incremental"`` forces the greedy through the incremental kernel
-        (:mod:`repro.core.kernel`) — identical cuts to ``"greedy"``, much
-        faster on large instances.
+        forces the heuristic, and ``"dp"`` forces the single-tree DP.
+
+    Every method raises :class:`~repro.exceptions.AbstractionError` when an
+    inner-node name of ``trees`` is also a provenance variable (see
+    :func:`~repro.core.compression.check_names_disjoint`).
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     forest = as_forest(trees)
     provenance_set = _as_provenance_set(provenance)
 
-    if method not in ("auto", "exact", "greedy", "dp", "incremental"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "incremental":
-        return optimize_greedy(
-            provenance_set,
-            forest,
-            bound,
-            allow_infeasible=allow_infeasible,
-            keep_trace=keep_trace,
-            strategy="incremental",
-        )
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_names_disjoint(provenance_set, forest)
 
     if method == "dp" or (method == "auto" and len(forest) == 1):
         try:

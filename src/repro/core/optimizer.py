@@ -67,10 +67,6 @@ class OptimizationResult:
     trace:
         Optional "under the hood" information (per-node loads and DP tables)
         kept when ``keep_trace=True``.
-    strategy:
-        The engine used by algorithms with several interchangeable
-        implementations (the greedy's ``"legacy"`` rescans vs the
-        ``"incremental"`` kernel); ``None`` for single-engine algorithms.
     """
 
     cut: Optional[Cut]
@@ -81,7 +77,6 @@ class OptimizationResult:
     predicted_size: int
     algorithm: str
     trace: Optional[Dict] = None
-    strategy: Optional[str] = None
 
     @property
     def abstraction(self) -> Abstraction:
@@ -112,7 +107,6 @@ class OptimizationResult:
                 "feasible": self.feasible,
                 "predicted_size": self.predicted_size,
                 "algorithm": self.algorithm,
-                "strategy": self.strategy,
                 "cut": sorted(self.cut.nodes) if self.cut is not None else None,
             }
         )

@@ -28,7 +28,6 @@ from repro.provenance.valuation import Valuation
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
 from repro.core.compression import Abstraction, Compressor
 from repro.core.defaults import default_meta_valuation
-from repro.core.multi_tree import optimize_forest
 from repro.core.optimizer import OptimizationResult
 from repro.engine.report import AssignmentReport, GroupComparison, MetaVariableInfo
 from repro.engine.scenario import Scenario
@@ -163,48 +162,39 @@ class CobraSession:
     ) -> OptimizationResult:
         """Compute the optimal abstraction for the configured trees and bound.
 
-        ``method="incremental"`` routes through the session's
-        :class:`~repro.core.compression.Compressor`, so repeated
-        ``set_bound`` → ``compress`` rounds reuse one cached coarsening
-        trajectory instead of re-running the greedy search per bound;
-        ``method="legacy"`` forces the original full-rescan greedy.
+        ``method`` is one of :data:`~repro.core.compression.METHODS`; the
+        request goes through the session's
+        :class:`~repro.core.compression.Compressor`, so with
+        ``method="greedy"`` repeated ``set_bound`` → ``compress`` rounds
+        reuse one cached coarsening trajectory instead of re-running the
+        search per bound.
         """
         if self._trees is None:
             raise SessionStateError("call set_abstraction_trees() before compress()")
         if self._bound is None:
             raise SessionStateError("call set_bound() before compress()")
         with obs_trace("session.compress", method=method, bound=self._bound):
-            if method in ("incremental", "legacy"):
-                self._optimization = self.compressor().compress(
-                    self._provenance,
-                    self._trees,
-                    self._bound,
-                    strategy=method,
-                    allow_infeasible=allow_infeasible,
-                    keep_trace=keep_trace,
-                )
-            else:
-                self._optimization = optimize_forest(
-                    self._provenance,
-                    self._trees,
-                    self._bound,
-                    method=method,
-                    allow_infeasible=allow_infeasible,
-                    keep_trace=keep_trace,
-                )
+            self._optimization = self.compressor().compress(
+                self._provenance,
+                self._trees,
+                self._bound,
+                method=method,
+                allow_infeasible=allow_infeasible,
+                keep_trace=keep_trace,
+            )
         self._compiled_compressed = None
         return self._optimization
 
     def compress_sweep(
         self,
         bounds: Sequence[int],
-        strategy: str = "incremental",
+        method: str = "greedy",
         allow_infeasible: bool = False,
     ) -> Dict[int, OptimizationResult]:
         """Compress under every bound in ``bounds`` (compress once, sweep many).
 
-        The incremental kernel's coarsening order does not depend on the
-        bound, so the whole sweep shares one cached trajectory: the cost is
+        The greedy's coarsening order does not depend on the bound, so the
+        whole sweep shares one cached trajectory: the cost is
         one greedy run down to the tightest bound, plus cheap prefix
         reconstructions.  The session's own ``optimization`` state is left
         untouched — use :meth:`compress` to commit to a single bound.
@@ -217,7 +207,7 @@ class CobraSession:
             self._provenance,
             self._trees,
             bounds,
-            strategy=strategy,
+            method=method,
             allow_infeasible=allow_infeasible,
         )
 

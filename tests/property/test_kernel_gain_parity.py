@@ -2,8 +2,8 @@
 
 The incremental kernel's entire claim is that its per-candidate merge-gain
 counters — updated only for the monomials a coarsening actually touches —
-always equal what a naive full recompute (the legacy greedy's
-``_renamed_size`` scan over every monomial) would produce.  This test
+always equal what a naive full recompute (the greedy oracle's
+``renamed_size`` scan over every monomial) would produce.  This test
 replays random coarsening sequences over random forests and random
 provenance and checks the full gain table (``saved``, ``lost`` and the
 selection ``ratio``) after **every** step, including the running size the
@@ -11,9 +11,9 @@ kernel predicts.
 """
 
 from hypothesis import given, settings, strategies as st
+from oracles.greedy_scan import renamed_size
 
 from repro.core.abstraction_tree import AbstractionForest
-from repro.core.greedy import _renamed_size
 from repro.core.kernel.greedy import IncrementalGreedyKernel
 from repro.workloads.random_polynomials import random_provenance, random_tree
 
@@ -76,7 +76,7 @@ def _naive_gain_table(forest, cuts, current, current_size):
             if not replaced:
                 continue
             rename = {name: candidate for name in replaced}
-            saved = current_size - _renamed_size(current, rename)
+            saved = current_size - renamed_size(current, rename)
             table[candidate] = {"saved": saved, "lost": len(replaced) - 1}
     return table
 
@@ -115,7 +115,7 @@ def test_gain_table_matches_naive_recompute_after_every_step(instance, rng):
                     if name == choice or choice in tree.ancestors(name)
                 }
                 rename = {name: choice for name in replaced}
-                new_size = _renamed_size(current, rename)
+                new_size = renamed_size(current, rename)
                 current = current.rename(rename)
                 current_size = new_size
                 cuts[index] = (cuts[index] - replaced) | {choice}

@@ -227,36 +227,39 @@ class TestStatsCommand:
         assert "14" in output  # the leaf-cut size appears in the profile
 
 
+EXAMPLE2_TREE = {
+    "root": "Plans",
+    "edges": {
+        "Plans": ["Standard", "Special", "Business"],
+        "Standard": ["p1", "p2"],
+        "Special": ["F", "Y", "v"],
+        "F": ["f1", "f2"],
+        "Y": ["y1", "y2", "y3"],
+        "Business": ["SB", "e"],
+        "SB": ["b1", "b2"],
+    },
+}
+
+
 class TestCompressCommand:
-    def test_compress_round_trip(self, tmp_path, capsys):
+    def _compress(self, tmp_path, tree, *extra):
         provenance_path = tmp_path / "prov.json"
         save_provenance_set(example2_provenance(), provenance_path)
         tree_path = tmp_path / "tree.json"
-        tree_path.write_text(
-            json.dumps(
-                {
-                    "root": "Plans",
-                    "edges": {
-                        "Plans": ["Standard", "Special", "Business"],
-                        "Standard": ["p1", "p2"],
-                        "Special": ["F", "Y", "v"],
-                        "F": ["f1", "f2"],
-                        "Y": ["y1", "y2", "y3"],
-                        "Business": ["SB", "e"],
-                        "SB": ["b1", "b2"],
-                    },
-                }
-            )
-        )
-        output_path = tmp_path / "compressed.json"
-        code = main(
+        tree_path.write_text(json.dumps(tree))
+        return main(
             [
                 "compress",
                 "--input", str(provenance_path),
                 "--tree", str(tree_path),
-                "--bound", "8",
-                "--output", str(output_path),
+                *extra,
             ]
+        )
+
+    def test_compress_round_trip(self, tmp_path, capsys):
+        output_path = tmp_path / "compressed.json"
+        code = self._compress(
+            tmp_path, EXAMPLE2_TREE, "--bound", "8", "--output", str(output_path)
         )
         assert code == 0
         output = capsys.readouterr().out
@@ -265,6 +268,28 @@ class TestCompressCommand:
         compressed = json.loads(output_path.read_text())
         total = sum(len(group["polynomial"]["terms"]) for group in compressed["groups"])
         assert total <= 8
+
+    def test_infeasible_bound_reports_without_traceback(self, tmp_path, capsys):
+        assert self._compress(tmp_path, EXAMPLE2_TREE, "--bound", "1") == 1
+        captured = capsys.readouterr()
+        assert "cobra compress: " in captured.out
+        assert "bound 1" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_inner_node_named_like_a_variable_is_rejected(self, tmp_path, capsys):
+        tree = {"root": "Plans", "edges": {"Plans": ["p1", "v"], "p1": ["p2", "f1"]}}
+        assert self._compress(tmp_path, tree, "--bound", "8") == 1
+        output = capsys.readouterr().out
+        assert output.startswith("cobra compress: ")
+        assert "p1" in output
+
+    @pytest.mark.parametrize("retired", ["legacy", "incremental"])
+    def test_retired_strategy_names_are_rejected(self, tmp_path, capsys, retired):
+        with pytest.raises(SystemExit) as exit_info:
+            self._compress(
+                tmp_path, EXAMPLE2_TREE, "--bound", "8", "--strategy", retired
+            )
+        assert exit_info.value.code == 2
 
 
 class TestSemiringFlag:

@@ -306,7 +306,7 @@ class TestHotPathAllocation:
                 "src/repro/core/kernel/greedy.py": """
                 import numpy as np
 
-                def run(state):
+                def apply(state):
                     weights = np.arange(10)
                     for w in weights:
                         state += w

@@ -1,21 +1,22 @@
 """Exhaustive parity tests for the incremental compression kernel.
 
 The kernel must be a pure optimisation: byte-identical cut sequences (and
-therefore identical compressed provenance) to the legacy full-rescan greedy
-on every instance, and consistent with the brute-force oracle on every tree
-small enough to enumerate.
+therefore identical compressed provenance) to the full-rescan greedy oracle
+(``tests/oracles/greedy_scan.py``) on every instance, and consistent with the
+brute-force oracle on every tree small enough to enumerate.
 """
 
 import pytest
 
-from repro.exceptions import InfeasibleBoundError, UnsupportedPolynomialError
+from oracles.greedy_scan import legacy_greedy
+
+from repro.exceptions import AbstractionError, InfeasibleBoundError
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
 from repro.core.brute_force import optimize_brute_force
-from repro.core.compression import Compressor
+from repro.core.compression import METHODS, Compressor
 from repro.core.greedy import optimize_greedy
-from repro.core.kernel.greedy import IncrementalGreedyKernel, kernel_supports
+from repro.core.kernel.greedy import IncrementalGreedyKernel
 from repro.core.kernel.index import MonomialIncidenceIndex
-from repro.core.multi_tree import optimize_forest
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.workloads.random_polynomials import (
@@ -35,8 +36,6 @@ def _assert_identical(legacy, incremental):
     assert incremental.achieved_size == legacy.achieved_size
     assert incremental.compressed == legacy.compressed
     assert incremental.algorithm == legacy.algorithm == "greedy"
-    assert legacy.strategy == "legacy"
-    assert incremental.strategy == "incremental"
 
 
 class TestCutSequenceParity:
@@ -47,13 +46,13 @@ class TestCutSequenceParity:
             )
             for fraction in (0.95, 0.6, 0.3, 0.05):
                 bound = max(1, int(provenance.size() * fraction))
-                legacy = optimize_greedy(
+                legacy = legacy_greedy(
                     provenance, tree, bound,
-                    allow_infeasible=True, keep_trace=True, strategy="legacy",
+                    allow_infeasible=True, keep_trace=True,
                 )
                 incremental = optimize_greedy(
                     provenance, tree, bound,
-                    allow_infeasible=True, keep_trace=True, strategy="incremental",
+                    allow_infeasible=True, keep_trace=True,
                 )
                 _assert_identical(legacy, incremental)
 
@@ -76,51 +75,34 @@ class TestCutSequenceParity:
             )
             for fraction in (0.8, 0.4, 0.1):
                 bound = max(1, int(provenance.size() * fraction))
-                legacy = optimize_greedy(
+                legacy = legacy_greedy(
                     provenance, forest, bound,
-                    allow_infeasible=True, keep_trace=True, strategy="legacy",
+                    allow_infeasible=True, keep_trace=True,
                 )
                 incremental = optimize_greedy(
                     provenance, forest, bound,
-                    allow_infeasible=True, keep_trace=True, strategy="incremental",
+                    allow_infeasible=True, keep_trace=True,
                 )
                 _assert_identical(legacy, incremental)
 
     def test_infeasible_bound_raises_identically(self, simple_provenance, simple_tree):
         with pytest.raises(InfeasibleBoundError):
-            optimize_greedy(
-                simple_provenance, simple_tree, bound=2, strategy="incremental"
-            )
+            optimize_greedy(simple_provenance, simple_tree, bound=2)
 
     def test_loose_bound_returns_leaf_cut_without_steps(
         self, simple_provenance, simple_tree
     ):
         result = optimize_greedy(
             simple_provenance, simple_tree, bound=1_000,
-            keep_trace=True, strategy="incremental",
+            keep_trace=True,
         )
         assert result.cut.is_leaf_cut()
         assert result.trace == {"steps": []}
 
-    def test_auto_strategy_uses_the_kernel(self, simple_provenance, simple_tree):
-        result = optimize_greedy(simple_provenance, simple_tree, bound=6)
-        assert result.strategy == "incremental"
-
-    def test_optimize_forest_accepts_incremental_method(
-        self, simple_provenance, simple_tree
-    ):
-        via_forest = optimize_forest(
-            simple_provenance, simple_tree, bound=6, method="incremental"
-        )
-        direct = optimize_greedy(
-            simple_provenance, simple_tree, bound=6, strategy="incremental"
-        )
-        assert via_forest.cuts == direct.cuts
-        assert via_forest.strategy == "incremental"
 
 
 class TestBruteForceCrossCheck:
-    """On every tree small enough to enumerate, the greedy (either engine)
+    """On every tree small enough to enumerate, the greedy (and its oracle)
     must agree with the brute-force oracle on feasibility, respect the bound
     whenever the oracle says it is reachable, and never report more cut
     variables than the optimum."""
@@ -139,12 +121,10 @@ class TestBruteForceCrossCheck:
                     provenance, tree, bound, allow_infeasible=True
                 )
                 incremental = optimize_greedy(
-                    provenance, tree, bound,
-                    allow_infeasible=True, strategy="incremental",
+                    provenance, tree, bound, allow_infeasible=True
                 )
-                legacy = optimize_greedy(
-                    provenance, tree, bound,
-                    allow_infeasible=True, strategy="legacy",
+                legacy = legacy_greedy(
+                    provenance, tree, bound, allow_infeasible=True
                 )
                 assert incremental.cuts == legacy.cuts
                 # Full coarsening reaches the global minimum size, so the
@@ -162,9 +142,9 @@ class TestBruteForceCrossCheck:
 
 class TestKernelPreconditions:
     def _colliding_instance(self):
-        # "G" is an inner node *and* a free provenance variable: a renamed
-        # monomial could merge with a pre-existing one, which the kernel's
-        # per-candidate counters do not model.
+        # "G2" is an inner node *and* a free provenance variable: coarsening
+        # there would merge the meta-variable with the real variable, so
+        # every method and entry point rejects the input.
         tree = AbstractionTree("R", {"R": ["G2"], "G2": ["a", "b"]})
         provenance = ProvenanceSet()
         provenance[("g",)] = Polynomial(
@@ -172,37 +152,23 @@ class TestKernelPreconditions:
         )
         return provenance, tree
 
-    def test_kernel_supports_detects_collision(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_compressor_rejects_collision_for_every_method(self, method):
         provenance, tree = self._colliding_instance()
-        assert not kernel_supports(provenance, AbstractionForest([tree]))
+        with pytest.raises(AbstractionError, match="G2"):
+            Compressor().compress(
+                provenance, tree, bound=1, method=method, allow_infeasible=True
+            )
 
-    def test_explicit_incremental_raises_on_collision(self):
+    def test_optimize_greedy_rejects_collision(self):
         provenance, tree = self._colliding_instance()
-        with pytest.raises(UnsupportedPolynomialError):
-            optimize_greedy(provenance, tree, bound=1, strategy="incremental")
+        with pytest.raises(AbstractionError, match="G2"):
+            optimize_greedy(provenance, tree, bound=1, allow_infeasible=True)
 
-    def test_auto_falls_back_to_legacy_on_collision(self):
+    def test_kernel_rejects_collision(self):
         provenance, tree = self._colliding_instance()
-        result = optimize_greedy(provenance, tree, bound=1, allow_infeasible=True)
-        assert result.strategy == "legacy"
-
-    def test_compressor_falls_back_to_legacy_on_collision(self):
-        # The service facade must not fail requests the legacy engine can
-        # serve; its "incremental" default degrades transparently.
-        provenance, tree = self._colliding_instance()
-        result = Compressor().compress(
-            provenance, tree, bound=1, allow_infeasible=True
-        )
-        assert result.strategy == "legacy"
-        legacy = optimize_greedy(
-            provenance, tree, bound=1, allow_infeasible=True, strategy="legacy"
-        )
-        assert result.cuts == legacy.cuts
-        assert result.achieved_size == legacy.achieved_size
-
-    def test_unknown_strategy_rejected(self, simple_provenance, simple_tree):
-        with pytest.raises(ValueError):
-            optimize_greedy(simple_provenance, simple_tree, 5, strategy="wat")
+        with pytest.raises(AbstractionError, match="G2"):
+            IncrementalGreedyKernel(provenance, tree)
 
 
 class TestIncidenceIndex:
@@ -232,8 +198,8 @@ class TestCompressor:
             provenance, tree, bounds, allow_infeasible=True
         )
         for bound in bounds:
-            legacy = optimize_greedy(
-                provenance, tree, bound, allow_infeasible=True, strategy="legacy"
+            legacy = legacy_greedy(
+                provenance, tree, bound, allow_infeasible=True
             )
             assert swept[bound].cuts == legacy.cuts
             assert swept[bound].predicted_size == legacy.predicted_size
@@ -253,16 +219,19 @@ class TestCompressor:
 
     def test_strategy_routing(self, simple_provenance, simple_tree):
         compressor = Compressor()
-        legacy = compressor.compress(
-            simple_provenance, simple_tree, bound=6, strategy="legacy"
+        greedy = compressor.compress(
+            simple_provenance, simple_tree, bound=6, method="greedy"
         )
-        assert legacy.strategy == "legacy"
+        assert greedy.algorithm == "greedy"
         dp = compressor.compress(
-            simple_provenance, simple_tree, bound=6, strategy="dp"
+            simple_provenance, simple_tree, bound=6, method="dp"
         )
         assert dp.algorithm == "dynamic-programming"
-        with pytest.raises(ValueError):
-            compressor.compress(simple_provenance, simple_tree, 6, strategy="nope")
+        for retired in ("nope", "legacy", "incremental"):
+            with pytest.raises(ValueError):
+                compressor.compress(
+                    simple_provenance, simple_tree, 6, method=retired
+                )
         with pytest.raises(ValueError):
             compressor.compress(simple_provenance, simple_tree, -1)
 
@@ -278,7 +247,7 @@ class TestCompressor:
 
 
 class TestServiceWiring:
-    def test_session_compress_incremental_and_sweep(self):
+    def test_session_compress_greedy_and_sweep(self):
         from repro.engine.session import CobraSession
         from repro.workloads.abstraction_trees import plans_tree
         from repro.workloads.telephony import example2_provenance
@@ -287,8 +256,8 @@ class TestServiceWiring:
         session = CobraSession(provenance)
         session.set_abstraction_trees(plans_tree())
         session.set_bound(6)
-        result = session.compress(method="incremental")
-        assert result.strategy == "incremental"
+        result = session.compress(method="greedy")
+        assert result.algorithm == "greedy"
         assert result.achieved_size <= 6
         # The committed compression drives the assignment path as usual.
         report = session.assign(measure_assignment_speedup=False)
@@ -316,7 +285,7 @@ class TestServiceWiring:
         report, result = evaluator.compress_and_evaluate(
             provenance, tree, bound=6, scenarios=scenarios
         )
-        assert result.strategy == "incremental"
+        assert result.algorithm == "greedy"
         assert report.compressed_size == result.achieved_size
         assert len(report) == len(scenarios)
         # Repeat sweeps at other bounds reuse the cached trajectory (the
@@ -334,9 +303,8 @@ class TestKernelStepping:
             num_leaves=6, num_groups=3, monomials_per_group=10, seed=5
         )
         kernel = IncrementalGreedyKernel(provenance, tree)
-        legacy = optimize_greedy(
-            provenance, tree, bound=1,
-            allow_infeasible=True, keep_trace=True, strategy="legacy",
+        legacy = legacy_greedy(
+            provenance, tree, bound=1, allow_infeasible=True, keep_trace=True
         )
         for step in legacy.trace["steps"]:
             assert kernel.best() == step["coarsened_at"]

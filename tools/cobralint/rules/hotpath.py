@@ -6,8 +6,9 @@ O(touched) pass into an O(everything) one.  The designated kernels are the
 matrix/delta evaluators and their per-group algebra hooks in
 ``provenance/backends/numeric.py`` (one compiled-set implementation for
 every numeric semiring), the
-incremental-greedy coarsening loop in ``core/kernel/greedy.py``, and the
-shared-delta factoring loop in ``batch/factored.py``.
+incremental-greedy coarsening step in ``core/kernel/greedy.py`` and the
+loop driving it in ``core/kernel/trajectory.py``, and the shared-delta
+factoring loop in ``batch/factored.py``.
 
 Inside a designated kernel this rule flags, **when executed under a loop**
 (a one-off allocation at kernel entry is fine; one per scenario/segment is
@@ -52,9 +53,9 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("provenance/backends/numeric.py", "_accumulate"),
     ("provenance/backends/numeric.py", "_fold_rows"),
     ("core/kernel/greedy.py", "apply"),
-    ("core/kernel/greedy.py", "run"),
     ("core/kernel/greedy.py", "_remove_row"),
     ("core/kernel/greedy.py", "_add_row"),
+    ("core/kernel/trajectory.py", "extend_to"),
     ("batch/factored.py", "factor_batch"),
     ("batch/factored.py", "prefix_statistics"),
 )
@@ -80,6 +81,7 @@ class HotPathAllocationRule(Rule):
     include = (
         "src/repro/provenance/backends/numeric.py",
         "src/repro/core/kernel/greedy.py",
+        "src/repro/core/kernel/trajectory.py",
         "src/repro/batch/factored.py",
     )
 
