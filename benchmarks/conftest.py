@@ -1,12 +1,15 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``bench_*.py`` module reproduces one experiment of the paper (see the
-experiment index in ``DESIGN.md`` and the paper-vs-measured record in
-``EXPERIMENTS.md``).  Heavyweight inputs are built once per session here.
+Each ``bench_*.py`` module reproduces one experiment of the paper (E1–E9)
+as pytest tests.  Heavyweight inputs are built once per session here.
 
-Run with::
+The modules are named ``bench_*.py``, which pytest does not collect by
+default, so name the pattern when running them (from the repository root)::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/ -o python_files='bench_*.py' --benchmark-disable
+
+``--benchmark-disable`` runs each timed body once, as a plain test; drop it
+to let pytest-benchmark time them.
 
 Set ``COBRA_BENCH_FULL=1`` to run the Section 4 experiment at the paper's
 full scale (1,055 zip codes / 139,260 monomials); the default uses the same

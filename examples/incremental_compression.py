@@ -73,7 +73,7 @@ def main() -> None:
             f"  bound {sweep_bound:>8,} -> size {result.achieved_size:>8,}  "
             f"variables {result.num_variables:>4}  feasible={result.feasible}"
         )
-    print(f"trajectory cache: {compressor.cache_info()}")
+    print(f"plan cache: {compressor.cache_info()}")
 
     # -- 3. the kernel, stepped by hand -------------------------------------
     kernel = IncrementalGreedyKernel(provenance, tree)

@@ -4,12 +4,15 @@ An :class:`Abstraction` is a variable → meta-variable mapping, usually
 induced by one cut per tree of a forest.  Applying it to a polynomial (or a
 whole :class:`~repro.provenance.polynomial.ProvenanceSet`) renames variables
 and merges monomials that become identical, summing their coefficients —
-the mechanism by which provenance shrinks (Example 4 of the paper).
+the mechanism by which provenance shrinks (Example 4 of the paper).  The
+rename runs on the set's id-encoded incidence rows
+(:meth:`~repro.provenance.incidence.ProvenanceIncidence.renamed`).
 
 :class:`Compressor` is the service façade over the abstraction-selection
 algorithms: it routes a ``(provenance, trees, bound)`` request to one of
-:data:`METHODS` and, for the greedy, caches the bound-independent coarsening
-trajectory by provenance fingerprint so bound sweeps pay for the search once
+:data:`METHODS` and caches each method's bound-independent plan by
+provenance fingerprint — the greedy's coarsening trajectory, the
+single-tree DP's frontier — so bound sweeps pay for the search once
 ("compress once, then sweep").
 """
 
@@ -20,6 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.exceptions import AbstractionError
 from repro.obs.tracer import trace as obs_trace
+from repro.provenance.incidence import provenance_incidence
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree, as_forest
 from repro.core.cut import Cut
@@ -245,27 +249,35 @@ def apply_abstraction(
     elif isinstance(abstraction, Mapping) and not isinstance(abstraction, Abstraction):
         abstraction = Abstraction(dict(abstraction))
 
-    provenance_set = _as_provenance_set(provenance)
-    compressed = provenance_set.rename(dict(abstraction.mapping))
+    incidence = provenance_incidence(_as_provenance_set(provenance))
+    compressed = incidence.renamed(dict(abstraction.mapping))
     return CompressionResult(
         compressed=compressed,
         abstraction=abstraction,
-        original_size=provenance_set.size(),
+        original_size=incidence.num_rows(),
         compressed_size=compressed.size(),
-        original_variables=provenance_set.num_variables(),
+        original_variables=len(incidence.names),
         compressed_variables=compressed.num_variables(),
     )
 
 
 class Compressor:
-    """Method-routing compression service with a greedy-trajectory cache.
+    """Method-routing compression service with one cached plan per method.
 
-    ``method`` is one of :data:`METHODS`.  ``"greedy"`` (the default) is
-    answered from a :class:`~repro.core.kernel.trajectory.GreedyTrajectory`
-    computed once per distinct ``(provenance, forest)`` pair (keyed by
-    content fingerprint + forest structure) and lazily extended, so a
-    *sweep* of bounds costs barely more than one.  ``"auto"``, ``"dp"`` and
-    ``"exact"`` are delegated to :func:`repro.core.multi_tree.optimize_forest`.
+    ``method`` is one of :data:`METHODS`.  Every request is routed by
+    :func:`~repro.core.multi_tree.select_abstraction`; the bound-independent
+    half of the chosen algorithm is cached per ``(provenance, forest)``
+    (content fingerprint + forest structure + tree identities):
+
+    * ``"greedy"`` — the :class:`~repro.core.kernel.trajectory.GreedyTrajectory`,
+      lazily extended as lower bounds arrive;
+    * ``"dp"`` and a single-tree ``"auto"`` — the
+      :class:`~repro.core.optimizer.SingleTreeFrontier` (loads plus DP and
+      choice tables).
+
+    A new bound then only resolves the plan, rebuilds the cut and renames,
+    so a *sweep* of bounds costs barely more than one ("compress once, then
+    sweep").  ``"exact"`` enumeration is not cached.
 
     The cache makes a single ``Compressor`` shareable between a
     :class:`~repro.engine.session.CobraSession` and the batch service.
@@ -274,9 +286,7 @@ class Compressor:
     def __init__(self, cache_size: int = 8) -> None:
         from repro.provenance.valuation import FingerprintCache
 
-        self._trajectories = FingerprintCache(
-            cache_size, metrics="compress.trajectory_cache"
-        )
+        self._plans = FingerprintCache(cache_size, metrics="compress.plan_cache")
 
     def compress(
         self,
@@ -290,27 +300,40 @@ class Compressor:
         """Select and apply the best abstraction of ``trees`` under ``bound``.
 
         ``method`` is one of :data:`METHODS`; any other name raises
-        ``ValueError``.
+        ``ValueError``.  The ``compress.run`` span records the ``algorithm``
+        that answered and whether its plan came from the ``cache``
+        (``"hit"``/``"miss"``; uncached ``"exact"`` counts as a miss).
         """
+        from repro.core.multi_tree import select_abstraction
+
         if bound < 0:
             raise ValueError("bound must be non-negative")
-        with obs_trace("compress.run", method=method, bound=bound):
-            if method != "greedy":
-                from repro.core.multi_tree import optimize_forest
-
-                return optimize_forest(
-                    provenance,
-                    trees,
-                    bound,
-                    method=method,
-                    allow_infeasible=allow_infeasible,
-                    keep_trace=keep_trace,
-                )
-            from repro.core.greedy import greedy_result
-
+        with obs_trace("compress.run", method=method, bound=bound) as span:
             provenance_set = _as_provenance_set(provenance)
-            trajectory = self._trajectory(provenance_set, as_forest(trees))
-            return greedy_result(trajectory, bound, allow_infeasible, keep_trace)
+            forest = as_forest(trees)
+            hits: List[bool] = []
+
+            def plan(kind: str):
+                found, hit = self._plan(kind, provenance_set, forest)
+                hits.append(hit)
+                return found
+
+            result = select_abstraction(
+                provenance_set,
+                forest,
+                bound,
+                method,
+                allow_infeasible,
+                keep_trace,
+                plan,
+            )
+            span.update(
+                {
+                    "algorithm": result.algorithm,
+                    "cache": "hit" if hits and hits[-1] else "miss",
+                }
+            )
+        return result
 
     def sweep(
         self,
@@ -320,7 +343,7 @@ class Compressor:
         method: str = "greedy",
         allow_infeasible: bool = False,
     ) -> Dict[int, "OptimizationResult"]:
-        """Compress under every bound in ``bounds`` (one trajectory, N prefixes)."""
+        """Compress under every bound in ``bounds`` (one plan, N resolutions)."""
         return {
             int(bound): self.compress(
                 provenance,
@@ -332,34 +355,37 @@ class Compressor:
             for bound in bounds
         }
 
-    def _trajectory(self, provenance_set: ProvenanceSet, forest: AbstractionForest):
+    def _plan(
+        self, kind: str, provenance_set: ProvenanceSet, forest: AbstractionForest
+    ) -> Tuple[object, bool]:
+        """The cached ``kind`` plan (built on a miss) and whether it was cached."""
         from repro.core.kernel.index import forest_signature
-        from repro.core.kernel.trajectory import GreedyTrajectory
+        from repro.core.multi_tree import build_plan
 
         # Cut equality requires tree *identity*, so the key pins the exact
         # tree objects alongside the structural fingerprints.
         key = (
+            kind,
             provenance_set.fingerprint(),
             forest_signature(forest),
             tuple(id(tree) for tree in forest.trees()),
         )
-        def build():
-            with obs_trace(
-                "compress.trajectory", monomials=provenance_set.size()
-            ):
-                return GreedyTrajectory(provenance_set, forest)
-
-        return self._trajectories.get_or_build(key, build)
+        found = self._plans.get(key)
+        if found is not None:
+            return found, True
+        found = build_plan(kind, provenance_set, forest)
+        self._plans.put(key, found)
+        return found, False
 
     def cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters of the trajectory cache."""
-        return self._trajectories.info()
+        """Hit/miss/size counters of the plan cache (all methods)."""
+        return self._plans.info()
 
     def clear_cache(self) -> None:
-        """Drop this instance's cached trajectories (counters are kept).
+        """Drop this instance's cached plans (counters are kept).
 
         The kernel's incidence-index cache is process-global (shared by all
         compressors and :func:`~repro.core.greedy.optimize_greedy`); release
         it explicitly via :func:`repro.core.kernel.index.clear_incidence_cache`.
         """
-        self._trajectories.clear()
+        self._plans.clear()

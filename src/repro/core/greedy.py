@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.provenance.polynomial import ProvenanceSet
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
 from repro.core.compression import (
     Abstraction,
@@ -58,22 +59,28 @@ def optimize_greedy(
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    trajectory = GreedyTrajectory(_as_provenance_set(provenance), trees)
-    return greedy_result(trajectory, bound, allow_infeasible, keep_trace)
+    provenance_set = _as_provenance_set(provenance)
+    trajectory = GreedyTrajectory(provenance_set, trees)
+    return greedy_result(
+        trajectory, provenance_set, bound, allow_infeasible, keep_trace
+    )
 
 
 def greedy_result(
     trajectory: GreedyTrajectory,
+    provenance: ProvenanceSet,
     bound: int,
     allow_infeasible: bool,
     keep_trace: bool,
 ) -> OptimizationResult:
-    """The greedy's answer for ``bound``, read off ``trajectory``'s prefix."""
+    """The greedy's answer for ``bound``, read off ``trajectory``'s prefix.
+
+    ``provenance`` is the set the trajectory was computed for (or one with
+    the same fingerprint); the chosen cuts are applied to it.
+    """
     prefix, feasible = trajectory.resolve(bound, allow_infeasible)
     cuts = trajectory.cuts_after(prefix)
-    compression = apply_abstraction(
-        trajectory.provenance, Abstraction.from_cuts(cuts)
-    )
+    compression = apply_abstraction(provenance, Abstraction.from_cuts(cuts))
     trace = {"steps": trajectory.trace_steps(prefix)} if keep_trace else None
     return OptimizationResult(
         cut=cuts[0] if len(cuts) == 1 else None,

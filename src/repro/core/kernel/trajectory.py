@@ -37,7 +37,6 @@ class GreedyTrajectory:
         trees: Union[AbstractionTree, AbstractionForest],
     ) -> None:
         forest = as_forest(trees)
-        self.provenance = provenance
         self.forest = forest
         # Dropped once the trajectory is exhausted (see extend_to).
         self._kernel: Optional[IncrementalGreedyKernel] = IncrementalGreedyKernel(

@@ -11,14 +11,25 @@ that structure:
   :mod:`repro.core.greedy`;
 * when the forest has a single tree and the provenance satisfies the
   single-tree precondition, the exact polynomial-time DP is used instead.
+
+:func:`select_abstraction` is the one place a request is routed.  The DP
+and the greedy each split into a bound-independent *plan* — the
+:class:`~repro.core.optimizer.SingleTreeFrontier` (loads plus DP and choice
+tables) and the :class:`~repro.core.kernel.trajectory.GreedyTrajectory` —
+and a cheap per-bound resolution.  :func:`optimize_forest` builds the plan
+fresh for each call; :class:`~repro.core.compression.Compressor` caches one
+plan per method, so a new bound only resolves it, rebuilds the cut and
+renames.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.exceptions import InfeasibleBoundError, UnsupportedPolynomialError
+from repro.obs.tracer import trace as obs_trace
+from repro.provenance.polynomial import ProvenanceSet
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree, as_forest
 from repro.core.compression import (
     METHODS,
@@ -29,8 +40,13 @@ from repro.core.compression import (
     check_names_disjoint,
 )
 from repro.core.cut import Cut, count_cuts, enumerate_cuts
-from repro.core.greedy import optimize_greedy
-from repro.core.optimizer import OptimizationResult, optimize_single_tree
+from repro.core.greedy import greedy_result
+from repro.core.kernel.trajectory import GreedyTrajectory
+from repro.core.optimizer import (
+    OptimizationResult,
+    SingleTreeFrontier,
+    single_tree_result,
+)
 
 TreeOrForest = Union[AbstractionTree, AbstractionForest]
 
@@ -61,47 +77,83 @@ def optimize_forest(
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    forest = as_forest(trees)
     provenance_set = _as_provenance_set(provenance)
+    forest = as_forest(trees)
+    return select_abstraction(
+        provenance_set,
+        forest,
+        bound,
+        method,
+        allow_infeasible,
+        keep_trace,
+        lambda kind: build_plan(kind, provenance_set, forest),
+        max_combinations,
+    )
 
+
+def build_plan(kind: str, provenance: ProvenanceSet, forest: AbstractionForest):
+    """The bound-independent plan of one algorithm for ``(provenance, forest)``.
+
+    ``"dp"``: the :class:`~repro.core.optimizer.SingleTreeFrontier` of the
+    forest's first tree (raises
+    :class:`~repro.exceptions.UnsupportedPolynomialError` when a monomial
+    has two of its leaves); ``"greedy"``: the
+    :class:`~repro.core.kernel.trajectory.GreedyTrajectory`.
+    """
+    if kind == "dp":
+        return SingleTreeFrontier(provenance, forest.trees()[0])
+    with obs_trace("compress.trajectory", monomials=provenance.size()):
+        return GreedyTrajectory(provenance, forest)
+
+
+def select_abstraction(
+    provenance: ProvenanceSet,
+    forest: AbstractionForest,
+    bound: int,
+    method: str,
+    allow_infeasible: bool,
+    keep_trace: bool,
+    plan: Callable[[str], object],
+    max_combinations: int = 20_000,
+) -> OptimizationResult:
+    """Route one request to ``method``'s algorithm and answer it.
+
+    ``plan(kind)`` supplies the bound-independent plan (see
+    :func:`build_plan`): :func:`optimize_forest` builds a fresh one,
+    :class:`~repro.core.compression.Compressor` returns its cached one.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    check_names_disjoint(provenance_set, forest)
+    check_names_disjoint(provenance, forest)
 
     if method == "dp" or (method == "auto" and len(forest) == 1):
         try:
-            return optimize_single_tree(
-                provenance_set,
-                forest.trees()[0],
-                bound,
-                allow_infeasible=allow_infeasible,
-                keep_trace=keep_trace,
-            )
+            frontier = plan("dp")
         except UnsupportedPolynomialError:
             if method == "dp":
                 raise
             # fall through to the forest strategies
+        else:
+            return single_tree_result(
+                frontier, provenance, bound, allow_infeasible, keep_trace
+            )
 
-    combinations = 1
-    for tree in forest.trees():
-        combinations *= count_cuts(tree)
-
-    if method == "exact" or (method == "auto" and combinations <= max_combinations):
+    if method in ("auto", "exact"):
+        combinations = 1
+        for tree in forest.trees():
+            combinations *= count_cuts(tree)
         if combinations > max_combinations and method == "exact":
             raise ValueError(
                 f"forest has {combinations} cut combinations, more than "
                 f"max_combinations={max_combinations}"
             )
-        return _optimize_exhaustive(
-            provenance_set, forest, bound, allow_infeasible
-        )
+        if combinations <= max_combinations:
+            return _optimize_exhaustive(
+                provenance, forest, bound, allow_infeasible
+            )
 
-    return optimize_greedy(
-        provenance_set,
-        forest,
-        bound,
-        allow_infeasible=allow_infeasible,
-        keep_trace=keep_trace,
+    return greedy_result(
+        plan("greedy"), provenance, bound, allow_infeasible, keep_trace
     )
 
 

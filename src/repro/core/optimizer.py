@@ -24,9 +24,16 @@ a tree-knapsack problem solved exactly by the DP below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import InfeasibleBoundError, UnsupportedPolynomialError
+from repro.provenance.incidence import (
+    provenance_incidence,
+    ragged_ranges,
+    unique_rows,
+)
 from repro.provenance.polynomial import ProvenanceSet
 from repro.core.abstraction_tree import AbstractionTree
 from repro.core.compression import (
@@ -138,59 +145,123 @@ def build_load_model(
 ) -> _TreeLoadModel:
     """Compute per-node loads for ``provenance`` with respect to ``tree``.
 
+    Runs on the provenance's id-encoded incidence rows
+    (:func:`~repro.provenance.incidence.provenance_incidence`): each row
+    with a tree leaf becomes a ``(leaf, group, residue, exponent)`` key, and
+    a node's load is the number of distinct keys over the leaves below it,
+    counted as distinct ``(ancestor, key)`` rows.
+
     Raises
     ------
     UnsupportedPolynomialError
         If some monomial contains two or more distinct leaves of the tree —
         the single-tree DP's precondition (use the greedy optimiser then).
     """
-    provenance_set = _as_provenance_set(provenance)
-    tree_leaves = set(tree.leaves())
+    incidence = provenance_incidence(_as_provenance_set(provenance))
+    leaves = tree.leaves()
+    leaf_index = {leaf: i for i, leaf in enumerate(leaves)}
+    # Leaf position of every variable id; the extra last slot maps the -1
+    # padding to "not a leaf".
+    leaf_of = np.array(
+        [leaf_index.get(name, -1) for name in incidence.names] + [-1],
+        dtype=np.intp,
+    )
+    variables = incidence.monomial_variables
+    exponents = incidence.monomial_exponents
+    if variables.shape[1] == 0:  # only unit monomials: give them one pad
+        variables = np.full((variables.shape[0], 1), -1, dtype=np.intp)
+        exponents = np.zeros((variables.shape[0], 1), dtype=np.int64)
+    factor_leaf = leaf_of[variables]
+    in_tree = factor_leaf >= 0
+    tree_factors = in_tree.sum(axis=1)
 
-    residues_per_leaf: Dict[str, Set[Tuple]] = {leaf: set() for leaf in tree_leaves}
-    occurrences: Dict[str, int] = {leaf: 0 for leaf in tree_leaves}
-    base_monomials = 0
+    row_tree_factors = tree_factors[incidence.monomial_ids]
+    offending = np.flatnonzero(row_tree_factors > 1)
+    if offending.size:
+        row = int(offending[0])
+        monomial = incidence.monomials[incidence.monomial_ids[row]]
+        raise UnsupportedPolynomialError(
+            f"monomial {monomial.to_text()!r} contains "
+            f"{int(row_tree_factors[row])} variables of tree {tree.root!r}; "
+            "the single-tree optimizer requires at most one (use optimize_greedy)"
+        )
 
-    for group_key, polynomial in provenance_set.items():
-        for monomial, _coefficient in polynomial.terms():
-            in_tree = [name for name, _ in monomial if name in tree_leaves]
-            if not in_tree:
-                base_monomials += 1
-                continue
-            if len(in_tree) > 1:
-                raise UnsupportedPolynomialError(
-                    f"monomial {monomial.to_text()!r} contains {len(in_tree)} "
-                    f"variables of tree {tree.root!r}; the single-tree "
-                    "optimizer requires at most one (use optimize_greedy)"
-                )
-            leaf = in_tree[0]
-            exponent = monomial.exponent(leaf)
-            residue = monomial.without([leaf])
-            residues_per_leaf[leaf].add((group_key, residue, exponent))
-            occurrences[leaf] += 1
+    # Per distinct monomial: its leaf (or -1) and its residue, the
+    # remaining factors plus the leaf's exponent, as a residue id.
+    monomials = np.arange(variables.shape[0])
+    column = in_tree.argmax(axis=1)
+    has_leaf = tree_factors == 1
+    monomial_leaf = np.where(has_leaf, factor_leaf[monomials, column], -1)
+    leaf_exponent = np.where(has_leaf, exponents[monomials, column], 0)
+    residue_variables = np.where(
+        in_tree | (variables < 0), len(incidence.names), variables
+    )
+    by_variable = np.argsort(residue_variables, axis=1, kind="stable")
+    _distinct, residue = unique_rows(
+        np.concatenate(
+            [
+                np.take_along_axis(residue_variables, by_variable, axis=1),
+                np.take_along_axis(
+                    np.where(in_tree, 0, exponents), by_variable, axis=1
+                ),
+                leaf_exponent[:, None],
+            ],
+            axis=1,
+        )
+    )
 
-    # Bottom-up union of residue sets gives each node's load.
-    loads: Dict[str, int] = {}
-    residues_per_node: Dict[str, Set[Tuple]] = {}
+    row_leaf = monomial_leaf[incidence.monomial_ids]
+    with_leaf = row_leaf >= 0
+    row_leaf = row_leaf[with_leaf]
+    leaf_keys, _ = unique_rows(
+        np.stack(
+            [
+                row_leaf,
+                incidence.group_ids[with_leaf],
+                residue[incidence.monomial_ids[with_leaf]],
+            ],
+            axis=1,
+        )
+    )
 
-    def visit(name: str) -> Set[Tuple]:
-        node = tree.node(name)
-        if node.is_leaf:
-            residues = residues_per_leaf.get(name, set())
-        else:
-            residues = set()
-            for child in node.children:
-                residues |= visit(child)
-        residues_per_node[name] = residues
-        loads[name] = len(residues)
-        return residues
+    # Every distinct (leaf, group, residue) also counts once for each
+    # ancestor of the leaf: expand along the ancestor chains, deduplicate.
+    nodes = tree.nodes()
+    node_index = {name: i for i, name in enumerate(nodes)}
+    chains = [[node_index[name] for name in tree.ancestors(leaf)] for leaf in leaves]
+    chain_ptr = np.concatenate(
+        ([0], np.cumsum([len(chain) for chain in chains]))
+    ).astype(np.intp)
+    chain_nodes = np.array(
+        [node for chain in chains for node in chain], dtype=np.intp
+    )
+    key_leaf = leaf_keys[:, 0]
+    positions, _ = ragged_ranges(chain_ptr[key_leaf], chain_ptr[key_leaf + 1])
+    inner_keys, _ = unique_rows(
+        np.concatenate(
+            [
+                chain_nodes[positions][:, None],
+                np.repeat(leaf_keys[:, 1:], np.diff(chain_ptr)[key_leaf], axis=0),
+            ],
+            axis=1,
+        )
+    )
 
-    visit(tree.root)
+    leaf_loads = np.bincount(key_leaf, minlength=len(leaves)).tolist()
+    inner_loads = np.bincount(inner_keys[:, 0], minlength=len(nodes)).tolist()
+    occurrences = np.bincount(row_leaf, minlength=len(leaves)).tolist()
     return _TreeLoadModel(
         tree=tree,
-        loads=loads,
-        base_monomials=base_monomials,
-        leaf_occurrences=occurrences,
+        loads={
+            name: (
+                leaf_loads[leaf_index[name]]
+                if name in leaf_index
+                else inner_loads[node_index[name]]
+            )
+            for name in nodes
+        },
+        base_monomials=incidence.num_rows() - int(with_leaf.sum()),
+        leaf_occurrences=dict(zip(leaves, occurrences)),
     )
 
 
@@ -209,18 +280,150 @@ def compute_size_profile(
     Requires the single-tree precondition (at most one tree variable per
     monomial), like :func:`optimize_single_tree`.
     """
-    provenance_set = _as_provenance_set(provenance)
-    upper_bound = provenance_set.size()
-    result = optimize_single_tree(
-        provenance_set, tree, bound=upper_bound, keep_trace=True
-    )
-    assert result.trace is not None
-    root_table = result.trace["dp_table"][tree.root]
-    base = result.trace["base_monomials"]
+    frontier = SingleTreeFrontier(_as_provenance_set(provenance), tree)
     return {
-        cardinality: cost + base
-        for cardinality, cost in sorted(root_table.items())
+        cardinality: frontier.size_for(cardinality)
+        for cardinality in sorted(frontier.root_table)
     }
+
+
+class SingleTreeFrontier:
+    """The bound-independent half of the single-tree DP.
+
+    Holds the load model and, per node, the DP table (cut cardinality
+    ``k`` → minimal total load of a ``k``-node cut of the node's subtree)
+    with the choices that reach it.  None of it depends on the bound: a
+    bound only picks the root table's best ``k`` (:meth:`resolve`) and
+    reads that cut back (:meth:`cut_for`), so one frontier answers every
+    bound of a sweep.
+    """
+
+    def __init__(self, provenance: ProvenanceSet, tree: AbstractionTree) -> None:
+        self.tree = tree
+        self.model = build_load_model(provenance, tree)
+        loads = self.model.loads
+        # dp[node] maps cut-cardinality k -> minimal total load of a cut of
+        # the subtree rooted at node using exactly k nodes; choice[] remembers how.
+        dp: Dict[str, Dict[int, int]] = {}
+        choice: Dict[str, Dict[int, Optional[Tuple[Tuple[str, int], ...]]]] = {}
+
+        def visit(name: str) -> None:
+            node = tree.node(name)
+            if node.is_leaf:
+                dp[name] = {1: loads[name]}
+                choice[name] = {1: None}
+                return
+            for child in node.children:
+                visit(child)
+            # Knapsack-merge the children's tables.
+            combined: Dict[int, int] = {0: 0}
+            combined_choice: Dict[int, Tuple[Tuple[str, int], ...]] = {0: ()}
+            for child in node.children:
+                child_table = dp[child]
+                new_combined: Dict[int, int] = {}
+                new_choice: Dict[int, Tuple[Tuple[str, int], ...]] = {}
+                for k_prefix, cost_prefix in combined.items():
+                    for k_child, cost_child in child_table.items():
+                        k_total = k_prefix + k_child
+                        cost_total = cost_prefix + cost_child
+                        if k_total not in new_combined or cost_total < new_combined[k_total]:
+                            new_combined[k_total] = cost_total
+                            new_choice[k_total] = combined_choice[k_prefix] + (
+                                (child, k_child),
+                            )
+                combined = new_combined
+                combined_choice = new_choice
+
+            table: Dict[int, int] = {}
+            node_choice: Dict[int, Optional[Tuple[Tuple[str, int], ...]]] = {}
+            for k, cost in combined.items():
+                table[k] = cost
+                node_choice[k] = combined_choice[k]
+            # The alternative of cutting at this node itself (k = 1).
+            own_load = loads[name]
+            if 1 not in table or own_load < table[1]:
+                table[1] = own_load
+                node_choice[1] = None
+            dp[name] = table
+            choice[name] = node_choice
+
+        visit(tree.root)
+        self.dp = dp
+        self._choice = choice
+
+    @property
+    def root_table(self) -> Dict[int, int]:
+        """The root's DP table: cut cardinality → minimal total load."""
+        return self.dp[self.tree.root]
+
+    def size_for(self, k: int) -> int:
+        """The predicted compressed size of the best ``k``-node cut."""
+        return self.root_table[k] + self.model.base_monomials
+
+    def resolve(self, bound: int, allow_infeasible: bool) -> Tuple[int, bool]:
+        """The ``(cut cardinality, feasible)`` answer for ``bound``.
+
+        Among cardinalities meeting the bound the largest wins, ties broken
+        towards the smaller size.  Raises :class:`InfeasibleBoundError` when
+        none does and ``allow_infeasible`` is false; otherwise the smallest
+        achievable size is chosen and flagged infeasible.
+        """
+        root_table = self.root_table
+        base = self.model.base_monomials
+        feasible_ks = [k for k, cost in root_table.items() if cost + base <= bound]
+        if feasible_ks:
+            return max(feasible_ks, key=lambda k: (k, -(root_table[k]))), True
+        if not allow_infeasible:
+            raise InfeasibleBoundError(bound, min(root_table.values()) + base)
+        return min(root_table, key=lambda k: (root_table[k], k)), False
+
+    def cut_for(self, k: int) -> Cut:
+        """The best ``k``-node cut, read back from the choice tables."""
+        cut_nodes: List[str] = []
+
+        def reconstruct(name: str, k: int) -> None:
+            decision = self._choice[name][k]
+            if decision is None:
+                cut_nodes.append(name)
+                return
+            for child, k_child in decision:
+                if k_child > 0:
+                    reconstruct(child, k_child)
+
+        reconstruct(self.tree.root, k)
+        # An antichain covering every leaf by construction of the tables.
+        return Cut.trusted(self.tree, cut_nodes)
+
+    def trace_tables(self) -> Dict[str, object]:
+        """The "under the hood" view: loads, base size, leaf counts, DP tables."""
+        return {
+            "loads": dict(self.model.loads),
+            "base_monomials": self.model.base_monomials,
+            "leaf_occurrences": dict(self.model.leaf_occurrences),
+            "dp_table": {name: dict(table) for name, table in self.dp.items()},
+        }
+
+
+def single_tree_result(
+    frontier: SingleTreeFrontier,
+    provenance: ProvenanceSet,
+    bound: int,
+    allow_infeasible: bool,
+    keep_trace: bool,
+) -> OptimizationResult:
+    """The DP's answer for ``bound``, read off ``frontier`` and applied."""
+    best_k, feasible = frontier.resolve(bound, allow_infeasible)
+    cut = frontier.cut_for(best_k)
+    return OptimizationResult(
+        cut=cut,
+        cuts=(cut,),
+        compression=apply_abstraction(provenance, cut),
+        bound=bound,
+        feasible=feasible,
+        predicted_size=frontier.size_for(best_k),
+        algorithm="dynamic-programming",
+        trace=frontier.trace_tables() if keep_trace else None,
+    )
 
 
 def optimize_single_tree(
@@ -254,110 +457,17 @@ def optimize_single_tree(
     OptimizationResult
         With ``algorithm="dynamic-programming"``.  Among cuts meeting the
         bound the one with the most nodes is chosen; ties are broken towards
-        the smaller compressed size.
+        the smaller compressed size.  Builds a :class:`SingleTreeFrontier`
+        and resolves it, as :class:`~repro.core.compression.Compressor` does
+        with its cached one.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     provenance_set = _as_provenance_set(provenance)
-    model = build_load_model(provenance_set, tree)
-
-    # dp[node] maps cut-cardinality k -> minimal total load of a cut of the
-    # subtree rooted at node using exactly k nodes; choice[] remembers how.
-    dp: Dict[str, Dict[int, int]] = {}
-    choice: Dict[str, Dict[int, Optional[Tuple[Tuple[str, int], ...]]]] = {}
-
-    def visit(name: str) -> None:
-        node = tree.node(name)
-        if node.is_leaf:
-            dp[name] = {1: model.loads[name]}
-            choice[name] = {1: None}
-            return
-        for child in node.children:
-            visit(child)
-        # Knapsack-merge the children's tables.
-        combined: Dict[int, int] = {0: 0}
-        combined_choice: Dict[int, Tuple[Tuple[str, int], ...]] = {0: ()}
-        for child in node.children:
-            child_table = dp[child]
-            new_combined: Dict[int, int] = {}
-            new_choice: Dict[int, Tuple[Tuple[str, int], ...]] = {}
-            for k_prefix, cost_prefix in combined.items():
-                for k_child, cost_child in child_table.items():
-                    k_total = k_prefix + k_child
-                    cost_total = cost_prefix + cost_child
-                    if k_total not in new_combined or cost_total < new_combined[k_total]:
-                        new_combined[k_total] = cost_total
-                        new_choice[k_total] = combined_choice[k_prefix] + (
-                            (child, k_child),
-                        )
-            combined = new_combined
-            combined_choice = new_choice
-
-        table: Dict[int, int] = {}
-        node_choice: Dict[int, Optional[Tuple[Tuple[str, int], ...]]] = {}
-        for k, cost in combined.items():
-            table[k] = cost
-            node_choice[k] = combined_choice[k]
-        # The alternative of cutting at this node itself (k = 1).
-        own_load = model.loads[name]
-        if 1 not in table or own_load < table[1]:
-            table[1] = own_load
-            node_choice[1] = None
-        dp[name] = table
-        choice[name] = node_choice
-
-    visit(tree.root)
-
-    root_table = dp[tree.root]
-    feasible_ks = [
-        k for k, cost in root_table.items()
-        if cost + model.base_monomials <= bound
-    ]
-
-    feasible = bool(feasible_ks)
-    if feasible:
-        best_k = max(
-            feasible_ks,
-            key=lambda k: (k, -(root_table[k])),
-        )
-    else:
-        best_achievable = min(root_table.values()) + model.base_monomials
-        if not allow_infeasible:
-            raise InfeasibleBoundError(bound, best_achievable)
-        best_k = min(root_table, key=lambda k: (root_table[k], k))
-
-    # Reconstruct the chosen cut.
-    cut_nodes: List[str] = []
-
-    def reconstruct(name: str, k: int) -> None:
-        decision = choice[name][k]
-        if decision is None:
-            cut_nodes.append(name)
-            return
-        for child, k_child in decision:
-            if k_child > 0:
-                reconstruct(child, k_child)
-
-    reconstruct(tree.root, best_k)
-    cut = Cut(tree, cut_nodes)
-    predicted_size = root_table[best_k] + model.base_monomials
-
-    compression = apply_abstraction(provenance_set, cut)
-    trace = None
-    if keep_trace:
-        trace = {
-            "loads": dict(model.loads),
-            "base_monomials": model.base_monomials,
-            "leaf_occurrences": dict(model.leaf_occurrences),
-            "dp_table": {name: dict(table) for name, table in dp.items()},
-        }
-    return OptimizationResult(
-        cut=cut,
-        cuts=(cut,),
-        compression=compression,
-        bound=bound,
-        feasible=feasible,
-        predicted_size=predicted_size,
-        algorithm="dynamic-programming",
-        trace=trace,
+    return single_tree_result(
+        SingleTreeFrontier(provenance_set, tree),
+        provenance_set,
+        bound,
+        allow_infeasible,
+        keep_trace,
     )

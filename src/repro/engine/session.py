@@ -96,7 +96,7 @@ class CobraSession:
         self._compiled_full: Optional[CompiledProvenanceSet] = None
         self._compiled_compressed: Optional[CompiledProvenanceSet] = None
         self._batch_evaluator = None  # lazy repro.batch.BatchEvaluator
-        self._compressor: Optional[Compressor] = None  # lazy, trajectory-cached
+        self._compressor: Optional[Compressor] = None  # lazy, plan-cached
 
     # -- step 1: the input ----------------------------------------------------
 
@@ -125,10 +125,27 @@ class CobraSession:
 
     # -- step 2: tree and bound ---------------------------------------------------
 
-    def set_abstraction_trees(self, trees: TreeOrForest) -> None:
-        """Set the abstraction tree or forest guiding the compression."""
+    def set_abstraction_trees(
+        self, trees: Union[TreeOrForest, Sequence[AbstractionTree]]
+    ) -> None:
+        """Set the abstraction tree or forest guiding the compression.
+
+        A list or tuple of trees is taken as the forest of those trees;
+        anything else that is not a tree or forest raises
+        :class:`SessionStateError`.
+        """
         if isinstance(trees, AbstractionTree):
             trees = AbstractionForest([trees])
+        elif isinstance(trees, (list, tuple)) and trees and all(
+            isinstance(tree, AbstractionTree) for tree in trees
+        ):
+            trees = AbstractionForest(trees)
+        elif not isinstance(trees, AbstractionForest):
+            raise SessionStateError(
+                "set_abstraction_trees() takes an AbstractionTree, an "
+                "AbstractionForest or a non-empty list/tuple of "
+                f"AbstractionTree, got {trees!r}"
+            )
         self._trees = trees
         self._optimization = None
         self._compiled_compressed = None
@@ -149,7 +166,7 @@ class CobraSession:
     # -- step 3: compression ------------------------------------------------------
 
     def compressor(self) -> Compressor:
-        """The session's trajectory-cached compression service (lazy)."""
+        """The session's plan-cached compression service (lazy)."""
         if self._compressor is None:
             self._compressor = Compressor()
         return self._compressor
@@ -164,10 +181,11 @@ class CobraSession:
 
         ``method`` is one of :data:`~repro.core.compression.METHODS`; the
         request goes through the session's
-        :class:`~repro.core.compression.Compressor`, so with
-        ``method="greedy"`` repeated ``set_bound`` → ``compress`` rounds
-        reuse one cached coarsening trajectory instead of re-running the
-        search per bound.
+        :class:`~repro.core.compression.Compressor`, so repeated
+        ``set_bound`` → ``compress`` rounds reuse one cached plan — the
+        greedy's coarsening trajectory, or the single-tree DP's frontier
+        for ``"dp"`` and a single-tree ``"auto"`` — instead of re-running
+        the search per bound.
         """
         if self._trees is None:
             raise SessionStateError("call set_abstraction_trees() before compress()")
@@ -565,7 +583,7 @@ class CobraSession:
         if evaluator is None:
             if self._batch_evaluator is None:
                 # Share the session's Compressor so a compress-then-sweep
-                # through either entry point reuses one trajectory cache.
+                # through either entry point reuses one plan cache.
                 self._batch_evaluator = BatchEvaluator(
                     compressor=self.compressor()
                 )
@@ -699,3 +717,4 @@ class CobraSession:
     def trace(self) -> Optional[Dict]:
         """The optimizer's intermediate results, if ``compress(keep_trace=True)``."""
         return self.optimization.trace
+

@@ -1,7 +1,7 @@
 """The metrics registry: named counters, gauges and histograms.
 
 Every component that used to keep its own ad-hoc stat dict — the batch
-evaluator's compile cache, the compressor's trajectory cache, the kernel's
+evaluator's compile cache, the compressor's plan cache, the kernel's
 incidence cache — now reports into one process-wide
 :class:`MetricsRegistry` (:func:`get_registry`), so a single
 :meth:`~MetricsRegistry.snapshot` answers "what has the engine been doing"

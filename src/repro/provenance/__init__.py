@@ -49,7 +49,6 @@ from repro.provenance.semimodule import AggregateTerm, AggregateExpression
 from repro.provenance.statistics import (
     ProvenanceStatistics,
     describe_provenance,
-    enumerate_monomial_rows,
 )
 from repro.provenance.incidence import (
     ProvenanceIncidence,
@@ -95,7 +94,6 @@ __all__ = [
     "AggregateExpression",
     "ProvenanceStatistics",
     "describe_provenance",
-    "enumerate_monomial_rows",
     "ProvenanceIncidence",
     "VariableIncidence",
     "provenance_incidence",

@@ -74,6 +74,21 @@ class Monomial:
         return cls(variables)
 
     @classmethod
+    def trusted(cls, factors: Tuple[Tuple[str, int], ...]) -> "Monomial":
+        """Wrap an already-canonical factor tuple *without* revalidating it.
+
+        ``factors`` must be sorted by name, with distinct valid names and
+        positive ``int`` exponents — what :attr:`factors` returns.  Array
+        rewrites that produce canonical factors by construction (the
+        incidence-row rename) use this fast path; everything else goes
+        through the validating constructor.
+        """
+        monomial = cls.__new__(cls)
+        monomial._factors = factors
+        monomial._hash = hash(factors)
+        return monomial
+
+    @classmethod
     def from_factors(cls, factors: Iterable[Tuple[VariableLike, int]]) -> "Monomial":
         """Build a monomial from ``(variable, exponent)`` pairs."""
         merged: Dict[str, int] = {}

@@ -85,6 +85,19 @@ class Polynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def trusted(cls, terms: Dict[Monomial, float]) -> "Polynomial":
+        """Adopt ``terms`` as the term dict *without* revalidating or copying.
+
+        Every coefficient must be a ``float`` with absolute value above
+        ``_ZERO_EPSILON`` — what a normalised polynomial holds.  Callers
+        hand over the dict; it must not be mutated afterwards.
+        """
+        polynomial = cls.__new__(cls)
+        polynomial._terms = terms
+        polynomial._hash = None
+        return polynomial
+
+    @classmethod
     def zero(cls) -> "Polynomial":
         """The additive identity (no monomials)."""
         return cls()
@@ -152,7 +165,11 @@ class Polynomial:
 
     def terms(self) -> Tuple[Tuple[Monomial, float], ...]:
         """All ``(monomial, coefficient)`` pairs in canonical (sorted) order."""
-        return tuple(sorted(self._terms.items(), key=lambda item: item[0]))
+        # Monomials order by their factor tuples; comparing those directly
+        # skips a Python-level ``__lt__`` call per comparison.
+        return tuple(
+            sorted(self._terms.items(), key=lambda item: item[0].factors)
+        )
 
     def coefficient(self, monomial: Monomial) -> float:
         """Coefficient of ``monomial`` (0.0 if absent)."""
@@ -246,10 +263,12 @@ class Polynomial:
     def rename(self, mapping: Mapping[str, str]) -> "Polynomial":
         """Rename variables through ``mapping``, merging coinciding monomials.
 
-        This is the primitive underlying abstraction: when the mapping sends
+        This is abstraction on one polynomial: when the mapping sends
         several variables to the same meta-variable, previously distinct
         monomials may become identical and their coefficients are summed —
         precisely the compression effect described in the paper.
+        :meth:`ProvenanceSet.rename` gives the same result for every
+        polynomial of a set at once, computed on arrays.
         """
         merged: Dict[Monomial, float] = {}
         for monomial, coefficient in self._terms.items():
@@ -384,6 +403,22 @@ class ProvenanceSet:
             for key, polynomial in polynomials.items():
                 self[key] = polynomial
 
+    @classmethod
+    def trusted(
+        cls, polynomials: Dict[Tuple, Polynomial], variables: frozenset
+    ) -> "ProvenanceSet":
+        """Adopt tuple-keyed ``polynomials`` and their known variable set.
+
+        No checks and no copy: the keys must already be normalised tuples,
+        the values :class:`Polynomial`, and ``variables`` exactly the union
+        of their variables.  For array rewrites that know all three by
+        construction (the incidence-row rename).
+        """
+        result = cls()
+        result._polynomials = polynomials
+        result._variables_cache = variables
+        return result
+
     # -- mutation (builder-style) -------------------------------------------
 
     def _invalidate_caches(self) -> None:
@@ -489,11 +524,16 @@ class ProvenanceSet:
     # -- transformations --------------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> "ProvenanceSet":
-        """Rename variables in every polynomial (the abstraction primitive)."""
-        return ProvenanceSet(
-            {key: polynomial.rename(mapping)
-             for key, polynomial in self._polynomials.items()}
-        )
+        """Rename variables in every polynomial (the abstraction primitive).
+
+        The result equals renaming each polynomial with
+        :meth:`Polynomial.rename`, coefficient bit for coefficient bit and in
+        term order, but is computed on the set's id-encoded incidence rows
+        (:meth:`~repro.provenance.incidence.ProvenanceIncidence.renamed`).
+        """
+        from repro.provenance.incidence import provenance_incidence
+
+        return provenance_incidence(self).renamed(mapping)
 
     def substitute(self, assignment: Mapping[str, Number]) -> "ProvenanceSet":
         """Partially evaluate every polynomial."""

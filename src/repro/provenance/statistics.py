@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.provenance.polynomial import Polynomial, ProvenanceSet
+import numpy as np
 
-#: One flattened monomial: (group index, canonical (variable, exponent)
-#: factors, coefficient).  The row-level view of a provenance set shared by
-#: :func:`enumerate_monomial_rows` consumers.
-MonomialRow = Tuple[int, Tuple[Tuple[str, int], ...], float]
+from repro.provenance.polynomial import ProvenanceSet
 
 
 @dataclass(frozen=True)
@@ -102,63 +99,50 @@ class ProvenanceStatistics:
         return "\n".join(lines)
 
 
-def enumerate_monomial_rows(
-    provenance: ProvenanceSet,
-) -> Tuple[List[MonomialRow], Dict[str, List[int]]]:
-    """Flatten a provenance set into indexed monomial rows plus an incidence map.
-
-    Returns ``(rows, variable_rows)``: ``rows`` lists every monomial of the
-    set as ``(group_index, factors, coefficient)`` in deterministic order
-    (groups in key-insertion order, terms in canonical monomial order);
-    ``variable_rows`` maps each variable to the ascending row indices whose
-    monomial contains it.  This row-level view is the foundation of the
-    shared variable→monomial inverted index
-    (:mod:`repro.provenance.incidence`, fingerprint-cached) that both the
-    incremental compression kernel (:mod:`repro.core.kernel.index`) and the
-    sparse delta evaluators build on, and is useful on its own whenever an
-    algorithm needs "which monomials does this variable touch?" answered in
-    O(1) after one linear pass.
-    """
-    rows: List[MonomialRow] = []
-    variable_rows: Dict[str, List[int]] = {}
-    for group_index, (_key, polynomial) in enumerate(provenance.items()):
-        for monomial, coefficient in polynomial.terms():
-            row_id = len(rows)
-            rows.append((group_index, monomial.factors, coefficient))
-            for name, _exponent in monomial.factors:
-                variable_rows.setdefault(name, []).append(row_id)
-    return rows, variable_rows
-
-
 def describe_provenance(provenance: ProvenanceSet) -> ProvenanceStatistics:
     """Compute :class:`ProvenanceStatistics` for ``provenance``.
 
-    Built on the same flattened row view (:func:`enumerate_monomial_rows`)
-    the incidence indexes consume, so the statistics and the sparse kernels
-    agree on what counts as a monomial row.
+    Counted on the id-encoded rows of the provenance's incidence
+    (:func:`~repro.provenance.incidence.provenance_incidence`), so the
+    statistics and the incidence-based algorithms agree on what counts as a
+    monomial row.  Dictionaries list degrees and variables in order of
+    first occurrence along the rows; a variable's mass sums the absolute
+    coefficients of its rows in row order.
     """
-    rows, variable_rows = enumerate_monomial_rows(provenance)
-    group_sizes: List[int] = [0] * len(provenance)
-    degree_histogram: Dict[int, int] = {}
-    mass: Dict[str, float] = {}
+    from repro.provenance.incidence import provenance_incidence
 
-    for group_index, factors, coefficient in rows:
-        group_sizes[group_index] += 1
-        degree = sum(exponent for _name, exponent in factors)
-        degree_histogram[degree] = degree_histogram.get(degree, 0) + 1
-        for name, _exponent in factors:
-            mass[name] = mass.get(name, 0.0) + abs(coefficient)
+    incidence = provenance_incidence(provenance)
+    size = incidence.num_rows()
+    group_sizes = np.bincount(incidence.group_ids, minlength=len(provenance))
 
-    occurrences = {name: len(ids) for name, ids in variable_rows.items()}
-    size = len(rows)
+    degrees = incidence.monomial_exponents.sum(axis=1)[incidence.monomial_ids]
+    values, first, counts = np.unique(degrees, return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    degree_histogram = dict(
+        zip(values[by_first].tolist(), counts[by_first].tolist())
+    )
+
+    variables = incidence.monomial_variables[incidence.monomial_ids]
+    present = variables >= 0
+    mass = np.bincount(
+        variables[present],
+        weights=np.broadcast_to(
+            np.abs(incidence.coefficients)[:, None], variables.shape
+        )[present],
+        minlength=len(incidence.names),
+    ).tolist()
+    name_index = {name: i for i, name in enumerate(incidence.names)}
+    order = list(incidence.variable_rows)
     return ProvenanceStatistics(
         num_groups=len(provenance),
         size=size,
-        num_variables=provenance.num_variables(),
-        min_monomials_per_group=min(group_sizes) if group_sizes else 0,
-        max_monomials_per_group=max(group_sizes) if group_sizes else 0,
-        mean_monomials_per_group=(size / len(group_sizes)) if group_sizes else 0.0,
+        num_variables=len(incidence.names),
+        min_monomials_per_group=int(group_sizes.min()) if group_sizes.size else 0,
+        max_monomials_per_group=int(group_sizes.max()) if group_sizes.size else 0,
+        mean_monomials_per_group=(size / group_sizes.size) if group_sizes.size else 0.0,
         degree_histogram=degree_histogram,
-        variable_occurrences=occurrences,
-        variable_mass=mass,
+        variable_occurrences={
+            name: len(incidence.variable_rows[name]) for name in order
+        },
+        variable_mass={name: mass[name_index[name]] for name in order},
     )

@@ -148,3 +148,81 @@ class TestApplyAbstraction:
         compressed_results = result.compressed.evaluate(compressed_valuation)
         for key in full_results:
             assert compressed_results[key] == pytest.approx(full_results[key])
+
+
+class TestCompressorPlans:
+    """``Compressor`` caches one bound-independent plan per method."""
+
+    BOUND_PERCENTS = (100, 80, 60, 40, 1)
+
+    def test_dp_frontier_is_built_once_across_bounds(self):
+        from repro.core.compression import Compressor
+        from repro.core.optimizer import optimize_single_tree
+        from repro.workloads.random_polynomials import random_single_tree_instance
+
+        provenance, tree = random_single_tree_instance(
+            num_leaves=9, num_groups=4, monomials_per_group=20, seed=11
+        )
+        compressor = Compressor()
+        for percent in self.BOUND_PERCENTS:
+            bound = provenance.size() * percent // 100
+            result = compressor.compress(
+                provenance, tree, bound, method="auto",
+                allow_infeasible=True, keep_trace=True,
+            )
+            fresh = optimize_single_tree(
+                provenance, tree, bound, allow_infeasible=True, keep_trace=True
+            )
+            assert result.algorithm == "dynamic-programming"
+            assert result.cuts == fresh.cuts
+            assert result.predicted_size == fresh.predicted_size
+            assert result.feasible == fresh.feasible
+            assert result.trace == fresh.trace
+            assert result.compressed == fresh.compressed
+        info = compressor.cache_info()
+        assert info["misses"] == 1
+        assert info["hits"] == len(self.BOUND_PERCENTS) - 1
+
+    def test_dp_and_greedy_plans_are_cached_separately(self):
+        from repro.core.compression import Compressor
+        from repro.workloads.random_polynomials import random_single_tree_instance
+
+        provenance, tree = random_single_tree_instance(seed=4)
+        compressor = Compressor()
+        for method in ("dp", "greedy", "auto", "greedy"):
+            compressor.compress(
+                provenance, tree, provenance.size() // 2, method=method,
+                allow_infeasible=True,
+            )
+        info = compressor.cache_info()
+        assert info["misses"] == 2  # one frontier, one trajectory
+        assert info["hits"] == 2
+
+    def test_multi_leaf_input_falls_through_to_greedy(self):
+        from repro.core.abstraction_tree import AbstractionTree
+        from repro.core.compression import Compressor
+        from repro.core.cut import count_cuts
+
+        # 16 two-leaf groups under one root: 2**16 + 1 cuts, more than auto
+        # enumerates, and every monomial pairs leaves of different groups.
+        leaves = [f"x{i}" for i in range(32)]
+        edges = {"R": [f"g{i}" for i in range(16)]}
+        edges.update({f"g{i}": leaves[2 * i : 2 * i + 2] for i in range(16)})
+        tree = AbstractionTree("R", edges)
+        assert count_cuts(tree) > 20_000
+        provenance = ProvenanceSet(
+            {
+                (f"k{i}",): Polynomial(
+                    {Monomial.of(leaves[i], leaves[(i + 5) % 32]): 1.0 + i}
+                )
+                for i in range(32)
+            }
+        )
+        compressor = Compressor()
+        for bound in (32, 16):
+            result = compressor.compress(
+                provenance, tree, bound, method="auto", allow_infeasible=True
+            )
+            assert result.algorithm == "greedy"
+        # Only the greedy trajectory was cached, and reused.
+        assert compressor.cache_info()["entries"] == 1

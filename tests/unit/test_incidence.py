@@ -102,6 +102,45 @@ class TestProvenanceIncidence:
         assert list(incidence.rows_for("z")) == [2]
         assert incidence.rows_for("ghost").size == 0
 
+    def test_id_encoded_view(self, provenance):
+        incidence = ProvenanceIncidence(provenance)
+        assert incidence.names == ("x", "y", "z")
+        # Distinct monomials sorted; x is shared by both groups.
+        assert [m.to_text() for m in incidence.monomials] == ["1", "x", "x*y", "z"]
+        assert incidence.monomial_variables.tolist() == [
+            [-1, -1], [0, -1], [0, 1], [2, -1]
+        ]
+        assert incidence.monomial_exponents.tolist() == [[0, 0], [1, 0], [1, 1], [1, 0]]
+        assert incidence.group_ids.tolist() == [0, 0, 0, 1]
+        assert incidence.monomial_ids.tolist() == [0, 2, 3, 1]
+        assert incidence.coefficients.tolist() == [1.0, 2.0, 3.0, 4.0]
+        # g1's terms were inserted as x*y, z, 1.
+        assert incidence.insertion.tolist() == [2, 0, 1, 0]
+        assert incidence.rows == [
+            (0, (), 1.0),
+            (0, (("x", 1), ("y", 1)), 2.0),
+            (0, (("z", 1),), 3.0),
+            (1, (("x", 1),), 4.0),
+        ]
+
+    def test_cached_view_must_describe_the_set(self, provenance):
+        clear_provenance_incidence_cache()
+        first = provenance_incidence(provenance)
+        assert first.describes(provenance)
+        # Same fingerprint (coefficients agree to 9 decimals, and key order
+        # is ignored), different rows: rebuilt, not reused.
+        nudged = ProvenanceSet()
+        nudged[("g2",)] = provenance[("g2",)]
+        nudged[("g1",)] = Polynomial(
+            {Monomial.of("x", "y"): 2.0 + 1e-11, Monomial.of("z"): 3.0,
+             Monomial.unit(): 1.0}
+        )
+        assert nudged.fingerprint() == provenance.fingerprint()
+        assert not first.describes(nudged)
+        second = provenance_incidence(nudged)
+        assert second is not first and second.describes(nudged)
+        assert second.keys == (("g2",), ("g1",))
+
     def test_cached_by_fingerprint(self, provenance):
         clear_provenance_incidence_cache()
         first = provenance_incidence(provenance)

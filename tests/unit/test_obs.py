@@ -330,3 +330,28 @@ class TestBatchIntegration:
         assert sum(s.attributes.get("rows", 0) for s in shard_spans) == len(
             scenarios
         )
+
+
+class TestCompressSpan:
+    def test_run_span_records_algorithm_and_cache(self, traced):
+        from repro.core.compression import Compressor
+        from repro.workloads.random_polynomials import random_single_tree_instance
+
+        provenance, tree = random_single_tree_instance(seed=2)
+        compressor = Compressor()
+        for method, bound in (("auto", 40), ("auto", 30), ("greedy", 40), ("exact", 40)):
+            compressor.compress(
+                provenance, tree, bound, method=method, allow_infeasible=True
+            )
+        runs = [
+            span.attributes
+            for root in traced.drain()
+            for span in root.walk()
+            if span.name == "compress.run"
+        ]
+        assert [(run["method"], run["algorithm"], run["cache"]) for run in runs] == [
+            ("auto", "dynamic-programming", "miss"),
+            ("auto", "dynamic-programming", "hit"),
+            ("greedy", "greedy", "miss"),
+            ("exact", "exhaustive-forest", "miss"),
+        ]

@@ -38,6 +38,26 @@ class TestSessionSetup:
         with pytest.raises(SessionStateError):
             session.compress()
 
+    def test_list_of_trees_becomes_a_forest(self, session):
+        from repro.core.abstraction_tree import AbstractionForest
+        from repro.workloads.abstraction_trees import months_tree
+
+        plans, months = plans_tree(), months_tree()
+        for trees in ([plans, months], (plans, months)):
+            session.set_abstraction_trees(trees)
+            session.set_bound(6)
+            result = session.compress(method="greedy", allow_infeasible=True)
+            assert isinstance(session._trees, AbstractionForest)
+            assert session._trees.trees() == (plans, months)
+            assert [cut.tree for cut in result.cuts] == [plans, months]
+
+    @pytest.mark.parametrize(
+        "trees", [[], ["Plans"], [plans_tree(), "m1"], "Plans", None, {"a": 1}]
+    )
+    def test_anything_else_is_rejected_at_the_setter(self, session, trees):
+        with pytest.raises(SessionStateError, match="set_abstraction_trees"):
+            session.set_abstraction_trees(trees)
+
     def test_negative_bound_rejected(self, session):
         with pytest.raises(SessionStateError):
             session.set_bound(-1)
