@@ -10,10 +10,10 @@ evaluates the whole sweep with one of three vectorised pipelines:
   matrix kernels, chunked to a memory budget and optionally fanned out over
   a thread pool (the kernels release the GIL);
 * **sparse** — the baseline valuation is evaluated **once**, then each
-  scenario is applied as a ``(changed_columns, new_values)`` delta through
-  the compiled sets' inverted variable→monomial index
-  (:meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_deltas`),
-  recomputing only affected monomials/segments.  Real what-if traffic
+  scenario is applied as a ``(changed_columns, new_values)`` delta
+  (:meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_deltas`):
+  the real set updates one per-row entry per changed variable, the
+  tropical/bool sets recompute only affected segments.  Real what-if traffic
   perturbs a few variables per scenario, so this is the hot path;
 * **factored** — for structured sweeps sharing a common operation prefix
   (grids, samples and composed plans from :mod:`repro.engine.plan`): the

@@ -76,8 +76,8 @@ class CompiledSemiringSet(ABC):
     ) -> Any:
         """Sparse scenario evaluation against one shared base vector.
 
-        Numeric compilations override this with an O(affected monomials)
-        kernel; the default signals that the caller should take the dense
+        Numeric compilations override this with a kernel whose cost follows
+        the changed variables, not the set size; the default signals that the caller should take the dense
         path instead.
         """
         raise NotImplementedError(

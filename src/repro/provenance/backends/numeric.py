@@ -20,26 +20,31 @@ batch planner produces (the Boolean backend thresholds them at non-zero), so
 the chunked/threaded matrix pipeline works for every numeric semiring.
 Sparse scenarios have two delta kernels: the base class re-reduces the
 affected segments (min and or are not invertible), while the real semiring,
-whose ``+`` is, applies multiplicative ratio updates to the touched
-monomials.
+whose ``+`` is, aggregates: per baseline it sums monomial contributions per
+(variable, row, exponent) entry, so a changed variable moves a row with one
+update per entry, and only monomials holding two changed variables of one
+scenario get an exact fix-up (:class:`~repro.provenance.incidence.RowDeltaIndex`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import MissingValuationError
-from repro.obs.tracer import trace
+from repro.obs.metrics import get_registry
+from repro.obs.tracer import current_span, trace
 from repro.provenance.backends.base import (
     CompiledSemiringSet,
     SemiringBackend,
 )
 from repro.provenance.incidence import (
+    RowDeltaIndex,
     VariableIncidence,
     expand_segment_rows,
     ragged_ranges,
+    sorted_unique,
 )
 from repro.provenance.polynomial import ProvenanceSet
 from repro.provenance.semiring import (
@@ -64,7 +69,9 @@ _DELTA_BASELINE_SLOTS = 4
 _DeltaGroup = Tuple[VariableIncidence, np.ndarray, np.ndarray]
 
 #: One cached delta-state entry: ``(key, base_vector, per-group monomial
-#: contributions, per-group segment reductions, totals)``.
+#: contributions, kernel reductions, totals)``.  The kernel reductions are
+#: per-group segment reductions for the segment kernel and the per-entry
+#: sums ``S`` for the real one (:meth:`_CompiledNumericSet._baseline_reductions`).
 _DeltaState = Tuple[
     bytes, np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...], np.ndarray
 ]
@@ -120,6 +127,10 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     supports_deltas = True
 
+    #: Whether compiled stores persist :meth:`_delta_groups` (the segment
+    #: kernel's index); the real set derives its own index on first use.
+    stores_delta_index = True
+
     #: The semiring backend this compiled form belongs to (the name stamped
     #: into compiled stores; see :mod:`repro.provenance.store`).
     backend_name: str = ""
@@ -140,8 +151,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
     _identity: float = 0.0
 
     def __init__(self, provenance: ProvenanceSet) -> None:
-        self._delta_index: Optional[Tuple[_DeltaGroup, ...]] = None
-        self._delta_baseline: List[_DeltaState] = []
+        self._init_delta_caches()
         self._fingerprint: Optional[str] = provenance.fingerprint()
         self._store_path: Optional[str] = None
         self._keys: Tuple[Tuple, ...] = provenance.keys()
@@ -177,6 +187,11 @@ class _CompiledNumericSet(CompiledSemiringSet):
                     np.array([r[3] for r in rows], dtype=np.float64),
                 )
             )
+
+    def _init_delta_caches(self) -> None:
+        """Reset the lazily built delta index and the baseline LRU."""
+        self._delta_index: Optional[Tuple[_DeltaGroup, ...]] = None
+        self._delta_baseline: List[_DeltaState] = []
 
     # -- the algebra hooks ---------------------------------------------------
 
@@ -378,8 +393,16 @@ class _CompiledNumericSet(CompiledSemiringSet):
                 self._delta_index = tuple(built)
         return self._delta_index
 
+    def _baseline_reductions(
+        self,
+        contributions: Tuple[np.ndarray, ...],
+        segments: Tuple[np.ndarray, ...],
+    ) -> Tuple[np.ndarray, ...]:
+        """What the delta kernel reuses of a baseline: its segment reductions."""
+        return segments
+
     def _delta_state(self, base_vector: np.ndarray) -> _DeltaState:
-        """Baseline-once state: contributions, segment reductions, totals."""
+        """Baseline-once state: contributions, kernel reductions, totals."""
         base_vector = np.asarray(base_vector, dtype=np.float64)
         if base_vector.shape != (len(self._variables),):
             raise ValueError(
@@ -409,7 +432,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
             key,
             base_vector.copy(),
             tuple(contributions),
-            tuple(segment_values),
+            self._baseline_reductions(tuple(contributions), tuple(segment_values)),
             totals,
         )
         cache.insert(0, entry)
@@ -510,13 +533,14 @@ class CompiledProvenanceSet(_CompiledNumericSet):
     A monomial contributes ``coefficient · ∏ x^e``, rows sum their
     monomials (``np.add.reduceat``) and unit monomials fold into the
     constant by addition.  Because ``+`` is invertible, sparse scenarios
-    take the ratio kernel of :meth:`evaluate_deltas` instead of the base
-    class's segment re-reduction.
+    take the row-aggregated kernel of :meth:`evaluate_deltas` instead of
+    the base class's segment re-reduction.
     """
 
-    __slots__ = ()
+    __slots__ = ("_row_delta_index",)
 
     backend_name = "real"
+    stores_delta_index = False
     _identity = 0.0
 
     def _fold_constant(self, row: int, coefficient: float) -> None:
@@ -539,171 +563,255 @@ class CompiledProvenanceSet(_CompiledNumericSet):
     ) -> None:
         totals[rows] += segments
 
+    def _init_delta_caches(self) -> None:
+        super()._init_delta_caches()
+        self._row_delta_index: Optional[RowDeltaIndex] = None
+
+    def _row_index(self) -> RowDeltaIndex:
+        """The entry and column-pair index of :meth:`evaluate_deltas`.
+
+        Derived from the group arrays on first use (compiled stores do not
+        persist it); immutable once built, like :meth:`_delta_groups`.
+        """
+        if self._row_delta_index is None:
+            with trace(
+                "incidence.delta_index",
+                groups=len(self._groups),
+                variables=len(self._variables),
+            ) as span:
+                index = RowDeltaIndex.from_groups(
+                    len(self._variables),
+                    len(self._keys),
+                    [
+                        (
+                            group.indices,
+                            group.exponents,
+                            expand_segment_rows(
+                                group.segment_starts,
+                                group.segment_rows,
+                                len(group.coefficients),
+                            ),
+                        )
+                        for group in self._groups
+                    ],
+                )
+                span.update(index.sizes())
+            self._row_delta_index = index
+        return self._row_delta_index
+
+    def _baseline_reductions(
+        self,
+        contributions: Tuple[np.ndarray, ...],
+        segments: Tuple[np.ndarray, ...],
+    ) -> Tuple[np.ndarray, ...]:
+        """``S``: the baseline contributions summed per index entry."""
+        index = self._row_index()
+        weights = np.concatenate(
+            [
+                np.repeat(contrib, group.indices.shape[1])
+                for contrib, group in zip(contributions, self._groups)
+            ]
+            + [np.zeros(0, dtype=np.float64)]
+        )
+        return (
+            np.bincount(
+                index.factor_entries,
+                weights=weights,
+                minlength=index.entry_rows.size,
+            ),
+        )
+
     def evaluate_deltas(
         self, base_vector: np.ndarray, plans: Sequence[DeltaPlanRow]
     ) -> np.ndarray:
         """Evaluate sparse scenarios as deltas against one shared base vector.
 
         Each plan is ``(changed_columns, new_values)`` over this set's
-        variable order, with distinct columns per plan (what
-        :meth:`~repro.batch.planner.ScenarioBatch.delta_plan` emits).  The
-        base valuation is evaluated once; the whole
-        batch of scenarios is then answered with a handful of vectorised
-        passes over the *occurrences* of changed variables (via the inverted
-        variable→monomial index) — O(touched monomials), not O(monomials ×
-        scenarios):
+        variable order; a column repeated within a plan takes its last
+        value, as ``row[columns] = values`` would.  The base valuation is
+        evaluated once, and with it ``S[v, e, k]``: the summed baseline
+        contributions of row ``k``'s monomials holding ``v`` with exponent
+        ``e`` (see :class:`~repro.provenance.incidence.RowDeltaIndex`).
+        With ratios ``r_v = new/base`` over a scenario's changed columns
+        ``C``, row ``k`` then moves by::
 
-        * every occurrence contributes its monomial's multiplicative ratio
-          update ``old · (new/base − 1)``, accumulated into per-scenario
-          result rows with one global ``bincount``;
-        * monomials touched by several changed variables of one scenario get
-          an exact product fix-up through two persistent scatter buffers;
-        * scenarios whose ratios misbehave (a zero, subnormal or otherwise
-          over/underflowing base value) fall back to one exact full
+            Σ_{v∈C} Σ_e (r_v^e − 1)·S[v, e, k]
+              + Σ_{m : |C∩m| ≥ 2} old_m·(∏ r^e − 1 − Σ (r^e − 1))
+
+        The whole batch is answered in one concatenated pass:
+
+        * the linear terms cost O(entries of the changed columns) — one
+          update per (variable, row, exponent), not per monomial;
+        * the exact higher-order term visits only the monomials that hold
+          two or more changed columns of one scenario, found through the
+          column-pair index (deduplicated per scenario for widths ≥ 3);
+        * every term lands in its scenario's row through one ``bincount``,
+          in an order that does not depend on the rest of the batch, so a
+          scenario's row is bit-identical however the batch is split;
+        * scenarios whose ratios or updates are not finite (a zero,
+          subnormal or overflowing value) fall back to one exact full
           re-evaluation of their row.
 
         Returns the same ``scenarios × groups`` array the dense
         :meth:`evaluate_matrix` path produces for the corresponding rows.
         """
-        index = self._delta_groups()
-        _key, base, contributions, _segments, totals = self._delta_state(
+        index = self._row_index()
+        _key, base, contributions, (entry_sums,), totals = self._delta_state(
             base_vector
         )
         num_keys = len(self._keys)
         num_plans = len(plans)
+        num_variables = len(self._variables)
         out = np.tile(totals, (num_plans, 1))
         if num_plans == 0 or num_keys == 0:
             return out
+        cell_sids, cell_columns, cell_values = _flatten_plans(plans, num_variables)
 
-        # Split the batch: scenarios with finite per-column ratios take the
-        # vectorised delta passes; the rest (zero/subnormal base values) are
-        # re-evaluated exactly, one full row each.
-        column_parts: List[np.ndarray] = []
-        ratio_parts: List[np.ndarray] = []
-        sid_parts: List[np.ndarray] = []
-        exact: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        # Scenarios with a single changed column can never need the
-        # multi-touch product fix-up (a variable occurs once per monomial).
-        multi_column = np.zeros(num_plans, dtype=np.bool_)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for s, (columns, values) in enumerate(plans):
-                # Plans arrive as caller-shaped sequences; coercion is per-plan.
-                columns = np.asarray(columns, dtype=np.intp)  # cobralint: disable=CL003 -- per-plan input coercion
-                values = np.asarray(values, dtype=np.float64)  # cobralint: disable=CL003 -- per-plan input coercion
-                if columns.size == 0:
-                    continue
-                ratios = values / base[columns]
-                if np.isfinite(ratios).all():
-                    column_parts.append(columns)
-                    ratio_parts.append(ratios)
-                    sid_parts.append(
-                        np.full(columns.size, s, dtype=np.intp)
-                    )
-                    multi_column[s] = columns.size > 1
-                else:
-                    exact.append((s, columns, values))
+            ratios = cell_values / base[cell_columns]
+            exact = np.zeros(num_plans, dtype=np.bool_)
+            exact[cell_sids[~np.isfinite(ratios)]] = True
+            fast = ~exact[cell_sids]
+            sids, columns, ratios = cell_sids[fast], cell_columns[fast], ratios[fast]
 
-            bad_sids: Set[int] = set()
-            if column_parts:
-                all_columns = np.concatenate(column_parts)
-                all_ratios = np.concatenate(ratio_parts)
-                all_sids = np.concatenate(sid_parts)
-                corrections = np.zeros(num_plans * num_keys, dtype=np.float64)
-                any_multi = bool(multi_column.any())
-                for (incidence, monomial_rows, _ends), group, base_contrib in zip(
-                    index, self._groups, contributions
+            # Linear terms: one per (changed column, entry).
+            starts = index.entry_ptr[columns]
+            counts = index.entry_ptr[columns + 1] - starts
+            entries, _ = ragged_ranges(starts, starts + counts)
+            entry_ratios = np.repeat(ratios, counts)
+            if index.has_higher_powers:
+                entry_ratios = np.power(entry_ratios, index.entry_exponents[entries])
+            cells = [np.repeat(sids * num_keys, counts) + index.entry_rows[entries]]
+            terms = [(entry_ratios - 1.0) * entry_sums[entries]]
+
+            # Higher-order terms: monomials sharing two changed columns.
+            first, second = _same_scenario_pairs(sids)
+            pair_monomials = 0
+            if first.size:
+                stride = np.int64(num_variables)
+                pair_codes = columns[first] * stride + columns[second]
+                cell_codes = sids * stride + columns
+                for group, pairs, rows, old in zip(
+                    self._groups, index.pairs, index.monomial_rows, contributions
                 ):
-                    # Scatter buffers for the product fix-up, allocated per
-                    # call (not cached on the instance) so concurrently
-                    # shared compiled sets never race on them; they are
-                    # reset to the identity after each scenario segment.
-                    if any_multi:
-                        products = np.ones(
-                            len(group.coefficients), dtype=np.float64
-                        )
-                        counts = np.zeros(
-                            len(group.coefficients), dtype=np.float64
-                        )
-                    occ_pos, occ_exp, occ_counts = incidence.occurrences(
-                        all_columns
-                    )
-                    if occ_pos.size == 0:
+                    if pairs is None:
                         continue
-                    occ_ratio = np.repeat(all_ratios, occ_counts)
+                    query, monomials = pairs.lookup(pair_codes)
+                    scenario = sids[first[query]]
+                    if group.indices.shape[1] > 2:
+                        # A monomial holding k changed columns is found
+                        # once per pair of them; keep it once.
+                        size = np.int64(len(old))
+                        scenario, monomials = np.divmod(
+                            sorted_unique(scenario * size + monomials), size
+                        )
+                    pair_monomials += int(monomials.size)
+                    factor_codes = (
+                        scenario[:, np.newaxis] * stride + group.indices[monomials]
+                    )
+                    found = np.minimum(
+                        np.searchsorted(cell_codes, factor_codes),
+                        cell_codes.size - 1,
+                    )
+                    factor_ratios = np.where(
+                        cell_codes[found] == factor_codes, ratios[found], 1.0
+                    )
                     if group.has_higher_powers:
-                        occ_ratio = np.power(occ_ratio, occ_exp)
-                    occ_sid = np.repeat(all_sids, occ_counts)
-                    old = base_contrib[occ_pos]
-                    linear = old * (occ_ratio - 1.0)
-                    if not np.isfinite(linear).all():
-                        # Over/underflowed updates poison their scenarios'
-                        # correction rows; re-evaluate those rows exactly
-                        # (the pollution is overwritten below).
-                        bad = ~np.isfinite(linear)
-                        bad_sids.update(int(s) for s in np.unique(occ_sid[bad]))
-                    corrections += np.bincount(
-                        occ_sid * num_keys + monomial_rows[occ_pos],
-                        weights=linear,
-                        minlength=num_plans * num_keys,
-                    )[: num_plans * num_keys]
-                    # Product fix-up: within one scenario, a monomial touched
-                    # by k >= 2 changed variables must contribute
-                    # old·(∏ratios − 1), not the sum of its linear updates.
-                    if not any_multi:
-                        continue
-                    boundaries = np.flatnonzero(
-                        np.concatenate(([True], occ_sid[1:] != occ_sid[:-1]))
-                    )
-                    ends = np.append(boundaries[1:], occ_sid.size)
-                    # cobralint: disable=CL003 -- iterates scenario segments,
-                    # not elements: one step per scenario with multi-touch
-                    # monomials, each step fully vectorised via ufunc.at.
-                    for b, e in zip(boundaries, ends):
-                        if e - b < 2 or not multi_column[occ_sid[b]]:
-                            continue
-                        pos = occ_pos[b:e]
-                        np.add.at(counts, pos, 1.0)
-                        k = counts[pos]
-                        collided = k > 1.0
-                        if collided.any():
-                            cpos = pos[collided]
-                            cratio = occ_ratio[b:e][collided]
-                            np.multiply.at(products, cpos, cratio)
-                            fix = old[b:e][collided] * (
-                                (products[cpos] - 1.0) / k[collided]
-                                - (cratio - 1.0)
-                            )
-                            if np.isfinite(fix).all():
-                                np.add.at(
-                                    corrections,
-                                    int(occ_sid[b]) * num_keys
-                                    + monomial_rows[cpos],
-                                    fix,
-                                )
-                            else:
-                                bad_sids.add(int(occ_sid[b]))
-                            products[cpos] = 1.0
-                        counts[pos] = 0.0
-                out += corrections.reshape(num_plans, num_keys)
-
-            # Exact fallback: one full (still vectorised) row re-evaluation
-            # per affected scenario — the cost of one dense row, only for
-            # the scenarios that need it.
-            if exact or bad_sids:
-                scratch = base.copy()
-                for s in sorted(bad_sids):
-                    exact.append(
-                        (
-                            s,
-                            np.asarray(plans[s][0], dtype=np.intp),  # cobralint: disable=CL003 -- rare overflow fallback, off the fast path
-                            np.asarray(plans[s][1], dtype=np.float64),  # cobralint: disable=CL003 -- rare overflow fallback, off the fast path
+                        factor_ratios = np.power(
+                            factor_ratios, group.exponents[monomials]
+                        )
+                    cells.append(scenario * num_keys + rows[monomials])
+                    terms.append(
+                        old[monomials]
+                        * (
+                            np.prod(factor_ratios, axis=1)
+                            - 1.0
+                            - np.sum(factor_ratios - 1.0, axis=1)
                         )
                     )
-                for s, columns, values in exact:
-                    scratch[columns] = values
+            corrections = np.bincount(
+                np.concatenate(cells),
+                weights=np.concatenate(terms),
+                minlength=num_plans * num_keys,
+            ).reshape(num_plans, num_keys)
+            # Over/underflowed updates poison their scenarios' rows;
+            # those rows are re-evaluated exactly below.
+            exact |= ~np.isfinite(corrections).all(axis=1)
+            out += corrections
+
+            exact_rows = np.flatnonzero(exact)
+            if exact_rows.size:
+                # Exact fallback: one full (still vectorised) row
+                # re-evaluation per affected scenario.
+                bounds = np.searchsorted(cell_sids, np.arange(num_plans + 1))
+                scratch = base.copy()
+                for s in exact_rows.tolist():  # cobralint: disable=CL003 -- rare zero/overflow fallback, off the fast path
+                    changed = cell_columns[bounds[s] : bounds[s + 1]]
+                    scratch[changed] = cell_values[bounds[s] : bounds[s + 1]]
                     out[s] = self._evaluate_values(scratch)
-                    scratch[columns] = base[columns]
+                    scratch[changed] = base[changed]
+        _record_sparse_call(int(entries.size), pair_monomials, int(exact_rows.size))
         return out
+
+
+def _flatten_plans(
+    plans: Sequence[DeltaPlanRow], num_variables: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every changed cell of ``plans`` as ``(scenario, column, value)`` arrays.
+
+    Cells are sorted by (scenario, column); a column repeated within a plan
+    keeps its last value, matching ``row[columns] = values``.
+    """
+    lengths = np.fromiter(
+        (len(columns) for columns, _values in plans), dtype=np.intp, count=len(plans)
+    )
+    columns = np.concatenate(
+        [columns for columns, _values in plans] + [np.zeros(0, dtype=np.intp)]
+    ).astype(np.intp, copy=False)
+    values = np.concatenate(
+        [values for _columns, values in plans] + [np.zeros(0, dtype=np.float64)]
+    ).astype(np.float64, copy=False)
+    if columns.size and (columns.min() < 0 or columns.max() >= num_variables):
+        raise IndexError(
+            f"delta plan column out of range for {num_variables} variables"
+        )
+    sids = np.repeat(np.arange(len(plans), dtype=np.intp), lengths)
+    codes = sids * np.int64(num_variables) + columns
+    if np.any(codes[1:] <= codes[:-1]):
+        # The stable sort keeps a repeated cell's values in plan order,
+        # so the last of each run is the value the plan assigns last.
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        last = np.ones(codes.size, dtype=np.bool_)
+        np.not_equal(codes[1:], codes[:-1], out=last[:-1])
+        keep = order[last]
+        sids, columns, values = sids[keep], columns[keep], values[keep]
+    return sids, columns, values
+
+
+def _same_scenario_pairs(sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` index pairs, ``i < j``, of cells with the same scenario.
+
+    ``sids`` must be sorted; with cells sorted by (scenario, column) each
+    pair has ``columns[i] < columns[j]``.
+    """
+    cells = np.arange(sids.size, dtype=np.intp)
+    ends = np.searchsorted(sids, sids, side="right")
+    second, _ = ragged_ranges(cells + 1, ends)
+    return np.repeat(cells, ends - cells - 1), second
+
+
+def _record_sparse_call(entries: int, pair_monomials: int, exact_rows: int) -> None:
+    """Count one real sparse call's work in the registry and the live span."""
+    counts = {
+        "entries": entries,
+        "pair_monomials": pair_monomials,
+        "exact_rows": exact_rows,
+    }
+    registry = get_registry()
+    for name, value in counts.items():
+        registry.inc(f"batch.sparse.{name}", value)
+    current_span().update(counts)
 
 
 class _CompiledTropicalSet(_CompiledNumericSet):

@@ -6,10 +6,16 @@ is the one place it is answered:
 
 * :class:`VariableIncidence` — a column-indexed CSR inverted index over the
   flat ``(monomial, variable, exponent)`` factor arrays a compiled provenance
-  set stores per width-group.  The sparse delta kernels
-  of the numeric backends' compiled sets
-  (:mod:`repro.provenance.backends.numeric`) use it to find the monomial rows a scenario's
-  changed variables affect in O(occurrences), not O(monomials);
+  set stores per width-group.  The segment delta kernel of the tropical and
+  bool compiled sets (:mod:`repro.provenance.backends.numeric`) uses it to
+  find the monomials a scenario's changed variables affect in
+  O(occurrences), not O(monomials);
+* :class:`RowDeltaIndex` — the real compiled set's delta index, built from
+  the same factor arrays: each column's distinct ``(row, exponent)``
+  entries, the entry of every factor, and per width-group a
+  :class:`PairIncidence` from column pairs to the monomials holding both.
+  The real kernel updates one entry per changed variable and row, and
+  fixes up only the monomials two changed variables share;
 * :class:`ProvenanceIncidence` / :func:`provenance_incidence` — the rows of
   a provenance set (groups in key order, terms in canonical order) encoded
   as integer arrays over a sorted name table and a distinct-monomial table,
@@ -161,6 +167,185 @@ class VariableIncidence:
             return self.rows_for(int(columns[0]))
         positions, _exponents, _counts = self.occurrences(columns)
         return sorted_unique(positions)
+
+
+class PairIncidence:
+    """CSR from column pairs to the monomials of one width-group holding both.
+
+    A pair ``a < b`` is keyed by the ``int64`` code ``a * variables + b``;
+    :attr:`codes` lists the distinct pairs ascending and
+    ``monomials[ptr[i]:ptr[i + 1]]`` the ascending positions of the
+    monomials that contain pair ``i``.
+    """
+
+    __slots__ = ("codes", "ptr", "monomials")
+
+    def __init__(
+        self, codes: np.ndarray, ptr: np.ndarray, monomials: np.ndarray
+    ) -> None:
+        self.codes = codes
+        self.ptr = ptr
+        self.monomials = monomials
+
+    @classmethod
+    def from_factor_arrays(
+        cls, num_variables: int, indices: np.ndarray
+    ) -> "PairIncidence":
+        """Index every column pair of a ``(monomials × width)`` factor array."""
+        num_monomials, width = indices.shape
+        first, second = np.triu_indices(width, k=1)
+        left = indices[:, first].astype(np.int64)
+        right = indices[:, second].astype(np.int64)
+        codes = (
+            np.minimum(left, right) * num_variables + np.maximum(left, right)
+        ).ravel()
+        monomials = np.repeat(np.arange(num_monomials, dtype=np.int64), first.size)
+        # Pairs ascending, monomials ascending within each pair: one sort of
+        # combined (pair, monomial) keys where they fit an int64, else a
+        # stable argsort.
+        span = max(1, num_monomials)
+        if num_variables * num_variables * span < 2**62:
+            codes, monomials = np.divmod(np.sort(codes * span + monomials), span)
+        else:
+            order = np.argsort(codes, kind="stable")
+            codes, monomials = codes[order], monomials[order]
+        leading = np.ones(codes.size, dtype=np.bool_)
+        np.not_equal(codes[1:], codes[:-1], out=leading[1:])
+        starts = np.flatnonzero(leading)
+        ptr = np.append(starts, codes.size).astype(np.intp)
+        return cls(codes[starts], ptr, monomials.astype(np.intp))
+
+    def lookup(self, pair_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(query, monomial)`` for every monomial holding a queried pair.
+
+        ``query`` indexes ``pair_codes``; a pair no monomial holds yields
+        nothing.
+        """
+        if self.codes.size == 0 or pair_codes.size == 0:
+            return _EMPTY_INTP, _EMPTY_INTP
+        found = np.minimum(
+            np.searchsorted(self.codes, pair_codes), self.codes.size - 1
+        )
+        hit = np.flatnonzero(self.codes[found] == pair_codes)
+        starts = self.ptr[found[hit]]
+        ends = self.ptr[found[hit] + 1]
+        positions, _ = ragged_ranges(starts, ends)
+        return np.repeat(hit, ends - starts), self.monomials[positions]
+
+
+class RowDeltaIndex:
+    """The real semiring's sparse delta index over a set's width-groups.
+
+    Built from the compiled factor arrays (one ``(indices, exponents,
+    rows)`` triple per width-group, monomials sorted by result row):
+
+    * **entries** — the distinct ``(column, row, exponent)`` triples of
+      all factors, CSR by column (:attr:`entry_ptr`, :attr:`entry_rows`,
+      :attr:`entry_exponents`), and :attr:`factor_entries`, each factor's
+      entry (groups concatenated, factors row-major).  Summing a baseline's
+      monomial contributions per entry gives ``S[v, e, k]``, so changing
+      ``v`` by ratio ``r`` moves row ``k`` by ``Σ_e (r^e − 1)·S[v, e, k]``
+      — one update per entry, not per monomial;
+    * **pairs** — per width-group, a :class:`PairIncidence` (``None`` for
+      width 1), which finds the monomials two changed columns share: only
+      those need an exact higher-order fix-up;
+    * :attr:`monomial_rows` — per width-group, each monomial's result row.
+    """
+
+    __slots__ = (
+        "entry_ptr",
+        "entry_rows",
+        "entry_exponents",
+        "factor_entries",
+        "has_higher_powers",
+        "pairs",
+        "monomial_rows",
+    )
+
+    def __init__(
+        self,
+        entry_ptr: np.ndarray,
+        entry_rows: np.ndarray,
+        entry_exponents: np.ndarray,
+        factor_entries: np.ndarray,
+        pairs: Tuple[Optional[PairIncidence], ...],
+        monomial_rows: Tuple[np.ndarray, ...],
+    ) -> None:
+        self.entry_ptr = entry_ptr
+        self.entry_rows = entry_rows
+        self.entry_exponents = entry_exponents
+        self.factor_entries = factor_entries
+        self.has_higher_powers = bool(np.any(entry_exponents != 1.0))
+        self.pairs = pairs
+        self.monomial_rows = monomial_rows
+
+    @classmethod
+    def from_groups(
+        cls,
+        num_variables: int,
+        num_rows: int,
+        groups: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ) -> "RowDeltaIndex":
+        """Index ``(indices, exponents, monomial rows)`` width-groups.
+
+        Factor rows must list distinct columns (the canonical-factor
+        invariant of compiled monomials).
+        """
+        num_rows = max(1, num_rows)
+        factor_columns = np.concatenate(
+            [indices.ravel() for indices, _, _ in groups] + [_EMPTY_INTP]
+        ).astype(np.int64)
+        factor_rows = np.concatenate(
+            [np.repeat(rows, indices.shape[1]) for indices, _, rows in groups]
+            + [_EMPTY_INTP]
+        ).astype(np.int64)
+        factor_exponents = np.concatenate(
+            [exponents.ravel() for _, exponents, _ in groups] + [_EMPTY_F64]
+        )
+        distinct_exponents = sorted_unique(factor_exponents)
+        radix = max(1, distinct_exponents.size)
+        codes = (factor_columns * num_rows + factor_rows) * radix + np.searchsorted(
+            distinct_exponents, factor_exponents
+        )
+        entry_codes = sorted_unique(codes)
+        if entry_codes.size and entry_codes[-1] < 8 * codes.size + 4096:
+            # Codes span a small range: a lookup table beats a binary
+            # search per factor several times over.
+            lookup = np.zeros(int(entry_codes[-1]) + 1, dtype=np.intp)
+            lookup[entry_codes] = np.arange(entry_codes.size, dtype=np.intp)
+            factor_entries = lookup[codes]
+        else:
+            factor_entries = np.searchsorted(entry_codes, codes)
+        entry_exponents = distinct_exponents[entry_codes % radix]
+        entry_rows = (entry_codes // radix) % num_rows
+        entry_columns = entry_codes // (radix * num_rows)
+        entry_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(entry_columns, minlength=num_variables)))
+        ).astype(np.intp)
+        pairs = tuple(
+            PairIncidence.from_factor_arrays(num_variables, indices)
+            if indices.shape[1] > 1
+            else None
+            for indices, _, _ in groups
+        )
+        return cls(
+            entry_ptr,
+            entry_rows.astype(np.intp, copy=False),
+            entry_exponents,
+            factor_entries.astype(np.intp, copy=False),
+            pairs,
+            tuple(np.asarray(rows, dtype=np.intp) for _, _, rows in groups),
+        )
+
+    def sizes(self) -> Dict[str, int]:
+        """Entry, pair and pair-monomial counts (trace attributes)."""
+        present = [pairs for pairs in self.pairs if pairs is not None]
+        return {
+            "factors": int(self.factor_entries.size),
+            "entries": int(self.entry_rows.size),
+            "pairs": sum(int(pairs.codes.size) for pairs in present),
+            "pair_monomials": sum(int(pairs.monomials.size) for pairs in present),
+        }
 
 
 class ProvenanceIncidence:

@@ -9,9 +9,13 @@ worker.  This module persists the *compiled* form instead:
 
 * one binary file holding the width-group arrays of a numeric backend's
   compiled set (real, tropical or bool; see
-  :mod:`repro.provenance.backends.numeric`) **plus** the pre-built
+  :mod:`repro.provenance.backends.numeric`); tropical and bool stores also
+  hold the pre-built
   :class:`~repro.provenance.incidence.VariableIncidence` CSR arrays
-  (``ptr``/``positions``/``exponents``) of its sparse delta index;
+  (``ptr``/``positions``/``exponents``) and per-monomial rows of their
+  segment delta index.  Real stores hold no delta index: the real kernel's
+  :class:`~repro.provenance.incidence.RowDeltaIndex` is derived from the
+  group arrays on first use;
 * :func:`write_store` lays them out as 64-byte-aligned raw blocks behind a
   versioned JSON header (PR 3's version/kind envelope, written through the
   same atomic temp-file + ``os.replace`` machinery);
@@ -39,11 +43,13 @@ process-wide :class:`~repro.provenance.valuation.FingerprintCache` reporting
 ``store.build``/``store.open`` spans and ``store.builds``/``store.opens``
 counters cover the two operations.
 
-Integrity (format version 2): every block directory entry carries a CRC32
-of its raw bytes, verified when the block is first mapped — and since
-opening reconstructs the compiled set from *every* block, a corrupt store
-fails at open time, before any kernel touches bad data.  Version-1 stores
-(no checksums) remain readable.  :func:`quarantine_store` renames a store
+Integrity (format version 2 on): every block directory entry carries a
+CRC32 of its raw bytes, verified when the block is first mapped — and since
+opening reconstructs the compiled set from every block it uses, a corrupt
+store fails at open time, before any kernel touches bad data.  Version-1
+stores (no checksums) remain readable, and so do version-1 and -2 real
+stores, whose delta index blocks opening ignores (version 3 stopped writing
+them).  :func:`quarantine_store` renames a store
 that failed verification to ``<path>.quarantined`` so the next open does
 not trip over it again; callers (the evaluator, sessions) then recompile
 from provenance.  The ``store.open``/``store.read_block`` fault-injection
@@ -77,12 +83,14 @@ MAGIC = b"COBRASTO"
 STORE_KIND = "compiled_store"
 
 #: The store format version written by this build.  Version 2 added
-#: per-block CRC32 checksums to the block directory.
-STORE_VERSION = 2
+#: per-block CRC32 checksums to the block directory; version 3 dropped the
+#: delta index blocks (``g*.inc.*``, ``g*.monomial_rows``) from real stores.
+STORE_VERSION = 3
 
 #: Store format versions this build reads.  Version-1 stores simply lack
-#: block checksums; their data layout is identical.
-SUPPORTED_STORE_VERSIONS = (1, 2)
+#: block checksums; real stores of versions 1 and 2 carry delta index
+#: blocks that no kernel reads any more, and opening ignores them.
+SUPPORTED_STORE_VERSIONS = (1, 2, 3)
 
 #: Every raw block (and the data section itself) starts on this boundary,
 #: so mapped views are aligned for any vectorised access.
@@ -108,16 +116,16 @@ def _align(offset: int) -> int:
 def _compiled_blocks(compiled: Any) -> List[Tuple[str, np.ndarray]]:
     """The named arrays of ``compiled`` in their canonical on-disk order.
 
-    Includes the sparse delta index (built here if the set never evaluated
-    deltas) so loaders get ``evaluate_deltas`` readiness for free.
+    Tropical and bool sets also store their segment kernel's delta index
+    (built here if the set never evaluated deltas), so loaders get
+    ``evaluate_deltas`` readiness for free.  Real sets store only their
+    group arrays: their delta index is derived from them on first use.
     """
     blocks: List[Tuple[str, np.ndarray]] = [
         ("constant", np.ascontiguousarray(compiled._constant, dtype=_FLOAT_DTYPE))
     ]
-    delta_index = compiled._delta_groups()
-    for i, (group, (incidence, monomial_rows, _ends)) in enumerate(
-        zip(compiled._groups, delta_index)
-    ):
+    delta_index = compiled._delta_groups() if compiled.stores_delta_index else None
+    for i, group in enumerate(compiled._groups):
         blocks.extend(
             (
                 (f"g{i}.coefficients", np.ascontiguousarray(group.coefficients, dtype=_FLOAT_DTYPE)),
@@ -125,12 +133,18 @@ def _compiled_blocks(compiled: Any) -> List[Tuple[str, np.ndarray]]:
                 (f"g{i}.exponents", np.ascontiguousarray(group.exponents, dtype=_FLOAT_DTYPE)),
                 (f"g{i}.segment_starts", np.ascontiguousarray(group.segment_starts, dtype=_INDEX_DTYPE)),
                 (f"g{i}.segment_rows", np.ascontiguousarray(group.segment_rows, dtype=_INDEX_DTYPE)),
-                (f"g{i}.inc.ptr", np.ascontiguousarray(incidence.ptr, dtype=_INDEX_DTYPE)),
-                (f"g{i}.inc.positions", np.ascontiguousarray(incidence.positions, dtype=_INDEX_DTYPE)),
-                (f"g{i}.inc.exponents", np.ascontiguousarray(incidence.exponents, dtype=_FLOAT_DTYPE)),
-                (f"g{i}.monomial_rows", np.ascontiguousarray(monomial_rows, dtype=_INDEX_DTYPE)),
             )
         )
+        if delta_index is not None:
+            incidence, monomial_rows, _ends = delta_index[i]
+            blocks.extend(
+                (
+                    (f"g{i}.inc.ptr", np.ascontiguousarray(incidence.ptr, dtype=_INDEX_DTYPE)),
+                    (f"g{i}.inc.positions", np.ascontiguousarray(incidence.positions, dtype=_INDEX_DTYPE)),
+                    (f"g{i}.inc.exponents", np.ascontiguousarray(incidence.exponents, dtype=_FLOAT_DTYPE)),
+                    (f"g{i}.monomial_rows", np.ascontiguousarray(monomial_rows, dtype=_INDEX_DTYPE)),
+                )
+            )
     return blocks
 
 
@@ -278,10 +292,11 @@ def _data_start(path: PathLike) -> int:
 class _BlockReader:
     """Zero-copy views into one mapped store file.
 
-    Version-2 directory entries carry a ``crc32`` of the block's raw
-    bytes; the first view of each block verifies it (verified names are
+    Directory entries from version 2 on carry a ``crc32`` of the block's
+    raw bytes; the first view of each block verifies it (verified names are
     memoised, so steady-state reads stay zero-cost).  Opening a store
-    touches every block, which is what makes "verified on open" true.
+    touches every block the compiled set uses, which is what makes
+    "verified on open" true.
     """
 
     def __init__(
@@ -365,6 +380,7 @@ def _open_store(path: str) -> "CompiledSemiringSet":
     block = _BlockReader(path, header["blocks"], _data_start(path))
 
     compiled = set_class.__new__(set_class)
+    compiled._init_delta_caches()
     compiled._keys = tuple(_as_key(key) for key in header["keys"])
     compiled._variables = tuple(header["variables"])
     compiled._index = {name: i for i, name in enumerate(compiled._variables)}
@@ -374,6 +390,7 @@ def _open_store(path: str) -> "CompiledSemiringSet":
 
     groups = []
     delta_index = []
+    stored_index = compiled.stores_delta_index
     for i, meta in enumerate(header.get("groups", [])):
         group = _SegmentGroup.__new__(_SegmentGroup)
         group.coefficients = block(f"g{i}.coefficients")
@@ -385,6 +402,8 @@ def _open_store(path: str) -> "CompiledSemiringSet":
         # True is always correct (it only enables the exponent power step).
         group.has_higher_powers = bool(meta.get("has_higher_powers", True))
         groups.append(group)
+        if not stored_index:
+            continue
         incidence = VariableIncidence(
             block(f"g{i}.inc.ptr"),
             block(f"g{i}.inc.positions"),
@@ -395,8 +414,8 @@ def _open_store(path: str) -> "CompiledSemiringSet":
         ).astype(np.intp)
         delta_index.append((incidence, block(f"g{i}.monomial_rows"), ends))
     compiled._groups = groups
-    compiled._delta_index = tuple(delta_index)
-    compiled._delta_baseline = []
+    if stored_index:
+        compiled._delta_index = tuple(delta_index)
     return compiled
 
 

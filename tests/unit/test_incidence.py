@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.provenance.incidence import (
+    PairIncidence,
     ProvenanceIncidence,
+    RowDeltaIndex,
     VariableIncidence,
     clear_provenance_incidence_cache,
     expand_segment_rows,
@@ -81,6 +83,71 @@ class TestVariableIncidence:
             expected = sorted(np.flatnonzero((indices == column).any(axis=1)))
             assert list(index.rows_for_any(np.array([column]))) == expected
             assert list(index.rows_for_any(np.array([column, column]))) == expected
+
+
+class TestPairIncidence:
+    def test_lookup_finds_the_monomials_holding_a_pair(self):
+        # m0=v0*v2, m1=v1*v2, m2=v0*v1, m3=v1*v0 (column order is free).
+        indices = np.array([[0, 2], [1, 2], [0, 1], [1, 0]], dtype=np.intp)
+        pairs = PairIncidence.from_factor_arrays(3, indices)
+        assert list(pairs.codes) == [0 * 3 + 1, 0 * 3 + 2, 1 * 3 + 2]
+        query, monomials = pairs.lookup(np.array([2, 1, 7, 5], dtype=np.int64))
+        assert list(query) == [0, 1, 1, 3]
+        assert list(monomials) == [0, 2, 3, 1]
+
+    def test_width_three_lists_every_pair(self):
+        pairs = PairIncidence.from_factor_arrays(
+            4, np.array([[0, 1, 3]], dtype=np.intp)
+        )
+        assert list(pairs.codes) == [1, 3, 7]
+        assert list(pairs.monomials) == [0, 0, 0]
+
+    def test_empty_index_finds_nothing(self):
+        pairs = PairIncidence.from_factor_arrays(3, np.zeros((0, 2), dtype=np.intp))
+        query, monomials = pairs.lookup(np.array([1], dtype=np.int64))
+        assert query.size == monomials.size == 0
+
+
+class TestRowDeltaIndex:
+    def test_entries_sum_contributions_per_column_row_exponent(self):
+        rng = np.random.default_rng(3)
+        groups = []
+        for width in (1, 2, 3):
+            indices = np.stack(
+                [rng.choice(6, size=width, replace=False) for _ in range(40)]
+            ).astype(np.intp)
+            exponents = rng.integers(1, 3, size=(40, width)).astype(np.float64)
+            rows = np.sort(rng.integers(0, 5, size=40)).astype(np.intp)
+            groups.append((indices, exponents, rows))
+        index = RowDeltaIndex.from_groups(6, 5, groups)
+        contributions = [rng.uniform(-1, 1, 40) for _ in groups]
+        sums = np.bincount(
+            index.factor_entries,
+            weights=np.concatenate(
+                [np.repeat(c, g[0].shape[1]) for c, g in zip(contributions, groups)]
+            ),
+            minlength=index.entry_rows.size,
+        )
+        expected = {}
+        for (indices, exponents, rows), contrib in zip(groups, contributions):
+            for m in range(len(rows)):
+                for column, exponent in zip(indices[m], exponents[m]):
+                    key = (int(column), int(rows[m]), float(exponent))
+                    expected[key] = expected.get(key, 0.0) + contrib[m]
+        got = {}
+        for column in range(6):
+            for entry in range(index.entry_ptr[column], index.entry_ptr[column + 1]):
+                key = (column, int(index.entry_rows[entry]), float(index.entry_exponents[entry]))
+                assert key not in got
+                got[key] = sums[entry]
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value)
+        assert index.has_higher_powers
+        assert index.pairs[0] is None
+        assert index.sizes()["pairs"] == (
+            index.pairs[1].codes.size + index.pairs[2].codes.size
+        )
 
 
 class TestProvenanceIncidence:

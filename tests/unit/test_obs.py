@@ -332,6 +332,49 @@ class TestBatchIntegration:
         )
 
 
+class TestSparseKernelCounters:
+    """The real sparse kernel counts its work: registry and kernel span."""
+
+    @staticmethod
+    def _run(**evaluate):
+        from repro.batch import BatchEvaluator
+        from repro.engine.scenario import Scenario
+        from repro.provenance.valuation import Valuation
+
+        provenance = _tiny_provenance()
+        scenarios = [
+            Scenario("one").scale(["x0"], 0.5),
+            # x1*x2 is a monomial of g1: the pair fix-up visits it.
+            Scenario("pair").scale(["x1", "x2"], 2.0),
+            # x3's base is zero: no finite ratio, an exact row.
+            Scenario("zero").set_value(["x3"], 2.0),
+        ]
+        base = Valuation({f"x{i}": 0.0 if i == 3 else 1.0 for i in range(12)})
+        BatchEvaluator().evaluate(
+            provenance, scenarios, base_valuation=base, mode="sparse", **evaluate
+        )
+
+    def test_counters_and_span_attributes(self, traced):
+        self._run()
+        spans = [span for root in traced.drain() for span in root.walk()]
+        (kernel,) = [span for span in spans if span.name == "batch.kernel.sparse"]
+        (index,) = [span for span in spans if span.name == "incidence.delta_index"]
+        counters = get_registry().snapshot()["counters"]
+        for name in ("entries", "pair_monomials", "exact_rows"):
+            assert kernel.attributes[name] == counters[f"batch.sparse.{name}"]
+        assert kernel.attributes["entries"] > 0
+        assert kernel.attributes["pair_monomials"] == 1
+        assert kernel.attributes["exact_rows"] == 1
+        assert index.attributes["entries"] > 0
+        assert index.attributes["pairs"] > 0
+
+    def test_disabled_tracing_records_no_span(self, traced):
+        disable_tracing()
+        self._run()
+        assert traced.drain() == []
+        assert get_registry().snapshot()["counters"]["batch.sparse.exact_rows"] == 1
+
+
 class TestCompressSpan:
     def test_run_span_records_algorithm_and_cache(self, traced):
         from repro.core.compression import Compressor

@@ -135,6 +135,25 @@ class TestEvaluateDeltasKernels:
         got = compiled.evaluate_deltas(base, plans)
         _assert_sparse_parity(name, got, expected, rtol=1e-7)
 
+    def test_repeated_column_takes_the_last_value(self, name):
+        # ``row[columns] = values`` keeps the last value of a repeated
+        # column; the real kernel once applied both ratios (2·a at a=3
+        # gave 18, not 6).
+        compiled = resolve_backend(name).compile(
+            ProvenanceSet({("g",): Polynomial({Monomial.of("a"): 2.0})})
+        )
+        base = np.array([1.0])
+        plans = [
+            (np.array([0, 0], dtype=np.intp), np.array([3.0, 3.0])),
+            (np.array([0, 0], dtype=np.intp), np.array([0.0, 3.0])),
+            (np.array([0, 0], dtype=np.intp), np.array([3.0, 0.0])),
+        ]
+        expected = compiled.evaluate_matrix(_dense_rows(base, plans))
+        got = compiled.evaluate_deltas(base, plans)
+        _assert_sparse_parity(name, got, expected, rtol=1e-12)
+        if name == "real":
+            assert got[:, 0].tolist() == [6.0, 6.0, 0.0]
+
 
 class TestDeltaPlan:
     def test_changes_match_dense_matrix(self):

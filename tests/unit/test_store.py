@@ -9,6 +9,7 @@ sharding), the session-level compile/open workflow and the ``cobra compile``
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.engine.scenario import Scenario
 from repro.engine.session import CobraSession
 from repro.exceptions import SerializationError, SessionStateError
 from repro.provenance.backends import resolve_backend
+from repro.provenance.incidence import VariableIncidence, expand_segment_rows
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.provenance.serialization import save_provenance_set
@@ -94,6 +96,48 @@ def _rewrite_header(path, mutate):
         + b"\0" * padding
         + data
     )
+
+
+def _append_version2_delta_index(path, compiled):
+    """Rewrite a real store as a version-2 one, with its delta index blocks.
+
+    Version-2 real stores carried each group's inverted index
+    (``g*.inc.ptr``/``positions``/``exponents``) and per-monomial rows.
+    """
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+    data_len = len(raw) - _data_offset(len(MAGIC) + 4 + header_len)
+    blocks = {}
+    appended = b""
+    for i, group in enumerate(compiled._groups):
+        incidence = VariableIncidence.from_factor_arrays(
+            len(compiled.variables), group.indices, group.exponents
+        )
+        rows = expand_segment_rows(
+            group.segment_starts, group.segment_rows, len(group.coefficients)
+        )
+        for block, array in (
+            (f"g{i}.inc.ptr", incidence.ptr.astype("<i8")),
+            (f"g{i}.inc.positions", incidence.positions.astype("<i8")),
+            (f"g{i}.inc.exponents", incidence.exponents.astype("<f8")),
+            (f"g{i}.monomial_rows", rows.astype("<i8")),
+        ):
+            padding = _data_offset(data_len + len(appended)) - data_len - len(appended)
+            appended += b"\0" * padding
+            blocks[block] = {
+                "dtype": array.dtype.str,
+                "shape": list(array.shape),
+                "offset": data_len + len(appended),
+                "crc32": zlib.crc32(array.tobytes()),
+            }
+            appended += array.tobytes()
+    path.write_bytes(raw + appended)
+
+    def to_version2(document):
+        document["version"] = 2
+        document["store"]["blocks"].update(blocks)
+
+    _rewrite_header(path, to_version2)
 
 
 class TestStoreFormat:
@@ -258,6 +302,47 @@ class TestStoreFormat:
             compiled.evaluate_matrix(batch.valuation_matrix(base)),
         )
         plan = batch.delta_plan(base)
+        assert np.array_equal(
+            mapped.evaluate_deltas(plan.base_row, plan.changes),
+            compiled.evaluate_deltas(plan.base_row, plan.changes),
+        )
+
+    def test_delta_index_blocks_by_backend(self, name, provenance, tmp_path):
+        """Real stores derive their delta index; tropical/bool store theirs."""
+        compiled, path = _store(provenance, tmp_path, name)
+        blocks = set(read_store_header(path)["blocks"])
+        index_blocks = {
+            block
+            for block in blocks
+            if ".inc." in block or block.endswith(".monomial_rows")
+        }
+        if name == "real":
+            assert index_blocks == set()
+        else:
+            assert index_blocks == {
+                f"g{i}.{block}"
+                for i in range(len(compiled._groups))
+                for block in (
+                    "inc.ptr", "inc.positions", "inc.exponents", "monomial_rows"
+                )
+            }
+
+    def test_version2_real_store_with_delta_index_opens(
+        self, provenance, scenarios, tmp_path
+    ):
+        compiled, path = _store(provenance, tmp_path, "real")
+        _append_version2_delta_index(path, compiled)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+        document = json.loads(raw[len(MAGIC) + 4 : len(MAGIC) + 4 + header_len])
+        assert document["version"] == 2
+        assert "g0.inc.positions" in document["store"]["blocks"]
+
+        mapped = open_store(path, cached=False)
+        from repro.batch.planner import ScenarioBatch
+
+        batch = ScenarioBatch(scenarios, compiled.variables)
+        plan = batch.delta_plan(Valuation({"x": 2.0, "y": 0.5, "z": 1.5}))
         assert np.array_equal(
             mapped.evaluate_deltas(plan.base_row, plan.changes),
             compiled.evaluate_deltas(plan.base_row, plan.changes),
