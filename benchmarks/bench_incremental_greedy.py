@@ -8,15 +8,23 @@ multi-tree forests:
    scanning every monomial at every step (O(steps × candidates ×
    |provenance|));
 2. **incremental** — ``optimize_greedy``: the :mod:`repro.core.kernel`
-   pipeline — CSR incidence index, delta-updated gain counters, lazy
-   max-heap.  The incidence-index cache is cleared before every run, so
-   each run pays for building the index.
+   pipeline — array rows over the id-encoded incidence, delta-updated
+   signature-code gain counters, lazy max-heap.  The incidence cache is
+   cleared before every run, so each run pays for building the incidence.
 
 Each engine's time is the median of ``REPEATS`` runs.  Both engines must
 select **byte-identical cuts** on every instance (the benchmark asserts
 it), so the speedup is pure.  A third timing shows the ``Compressor``
 trajectory cache answering a whole bound sweep for roughly the cost of one
 compression.
+
+A second instance guards long trajectories of small steps: one tree of
+200 two-leaf bundles, every leaf in every one of 50 groups (20,000 rows),
+coarsened to exhaustion (201 steps, each touching 100 rows).  It runs the
+array kernel against the dict-row kernel it replaced
+(``tests/oracles/dict_greedy_kernel.py``), asserts identical step records
+and cuts, and reports ``long_trajectory_speedup``; the array kernel must not
+be slower (speedup ≥ 1).
 
 The acceptance bar for this module is a ≥10x speedup of the incremental
 kernel over the legacy greedy at ≥5k monomials on a 500-leaf forest.  Run::
@@ -33,17 +41,22 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.core.abstraction_tree import AbstractionForest
+from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
 from repro.core.compression import Compressor
+from repro.core.cut import Cut
 from repro.core.greedy import optimize_greedy
-from repro.core.kernel.index import clear_incidence_cache
-from repro.provenance.polynomial import ProvenanceSet
+from repro.core.kernel.greedy import IncrementalGreedyKernel
+from repro.provenance.incidence import clear_provenance_incidence_cache
+from repro.provenance.monomial import Monomial
+from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.workloads.random_polynomials import random_provenance, random_tree
 
-# The full-rescan greedy lives with the tests, as their parity oracle.
+# The full-rescan greedy and the dict-row kernel live with the tests, as
+# their parity oracles.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.dict_greedy_kernel import IncrementalGreedyKernel as DictGreedyKernel
 from oracles.greedy_scan import legacy_greedy
 
 #: Runs per engine; the reported time is their median.
@@ -106,6 +119,65 @@ def build_instance(
     return provenance, forest
 
 
+def build_long_trajectory_instance(
+    num_bundles: int = 200, num_groups: int = 50
+) -> Tuple[ProvenanceSet, AbstractionTree]:
+    """Two-leaf bundles under one root, every leaf in every group.
+
+    Each bundle merges its two rows per group (saving ``num_groups`` for one
+    variable), which ties the root's ratio but loses fewer variables, so the
+    greedy coarsens the bundles one by one before the root.
+    """
+    edges = {"L": [f"b{i}" for i in range(num_bundles)]}
+    for i in range(num_bundles):
+        edges[f"b{i}"] = [f"l{i}a", f"l{i}b"]
+    tree = AbstractionTree("L", edges)
+    provenance = ProvenanceSet()
+    for group in range(num_groups):
+        provenance[(f"g{group}",)] = Polynomial(
+            {
+                Monomial.of(leaf): float(1 + (group + index) % 7)
+                for index, leaf in enumerate(tree.leaves())
+            }
+        )
+    return provenance, tree
+
+
+def run_to_exhaustion(
+    kernel_class: Callable[[ProvenanceSet, AbstractionTree], Any],
+    provenance: ProvenanceSet,
+    tree: AbstractionTree,
+) -> Tuple[List[Dict[str, object]], Tuple[Cut, ...]]:
+    """Step a kernel until no candidate is left; its step records and cuts."""
+    kernel = kernel_class(provenance, tree)
+    steps: List[Dict[str, object]] = []
+    while True:
+        name = kernel.best()
+        if name is None:
+            return steps, kernel.cuts()
+        steps.append(kernel.apply(name))
+
+
+def run_long_trajectory() -> Tuple[float, float, int]:
+    """``(dict seconds, array seconds, steps)`` on the long-trajectory instance."""
+    provenance, tree = build_long_trajectory_instance()
+    dict_seconds, reference = median_seconds(
+        lambda: run_to_exhaustion(DictGreedyKernel, provenance, tree),
+        before=clear_provenance_incidence_cache,
+    )
+    array_seconds, result = median_seconds(
+        lambda: run_to_exhaustion(IncrementalGreedyKernel, provenance, tree),
+        before=clear_provenance_incidence_cache,
+    )
+    assert result[0] == reference[0], "step-record mismatch between kernels"
+    assert result[1] == reference[1], "cut mismatch between kernels"
+    print(
+        f"long trajectory: {provenance.size()} monomials, "
+        f"{len(result[0])} steps to exhaustion"
+    )
+    return dict_seconds, array_seconds, len(result[0])
+
+
 def run_benchmark(
     num_trees: int,
     leaves_per_tree: int,
@@ -136,7 +208,7 @@ def run_benchmark(
         lambda: optimize_greedy(
             provenance, forest, bound, allow_infeasible=True, keep_trace=True
         ),
-        before=clear_incidence_cache,
+        before=clear_provenance_incidence_cache,
     )
 
     # Byte-identical selection is the contract, not a sampling artefact.
@@ -162,6 +234,9 @@ def run_benchmark(
         )
         assert result.cuts == reference.cuts, "sweep cut mismatch"
 
+    dict_seconds, array_seconds, long_steps = run_long_trajectory()
+    long_speedup = dict_seconds / max(array_seconds, 1e-12)
+
     speedup = legacy_seconds / max(incremental_seconds, 1e-12)
     print()
     print(f"{'engine':<44} {'total':>12}")
@@ -172,10 +247,20 @@ def run_benchmark(
         f"{'trajectory sweep (' + str(len(sweep_bounds)) + ' bounds)':<44} "
         f"{sweep_seconds * 1e3:>10.1f}ms"
     )
+    print(
+        f"{'long trajectory: dict-row kernel':<44} {dict_seconds * 1e3:>10.1f}ms"
+    )
+    print(
+        f"{'long trajectory: array kernel':<44} {array_seconds * 1e3:>10.1f}ms"
+    )
     print()
     print(
         f"incremental speedup: {speedup:.1f}x over {steps} coarsening steps "
         f"(identical cuts verified)"
+    )
+    print(
+        f"long-trajectory speedup: {long_speedup:.1f}x over {long_steps} steps "
+        f"(identical steps and cuts verified)"
     )
 
     if json_path:
@@ -191,6 +276,10 @@ def run_benchmark(
                     "sweep_seconds": sweep_seconds,
                     "sweep_bounds": sweep_bounds,
                     "speedup": speedup,
+                    "long_trajectory_steps": long_steps,
+                    "long_trajectory_dict_seconds": dict_seconds,
+                    "long_trajectory_array_seconds": array_seconds,
+                    "long_trajectory_speedup": long_speedup,
                 },
                 handle,
                 indent=2,
@@ -201,6 +290,13 @@ def run_benchmark(
         print(
             f"FAIL: incremental speedup {speedup:.1f}x is below the "
             f"{min_speedup:.1f}x bar",
+            file=sys.stderr,
+        )
+        return 1
+    if long_speedup < 1.0:
+        print(
+            f"FAIL: the array kernel is slower than the dict-row kernel on "
+            f"the long trajectory ({long_speedup:.2f}x)",
             file=sys.stderr,
         )
         return 1

@@ -151,7 +151,11 @@ def run_telephony(args: argparse.Namespace) -> int:
     # coarsening trajectory (compress once, then sweep).
     for bound in args.bounds:
         session.set_bound(bound)
-        result = session.compress(method=args.strategy)
+        try:
+            result = session.compress(method=args.strategy)
+        except AbstractionError as exc:
+            _print(f"cobra telephony: {exc}")
+            return 1
         report = session.assign()
         _print(
             f"bound {bound:>8}: size {result.achieved_size:>8}  "
@@ -259,7 +263,11 @@ def run_batch(args: argparse.Namespace) -> int:
     if args.bound is not None:
         session.set_abstraction_trees(plans_tree())
         session.set_bound(args.bound)
-        session.compress(method=args.strategy)
+        try:
+            session.compress(method=args.strategy)
+        except AbstractionError as exc:
+            _print(f"cobra batch: {exc}")
+            return 1
         _print(
             f"Compressed under bound {args.bound}: "
             f"{session.compressed_provenance.size()} monomials"
@@ -411,7 +419,11 @@ def run_sweep(args: argparse.Namespace) -> int:
     if args.bound is not None:
         session.set_abstraction_trees(plans_tree())
         session.set_bound(args.bound)
-        session.compress(method=args.strategy)
+        try:
+            session.compress(method=args.strategy)
+        except AbstractionError as exc:
+            _print(f"cobra sweep: {exc}")
+            return 1
         _print(
             f"Compressed under bound {args.bound}: "
             f"{session.compressed_provenance.size()} monomials"

@@ -15,10 +15,10 @@ This subpackage implements the paper's contribution:
   optimality on small instances;
 * :mod:`repro.core.greedy` — a greedy coarsening heuristic that also handles
   the general (multi-variable-per-monomial) case;
-* :mod:`repro.core.kernel` — the greedy's one engine: CSR monomial-incidence
-  index, delta-updated merge-gain counters, lazy-heap candidate selection
-  and the bound-independent trajectory that ``Compressor`` caches for bound
-  sweeps;
+* :mod:`repro.core.kernel` — the greedy's one engine: merge-gain counters
+  kept as sorted signature-code arrays over the id-encoded incidence rows
+  and delta-updated per step, lazy-heap candidate selection and the
+  bound-independent trajectory that ``Compressor`` caches for bound sweeps;
 * :mod:`repro.core.multi_tree` — optimisation over forests of abstraction
   trees (exact for small forests, greedy budget allocation otherwise);
 * :mod:`repro.core.defaults` — default valuations for meta-variables
@@ -35,11 +35,7 @@ from repro.core.compression import (
     Compressor,
     apply_abstraction,
 )
-from repro.core.kernel import (
-    GreedyTrajectory,
-    IncrementalGreedyKernel,
-    MonomialIncidenceIndex,
-)
+from repro.core.kernel import GreedyTrajectory, IncrementalGreedyKernel
 from repro.core.optimizer import (
     OptimizationResult,
     compute_size_profile,
@@ -71,7 +67,6 @@ __all__ = [
     "Compressor",
     "GreedyTrajectory",
     "IncrementalGreedyKernel",
-    "MonomialIncidenceIndex",
     "apply_abstraction",
     "OptimizationResult",
     "compute_size_profile",

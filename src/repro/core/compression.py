@@ -359,7 +359,6 @@ class Compressor:
         self, kind: str, provenance_set: ProvenanceSet, forest: AbstractionForest
     ) -> Tuple[object, bool]:
         """The cached ``kind`` plan (built on a miss) and whether it was cached."""
-        from repro.core.kernel.index import forest_signature
         from repro.core.multi_tree import build_plan
 
         # Cut equality requires tree *identity*, so the key pins the exact
@@ -367,7 +366,7 @@ class Compressor:
         key = (
             kind,
             provenance_set.fingerprint(),
-            forest_signature(forest),
+            repr(forest.to_dict()),
             tuple(id(tree) for tree in forest.trees()),
         )
         found = self._plans.get(key)
@@ -384,8 +383,9 @@ class Compressor:
     def clear_cache(self) -> None:
         """Drop this instance's cached plans (counters are kept).
 
-        The kernel's incidence-index cache is process-global (shared by all
-        compressors and :func:`~repro.core.greedy.optimize_greedy`); release
-        it explicitly via :func:`repro.core.kernel.index.clear_incidence_cache`.
+        The id-encoded incidence rows the plans are built on are cached
+        process-wide (shared by all compressors and
+        :func:`~repro.core.greedy.optimize_greedy`); release them explicitly
+        via :func:`repro.provenance.incidence.clear_provenance_incidence_cache`.
         """
         self._plans.clear()

@@ -11,8 +11,10 @@ variables a monomial contains, and it handles forests of several trees, so
 it serves both as the general-case algorithm and as the ablation baseline
 against the exact DP (benchmark E8).
 
-The search runs on the :mod:`repro.core.kernel` pipeline: delta-updated
-gain counters popped from a lazy max-heap, recorded as a bound-independent
+The search runs on the :mod:`repro.core.kernel` pipeline: gain counters
+kept as sorted signature-code arrays over the provenance's id-encoded
+incidence rows, delta-updated per step and popped from a lazy max-heap,
+recorded as a bound-independent
 :class:`~repro.core.kernel.trajectory.GreedyTrajectory`.  Every greedy
 :class:`~repro.core.optimizer.OptimizationResult` is assembled by
 :func:`greedy_result` from such a trajectory — a fresh one here, a cached

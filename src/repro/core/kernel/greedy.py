@@ -1,4 +1,4 @@
-"""The incremental greedy kernel: delta-updated merge-gain counters.
+"""The incremental greedy kernel: delta-updated merge-gain counters in arrays.
 
 The greedy evaluates a candidate coarsening at inner node ``v`` by renaming,
 for *every* monomial, all current cut nodes below ``v`` to ``v`` and
@@ -9,11 +9,30 @@ kernel maintains, per candidate, a counter over those renamed keys
 
     ``gain(v) = touched(v) − |distinct signatures under v|``
 
-is always available in O(1), and is *delta-updated* when a coarsening is
-applied: only the monomials containing a renamed variable are removed,
-merged and re-inserted, each touching only the counters of the inner-node
-ancestors of its variables — O(affected monomials × depth) per step instead
-of O(candidates × |provenance|).
+is always available, and is *delta-updated* when a coarsening is applied:
+only the rows holding a renamed variable are removed, merged and
+re-inserted, each touching only the counters of the active ancestors of its
+variables.
+
+Everything is arrays over one id space — the forest's nodes in preorder
+(tree by tree), then the remaining provenance variables:
+
+* **tree geometry** — a node's subtree is the id interval ``[v, end[v])``,
+  so "``x`` lies under ``v``" is one interval test, and the strict
+  ancestors of every id form a CSR;
+* **rows** — the provenance's id-encoded incidence rows
+  (:func:`~repro.provenance.incidence.provenance_incidence`): group ids, a
+  padded variable-id matrix (ids ascending), an exponent matrix,
+  coefficients and an alive mask;
+* **gain counters** — the signature of a (row, candidate) pair is the row
+  with every id under the candidate renamed to it and repeated ids merged,
+  encoded with the candidate and the group as one exact ``int64`` mixed-radix
+  key (candidate most significant).  All candidates' counters live in one
+  sorted key array with a count per key, so each candidate's counter is a
+  contiguous run of sorted codes.  Renaming never widens a row nor changes
+  its total degree, so the radices fixed at construction stay valid; when
+  their product does not fit an ``int64``, signatures are interned by their
+  bytes instead (exact, never hashed).
 
 Candidate selection pops from a lazy max-heap ordered by the exact key the
 rescan maximises — ``(ratio, -lost, depth)`` with ties broken towards the
@@ -23,12 +42,15 @@ deliberately mirrors:
 
 * ``ratio`` is the same float division ``saved / max(lost, 1)``;
 * ``saved`` is measured against the rescan's *predicted* running size, which
-  ignores coefficient cancellation, while the maintained monomial rows mirror
-  the *actual* renamed provenance (cancelled rows dropped at the same
+  ignores coefficient cancellation, while the maintained rows mirror the
+  *actual* renamed provenance (cancelled rows dropped at the same
   ``_ZERO_EPSILON`` threshold ``Polynomial`` uses) — the two can drift apart
   for one step when coefficients cancel, and the kernel tracks both;
 * ``lost`` counts *all* replaced cut nodes, including tree leaves that never
   occur in the provenance.
+
+The dict-row kernel this replaced is kept as a parity oracle in
+``tests/oracles/dict_greedy_kernel.py``.
 
 Precondition: no inner-node name of the forest may already occur as a
 provenance variable (a renamed monomial would silently merge with a
@@ -39,9 +61,20 @@ rejects such input with :class:`~repro.exceptions.AbstractionError`, via
 
 from __future__ import annotations
 
+import bisect
 import heapq
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
+from repro.provenance.incidence import (
+    _fold_segments,
+    _merge_repeated,
+    provenance_incidence,
+    ragged_ranges,
+    sorted_unique,
+    unique_rows,
+)
 from repro.provenance.polynomial import _ZERO_EPSILON, ProvenanceSet
 from repro.core.abstraction_tree import (
     AbstractionForest,
@@ -50,56 +83,10 @@ from repro.core.abstraction_tree import (
 )
 from repro.core.compression import check_names_disjoint
 from repro.core.cut import Cut
-from repro.core.kernel.index import MonomialIncidenceIndex, incidence_index
 
-Factors = Tuple[Tuple[str, int], ...]
-
-
-class _Candidate:
-    """Mutable per-candidate state: gain counters and selection metadata."""
-
-    __slots__ = (
-        "name",
-        "tree_index",
-        "tree_root",
-        "order",
-        "depth",
-        "active",
-        "r_size",
-        "touched",
-        "sig_counts",
-        "stamp",
-        "descendants",
-        "inner_descendants",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        tree_index: int,
-        tree_root: str,
-        order: int,
-        depth: int,
-        r_size: int,
-        descendants: FrozenSet[str],
-        inner_descendants: Tuple[str, ...],
-    ) -> None:
-        self.name = name
-        self.tree_index = tree_index
-        self.tree_root = tree_root
-        self.order = order
-        self.depth = depth
-        self.active = True
-        self.r_size = r_size          # |replaced cut nodes| (all, occurring or not)
-        self.touched = 0              # live rows containing a variable below name
-        self.sig_counts: Dict[Tuple, int] = {}
-        self.stamp = 0                # bumped on every change; stale heap entries skip
-        self.descendants = descendants
-        self.inner_descendants = inner_descendants
-
-    def gain(self) -> int:
-        """Monomials saved by coarsening here (ignoring size-prediction drift)."""
-        return self.touched - len(self.sig_counts)
+#: Key stride of the interned-signature fallback: a key is
+#: ``candidate << 32 | interned id``.
+_INTERNED_STRIDE = 1 << 32
 
 
 class IncrementalGreedyKernel:
@@ -118,210 +105,207 @@ class IncrementalGreedyKernel:
         self,
         provenance: ProvenanceSet,
         trees: Union[AbstractionTree, AbstractionForest],
-        index: Optional[MonomialIncidenceIndex] = None,
     ) -> None:
         forest = as_forest(trees)
         check_names_disjoint(provenance, forest)
-        self._forest = forest
         self._trees = forest.trees()
-        if index is None:
-            index = incidence_index(provenance, forest)
-        self._index = index
+        incidence = provenance_incidence(provenance)
 
-        # Mutable row store, seeded from the index. Freed slots are never
-        # reused; merged rows get fresh ids, preserving deterministic order.
-        self._row_poly: List[int] = [row[0] for row in index.rows]
-        self._row_factors: List[Factors] = [row[1] for row in index.rows]
-        self._row_coeff: List[float] = [row[2] for row in index.rows]
-        self._var_rows: Dict[str, Set[int]] = {
-            name: set(ids) for name, ids in index.variable_rows.items()
-        }
+        # -- the id space and the tree geometry --------------------------------
+        names: List[str] = []
+        tree_starts: List[int] = []
+        parents: List[int] = []
+        for tree in self._trees:
+            start = len(names)
+            tree_starts.append(start)
+            nodes = tree.nodes()
+            local = {name: start + offset for offset, name in enumerate(nodes)}
+            parents.extend(
+                -1 if tree.parent(name) is None else local[tree.parent(name)]
+                for name in nodes
+            )
+            names.extend(nodes)
+        nodes_total = len(names)
+        forest_ids = {name: i for i, name in enumerate(names)}
+        names.extend(name for name in incidence.names if name not in forest_ids)
+        self._names: Tuple[str, ...] = tuple(names)
+        self._ids: Dict[str, int] = {name: i for i, name in enumerate(names)}
+        self._pad = pad = len(names)  # larger than every id: the row padding
 
-        # Node metadata shared by signature computation and row updates.
-        self._ancestors: Dict[str, Tuple[str, ...]] = {}
-        self._candidates: Dict[str, _Candidate] = {}
-        order = 0
-        for tree_index, tree in enumerate(self._trees):
-            subtree_nodes: Dict[str, Set[str]] = {}
-            for name in reversed(tree.nodes()):  # children before parents
-                node = tree.node(name)
-                members: Set[str] = set()
-                for child in node.children:
-                    members.add(child)
-                    members |= subtree_nodes[child]
-                subtree_nodes[name] = members
-            for name in tree.nodes():
-                self._ancestors[name] = tree.ancestors(name)
-            for name in tree.inner_nodes():
-                self._candidates[name] = _Candidate(
-                    name=name,
-                    tree_index=tree_index,
-                    tree_root=tree.root,
-                    order=order,
-                    depth=tree.depth(name),
-                    r_size=len(tree.leaves_under(name)),
-                    descendants=frozenset(subtree_nodes[name]),
-                    inner_descendants=tuple(
-                        n for n in subtree_nodes[name] if not tree.is_leaf(n)
-                    ),
-                )
-                order += 1
+        # Subtree ends (children follow their parent in preorder) and strict
+        # ancestors, as a CSR over all ids plus the padding.
+        subtree = [1] * nodes_total
+        for node in range(nodes_total - 1, -1, -1):
+            if parents[node] >= 0:
+                subtree[parents[node]] += subtree[node]
+        ancestors: List[List[int]] = []
+        for node in range(nodes_total):
+            parent = parents[node]
+            ancestors.append([] if parent < 0 else [parent] + ancestors[parent])
+        counts = [len(chain) for chain in ancestors] + [0] * (pad + 1 - nodes_total)
+        self._end = np.zeros(pad + 1, dtype=np.int64)
+        self._end[:nodes_total] = np.arange(nodes_total) + np.asarray(
+            subtree, dtype=np.int64
+        )
+        self._ancestor_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        self._ancestors = np.asarray(
+            [a for chain in ancestors for a in chain], dtype=np.int64
+        )
+        self._depth = np.asarray(counts, dtype=np.int64)
+        self._tree_starts = tree_starts + [nodes_total]
 
-        # One cut-node set per tree (all members, occurring or not).
-        self._cut_nodes: List[Set[str]] = [
-            set(tree.leaves()) for tree in self._trees
-        ]
+        # -- candidate state, indexed by id ------------------------------------
+        is_leaf = np.zeros(nodes_total, dtype=np.bool_)
+        for tree in self._trees:
+            is_leaf[[self._ids[leaf] for leaf in tree.leaves()]] = True
+        leaves_before = np.concatenate(([0], np.cumsum(is_leaf)))
+        self._nodes = nodes_total
+        self._active = ~is_leaf
+        #: |replaced cut nodes| per candidate (all, occurring or not).
+        self._r_size = leaves_before[self._end[:nodes_total]] - leaves_before[:-1]
+        self._in_cut = is_leaf.copy()
+        self._stamps: List[int] = [0] * nodes_total  # stale heap entries skip
+
+        # -- the rows ------------------------------------------------------------
+        remap = np.asarray(
+            [self._ids[name] for name in incidence.names] + [pad], dtype=np.int64
+        )
+        variables, exponents = _merge_repeated(
+            remap[incidence.monomial_variables], incidence.monomial_exponents, pad
+        )
+        self._width = width = variables.shape[1]
+        self._vars = variables[incidence.monomial_ids]
+        self._exps = exponents[incidence.monomial_ids]
+        self._group = incidence.group_ids.astype(np.int64)
+        self._coeff = incidence.coefficients.copy()
+        rows = self._group.size
+        self._alive = np.ones(rows, dtype=np.bool_)
+        self._used = rows
+
+        # Mixed-radix signature keys: candidate, group, then (id, exponent)
+        # per slot.  Exponents never exceed the largest total degree.
+        degree = int(self._exps.sum(axis=1).max()) if rows and width else 0
+        self._radices = (max(1, len(incidence.keys)), pad + 1, degree + 1)
+        stride = self._radices[0] * ((pad + 1) * (degree + 1)) ** width
+        self._interned: Optional[Dict[bytes, int]] = None
+        if nodes_total * stride >= 2**63:
+            self._interned = {}
+            stride = _INTERNED_STRIDE
+        self._stride = stride
 
         # Sizes: ``live_size`` mirrors the actual renamed provenance
         # (cancellation applied); ``current_size`` mirrors the rescan
         # greedy's predicted running size.
-        self.live_size = len(index.rows)
-        self.current_size = len(index.rows)
+        self.live_size = rows
+        self.current_size = rows
         self._prev_drift = 0
         # Plain-int instrumentation counters (flushed to the metrics
-        # registry by GreedyTrajectory.extend_to; attribute adds keep the
-        # inner loops hot).
+        # registry by GreedyTrajectory.extend_to).
         self.heap_pops = 0
         self.gain_updates = 0
+        self.affected_rows = 0
 
-        # Initial gain counters straight off the CSR incidence index.
-        for candidate in self._candidates.values():
-            row_ids = index.rows_under(candidate.name)
-            candidate.touched = len(row_ids)
-            counts = candidate.sig_counts
-            for rid in row_ids:
-                key = self._signature(candidate, int(rid))
-                counts[key] = counts.get(key, 0) + 1
-
-        self._heap: List[Tuple] = []
-        self._refresh(self._candidates.keys())
-
-    # -- signatures and heap ----------------------------------------------
-
-    @staticmethod
-    def _renamed_factors(
-        factors: Factors, below: FrozenSet[str], target: str
-    ) -> Factors:
-        """``factors`` with every variable in ``below`` merged into ``target``.
-
-        The single canonical-renaming primitive: signatures predict it,
-        :meth:`apply` commits it — both must agree monomial-for-monomial.
-        """
-        merged_exponent = 0
-        rest: List[Tuple[str, int]] = []
-        for name, exponent in factors:
-            if name in below:
-                merged_exponent += exponent
-            else:
-                rest.append((name, exponent))
-        if merged_exponent:
-            rest.append((target, merged_exponent))
-            rest.sort()
-        return tuple(rest)
-
-    def _signature(self, candidate: _Candidate, rid: int) -> Tuple:
-        """The renamed key a row takes if ``candidate`` is coarsened now."""
-        return (
-            self._row_poly[rid],
-            self._renamed_factors(
-                self._row_factors[rid], candidate.descendants, candidate.name
-            ),
+        # Initial gain counters: every (row, candidate) pair, one sort.
+        pair_rows, pair_candidates = self._pairs(np.arange(rows))
+        self.candidates = int(self._active.sum())
+        self.initial_pairs = int(pair_rows.size)
+        self._keys, self._counts = np.unique(
+            self._signature_keys(pair_rows, pair_candidates), return_counts=True
+        )
+        self._touched = np.bincount(pair_candidates, minlength=nodes_total)
+        self._distinct = np.bincount(
+            self._keys // stride, minlength=nodes_total
         )
 
-    def _refresh(self, names) -> None:
+        self._heap: List[Tuple] = []
+        self._refresh(np.flatnonzero(self._active))
+
+    # -- signatures ------------------------------------------------------------
+
+    def _pairs(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct ``(row, active candidate above one of its ids)`` pairs."""
+        variables = self._vars[rows].ravel()
+        starts = self._ancestor_ptr[variables]
+        ends = self._ancestor_ptr[variables + 1]
+        positions, _ = ragged_ranges(starts, ends)
+        candidates = self._ancestors[positions]
+        owners = np.repeat(np.repeat(rows, self._width), ends - starts)
+        keep = self._active[candidates]
+        pairs = sorted_unique(owners[keep] * self._nodes + candidates[keep])
+        return pairs // self._nodes, pairs % self._nodes
+
+    def _renamed(
+        self, rows: np.ndarray, targets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows' ids and exponents with every id under its target renamed to it.
+
+        The single canonical-renaming primitive: signatures predict it,
+        :meth:`apply` commits it — both must agree row for row.
+        """
+        variables = self._vars[rows]
+        targets = targets[:, None]
+        below = (variables >= targets) & (variables < self._end[targets])
+        return _merge_repeated(
+            np.where(below, targets, variables), self._exps[rows], self._pad
+        )
+
+    def _signature_keys(
+        self, rows: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
+        """The exact counter key of each ``(row, candidate)`` pair."""
+        variables, exponents = self._renamed(rows, candidates)
+        groups = self._group[rows]
+        if self._interned is None:
+            groups_radix, id_radix, exponent_radix = self._radices
+            keys = candidates * groups_radix + groups
+            for column in range(self._width):
+                keys = (keys * id_radix + variables[:, column]) * exponent_radix
+                keys += exponents[:, column]
+            return keys
+        table = np.ascontiguousarray(
+            np.column_stack([candidates, groups, variables, exponents]),
+            dtype=np.int64,
+        )
+        blobs = table.view(np.dtype((np.void, 8 * table.shape[1]))).ravel()
+        interned = self._interned
+        ids = [interned.setdefault(blob, len(interned)) for blob in blobs.tolist()]
+        return candidates * _INTERNED_STRIDE + np.asarray(ids, dtype=np.int64)
+
+    # -- heap ----------------------------------------------------------------------
+
+    def _refresh(self, candidates: np.ndarray) -> None:
         """Re-push heap entries for candidates whose selection key changed."""
         drift = self.current_size - self.live_size
-        for name in names:
-            candidate = self._candidates[name]
-            if not candidate.active:
-                continue
-            self.gain_updates += 1
-            candidate.stamp += 1
-            saved = candidate.gain() + drift
-            lost = candidate.r_size - 1
-            ratio = saved / max(lost, 1)  # the rescan's exact float key
+        saved = self._touched[candidates] - self._distinct[candidates] + drift
+        lost = self._r_size[candidates] - 1
+        ratios = saved / np.maximum(lost, 1)  # the rescan's exact float key
+        stamps = self._stamps
+        heap = self._heap
+        self.gain_updates += candidates.size
+        for candidate, ratio, replaced, depth in zip(
+            candidates.tolist(),
+            ratios.tolist(),
+            lost.tolist(),
+            self._depth[candidates].tolist(),
+        ):
+            stamps[candidate] += 1
             heapq.heappush(
-                self._heap,
-                (
-                    -ratio,
-                    lost,
-                    -candidate.depth,
-                    candidate.order,
-                    name,
-                    candidate.stamp,
-                ),
+                heap, (-ratio, replaced, -depth, candidate, stamps[candidate])
             )
 
     def best(self) -> Optional[str]:
         """The candidate the rescan greedy would pick now (``None`` if done)."""
         heap = self._heap
         while heap:
-            _, _, _, _, name, stamp = heap[0]
-            candidate = self._candidates[name]
-            if not candidate.active or stamp != candidate.stamp:
+            _, _, _, candidate, stamp = heap[0]
+            if not self._active[candidate] or stamp != self._stamps[candidate]:
                 heapq.heappop(heap)  # stale lazy-heap entry
                 self.heap_pops += 1
                 continue
-            return name
+            return self._names[candidate]
         return None
 
-    # -- row bookkeeping ----------------------------------------------------
-
-    def _row_candidates(self, rid: int) -> Set[str]:
-        names: Set[str] = set()
-        for name, _exponent in self._row_factors[rid]:
-            ancestors = self._ancestors.get(name)
-            if ancestors:
-                names.update(ancestors)
-        return names
-
-    def _remove_row(self, rid: int, dirty: Set[str]) -> None:
-        for name, _exponent in self._row_factors[rid]:
-            rows = self._var_rows.get(name)
-            if rows is not None:
-                rows.discard(rid)
-                if not rows:
-                    del self._var_rows[name]
-        for cname in self._row_candidates(rid):
-            candidate = self._candidates[cname]
-            if not candidate.active:
-                continue
-            key = self._signature(candidate, rid)
-            counts = candidate.sig_counts
-            remaining = counts[key] - 1
-            if remaining:
-                counts[key] = remaining
-            else:
-                del counts[key]
-            candidate.touched -= 1
-            dirty.add(cname)
-        self.live_size -= 1
-
-    def _add_row(
-        self, poly: int, factors: Factors, coefficient: float, dirty: Set[str]
-    ) -> None:
-        rid = len(self._row_factors)
-        self._row_poly.append(poly)
-        self._row_factors.append(factors)
-        self._row_coeff.append(coefficient)
-        candidates: Set[str] = set()
-        for name, _exponent in factors:
-            self._var_rows.setdefault(name, set()).add(rid)
-            ancestors = self._ancestors.get(name)
-            if ancestors:
-                candidates.update(ancestors)
-        for cname in candidates:
-            candidate = self._candidates[cname]
-            if not candidate.active:
-                continue
-            key = self._signature(candidate, rid)
-            counts = candidate.sig_counts
-            counts[key] = counts.get(key, 0) + 1
-            candidate.touched += 1
-            dirty.add(cname)
-        self.live_size += 1
-
-    # -- the coarsening step --------------------------------------------------
+    # -- the coarsening step ---------------------------------------------------------
 
     def apply(self, name: str) -> Dict[str, object]:
         """Coarsen at inner node ``name``, delta-updating all gain counters.
@@ -329,95 +313,216 @@ class IncrementalGreedyKernel:
         Returns the step's record, which
         :class:`~repro.core.kernel.trajectory.GreedyTrajectory` keeps.
         """
-        candidate = self._candidates.get(name)
-        if candidate is None or not candidate.active:
+        node = self._ids.get(name, self._nodes)
+        if node >= self._nodes or not self._active[node]:
             raise ValueError(f"{name!r} is not an active coarsening candidate")
-        below = candidate.descendants
-
-        # Affected rows: those containing an occurring variable below name
-        # (intersect iterating the smaller of the two sets).
-        affected: Set[int] = set()
-        for var in below & self._var_rows.keys():
-            affected |= self._var_rows[var]
-
+        end = int(self._end[node])
         size_before = self.current_size
+
+        # name and the inner nodes below it are never candidates again: drop
+        # their counters before touching any row.
+        self._active[node:end] = False
+        self._drop_counters(node, end)
+
+        block = self._vars[: self._used]
+        affected = np.flatnonzero(
+            self._alive[: self._used] & ((block >= node) & (block < end)).any(axis=1)
+        )
+        self.affected_rows += affected.size
+        old_rows, old_candidates = self._pairs(affected)
+        old_keys = self._signature_keys(old_rows, old_candidates)
+
         live_before = self.live_size
-        dirty: Set[str] = set()
+        merged, new_rows = self._merge_rows(affected, node)
+        # The rescan's predicted size ignores coefficient cancellation; the
+        # live rows drop cancelled sums (see _merge_rows).
+        self.current_size = live_before - (affected.size - merged)
+        new_pairs = self._pairs(new_rows)
+        self._update_counters(
+            old_keys, old_candidates, self._signature_keys(*new_pairs), new_pairs[1]
+        )
 
-        # Remove affected rows and group them by their renamed key, summing
-        # coefficients exactly as ``ProvenanceSet.rename`` would.
-        merged: Dict[Tuple[int, Factors], float] = {}
-        for rid in sorted(affected):
-            poly = self._row_poly[rid]
-            coefficient = self._row_coeff[rid]
-            self._remove_row(rid, dirty)
-            key = (
-                poly,
-                self._renamed_factors(self._row_factors[rid], below, name),
-            )
-            merged[key] = merged.get(key, 0.0) + coefficient
-
-        # The rescan's predicted size ignores coefficient cancellation...
-        new_size = live_before - (len(affected) - len(merged))
-        # ...while the maintained rows mirror the real rename (cancelled
-        # rows dropped at the Polynomial normalisation threshold).
-        for (poly, factors), coefficient in merged.items():
-            if abs(coefficient) <= _ZERO_EPSILON:
-                continue
-            self._add_row(poly, factors, coefficient, dirty)
-
-        # Cut bookkeeping: replace everything below name by name.
-        cut = self._cut_nodes[candidate.tree_index]
-        replaced_all = {node for node in cut if node in below}
-        cut -= replaced_all
-        cut.add(name)
-
-        # name joins the cut; inner nodes strictly below lose their replaced
-        # set — neither is ever a candidate again.
-        candidate.active = False
-        candidate.sig_counts = {}
-        for inner in candidate.inner_descendants:
-            other = self._candidates[inner]
-            if other.active:
-                other.active = False
-                other.sig_counts = {}
+        # Cut bookkeeping: everything below name is replaced by name.
+        replaced = np.flatnonzero(self._in_cut[node:end]) + node
+        self._in_cut[node:end] = False
+        self._in_cut[node] = True
+        above = self._ancestors[
+            self._ancestor_ptr[node] : self._ancestor_ptr[node + 1]
+        ]
         # Ancestors now replace one node (name) where they used to replace
         # all of name's members.
-        shrink = candidate.r_size - 1
-        for ancestor in self._ancestors[name]:
-            above = self._candidates[ancestor]
-            above.r_size -= shrink
-            dirty.add(ancestor)
+        self._r_size[above] -= self._r_size[node] - 1
 
-        self.current_size = new_size
         drift = self.current_size - self.live_size
         if drift != self._prev_drift:
             # A cancellation happened (or resolved): the uniform ``saved``
             # offset changed, so every active candidate's ratio is stale.
             self._prev_drift = drift
-            dirty.update(
-                cname
-                for cname, state in self._candidates.items()
-                if state.active
-            )
+            dirty = np.flatnonzero(self._active)
+        else:
+            dirty = sorted_unique(np.concatenate((old_candidates, above)))
         self._refresh(dirty)
 
+        tree_index = bisect.bisect_right(self._tree_starts, node) - 1
         return {
             "coarsened_at": name,
-            "tree": candidate.tree_root,
-            "tree_index": candidate.tree_index,
-            "replaced": frozenset(replaced_all),
+            "tree": self._trees[tree_index].root,
+            "tree_index": tree_index,
+            "replaced": frozenset(self._names[i] for i in replaced.tolist()),
             "size_before": size_before,
-            "size_after": new_size,
+            "size_after": self.current_size,
         }
 
-    # -- inspection -----------------------------------------------------------
+    def _drop_counters(self, first: int, end: int) -> None:
+        """Discard the counters of candidates ``first .. end - 1``."""
+        low, high = np.searchsorted(
+            self._keys, [first * self._stride, end * self._stride]
+        )
+        if high > low:
+            self._keys = np.concatenate((self._keys[:low], self._keys[high:]))
+            self._counts = np.concatenate((self._counts[:low], self._counts[high:]))
+
+    def _merge_rows(
+        self, affected: np.ndarray, node: int
+    ) -> Tuple[int, np.ndarray]:
+        """Retire ``affected`` and append their renames, merged.
+
+        Returns the number of merged rows (cancelled ones included) and the
+        ids of the appended rows.
+
+        Rows that coincide after renaming merge with their coefficients
+        summed left to right in row order, exactly as ``ProvenanceSet.rename``
+        would; a merged row sits where its first member sat, and sums with
+        ``|c| <= _ZERO_EPSILON`` are dropped.
+        """
+        if affected.size == 0:
+            return 0, affected
+        variables, exponents = self._renamed(
+            affected, np.full(affected.size, node, dtype=np.int64)
+        )
+        groups = self._group[affected]
+        _, merged_of = unique_rows(
+            np.column_stack([groups, variables, exponents])
+        )
+        order = np.argsort(merged_of, kind="stable")
+        first = np.ones(order.size, dtype=np.bool_)
+        first[1:] = merged_of[order][1:] != merged_of[order][:-1]
+        starts = np.flatnonzero(first)
+        sums = _fold_segments(self._coeff[affected][order], starts)
+        leaders = order[starts]
+        emit = np.argsort(leaders)
+        leaders, sums = leaders[emit], sums[emit]
+        kept = np.abs(sums) > _ZERO_EPSILON
+        leaders = leaders[kept]
+
+        self._alive[affected] = False
+        self.live_size -= affected.size
+        appended = self._append(
+            groups[leaders], variables[leaders], exponents[leaders], sums[kept]
+        )
+        return int(starts.size), appended
+
+    def _append(
+        self,
+        groups: np.ndarray,
+        variables: np.ndarray,
+        exponents: np.ndarray,
+        coefficients: np.ndarray,
+    ) -> np.ndarray:
+        """Append live rows after the existing ones; return their row ids.
+
+        Row order is the coefficient fold order of later merges, so retired
+        rows are compacted away in order.
+        """
+        if self._used > 2 * self.live_size + 1024:
+            # Retired rows still cost every step's affected-row scan.
+            self._compact()
+        used = self._used
+        count = groups.size
+        if used + count > self._group.size:
+            capacity = max(2 * self._group.size, used + count)
+            self._group = _resized(self._group, capacity)
+            self._vars = _resized(self._vars, capacity, self._pad)
+            self._exps = _resized(self._exps, capacity)
+            self._coeff = _resized(self._coeff, capacity)
+            self._alive = _resized(self._alive, capacity)
+        self._group[used : used + count] = groups
+        self._vars[used : used + count] = variables
+        self._exps[used : used + count] = exponents
+        self._coeff[used : used + count] = coefficients
+        self._alive[used : used + count] = True
+        self._used = used + count
+        self.live_size += count
+        return np.arange(used, used + count)
+
+    def _compact(self) -> None:
+        """Drop retired rows, keeping the live ones in order."""
+        live = np.flatnonzero(self._alive[: self._used])
+        self._group = self._group[live]
+        self._vars = self._vars[live]
+        self._exps = self._exps[live]
+        self._coeff = self._coeff[live]
+        self._alive = np.ones(live.size, dtype=np.bool_)
+        self._used = live.size
+
+    def _update_counters(
+        self,
+        removed: np.ndarray,
+        removed_candidates: np.ndarray,
+        added: np.ndarray,
+        added_candidates: np.ndarray,
+    ) -> None:
+        """Remove one count per ``removed`` key and add one per ``added`` key."""
+        nodes = self._nodes
+        self._touched += np.bincount(added_candidates, minlength=nodes)
+        self._touched -= np.bincount(removed_candidates, minlength=nodes)
+        keys, inverse = np.unique(
+            np.concatenate((removed, added)), return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        delta = np.bincount(
+            inverse[removed.size :], minlength=keys.size
+        ) - np.bincount(inverse[: removed.size], minlength=keys.size)
+        changed = delta != 0
+        keys, delta = keys[changed], delta[changed]
+
+        stored = self._keys
+        at = np.searchsorted(stored, keys)
+        found = at < stored.size
+        found[found] = stored[at[found]] == keys[found]
+        hits = at[found]
+        self._counts[hits] += delta[found]
+        emptied = hits[self._counts[hits] == 0]
+        fresh = ~found
+        self._distinct += np.bincount(
+            keys[fresh] // self._stride, minlength=nodes
+        )
+        self._distinct -= np.bincount(
+            stored[emptied] // self._stride, minlength=nodes
+        )
+        if emptied.size:
+            self._keys = stored = np.delete(stored, emptied)
+            self._counts = np.delete(self._counts, emptied)
+        if fresh.any():
+            slots = np.searchsorted(stored, keys[fresh])
+            self._keys = np.insert(stored, slots, keys[fresh])
+            self._counts = np.insert(self._counts, slots, delta[fresh])
+
+    # -- inspection -------------------------------------------------------------------
 
     def cuts(self) -> Tuple[Cut, ...]:
         """The current cut of every tree (trusted: valid by construction)."""
         return tuple(
-            Cut.trusted(tree, frozenset(nodes))
-            for tree, nodes in zip(self._trees, self._cut_nodes)
+            Cut.trusted(
+                tree,
+                frozenset(
+                    self._names[i]
+                    for i in (np.flatnonzero(self._in_cut[start:end]) + start).tolist()
+                ),
+            )
+            for tree, start, end in zip(
+                self._trees, self._tree_starts, self._tree_starts[1:]
+            )
         )
 
     def gain_table(self) -> Dict[str, Dict[str, float]]:
@@ -427,22 +532,27 @@ class IncrementalGreedyKernel:
         (including prediction drift after coefficient cancellations).
         """
         drift = self.current_size - self.live_size
-        table: Dict[str, Dict[str, float]] = {}
-        for name, candidate in self._candidates.items():
-            if not candidate.active:
-                continue
-            saved = candidate.gain() + drift
-            lost = candidate.r_size - 1
-            table[name] = {
-                "saved": saved,
-                "lost": lost,
-                "ratio": saved / max(lost, 1),
+        active = np.flatnonzero(self._active)
+        saved = (self._touched[active] - self._distinct[active] + drift).tolist()
+        lost = (self._r_size[active] - 1).tolist()
+        return {
+            self._names[candidate]: {
+                "saved": gain,
+                "lost": replaced,
+                "ratio": gain / max(replaced, 1),
             }
-        return table
+            for candidate, gain, replaced in zip(active.tolist(), saved, lost)
+        }
 
     def __repr__(self) -> str:
-        active = sum(1 for c in self._candidates.values() if c.active)
         return (
             f"IncrementalGreedyKernel(size={self.current_size}, "
-            f"active_candidates={active})"
+            f"active_candidates={int(self._active.sum())})"
         )
+
+
+def _resized(array: np.ndarray, capacity: int, fill: int = 0) -> np.ndarray:
+    """``array`` grown to ``capacity`` rows, the new rows set to ``fill``."""
+    grown = np.full((capacity,) + array.shape[1:], fill, dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown

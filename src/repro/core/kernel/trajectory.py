@@ -42,6 +42,9 @@ class GreedyTrajectory:
         self._kernel: Optional[IncrementalGreedyKernel] = IncrementalGreedyKernel(
             provenance, forest
         )
+        #: Active candidates and (row, candidate) pairs at the start.
+        self.candidates = self._kernel.candidates
+        self.initial_pairs = self._kernel.initial_pairs
         self._steps: List[Dict[str, object]] = []
         self._sizes: List[int] = [self._kernel.current_size]  # after k steps
         self._exhausted = False
@@ -60,13 +63,15 @@ class GreedyTrajectory:
         """Materialise steps until the running size fits ``bound`` (or done).
 
         Each extension that actually coarsens is one traced
-        ``kernel.coarsen`` span; the kernel's heap-pop/gain-update work is
-        flushed to the ``kernel.*`` registry counters.
+        ``kernel.coarsen`` span (recording its steps and the rows they
+        touched); the kernel's heap-pop/gain-update work is flushed to the
+        ``kernel.*`` registry counters.
         """
         kernel = self._kernel
         if kernel is not None and self._sizes[-1] > bound and not self._exhausted:
             pops_before = kernel.heap_pops
             updates_before = kernel.gain_updates
+            affected_before = kernel.affected_rows
             steps_before = len(self._steps)
             with trace(
                 "kernel.coarsen", bound=bound, size_before=self._sizes[-1]
@@ -83,6 +88,7 @@ class GreedyTrajectory:
                     {
                         "steps": len(self._steps) - steps_before,
                         "size_after": self._sizes[-1],
+                        "affected_rows": kernel.affected_rows - affected_before,
                     }
                 )
             registry = get_registry()

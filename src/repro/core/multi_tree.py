@@ -102,8 +102,12 @@ def build_plan(kind: str, provenance: ProvenanceSet, forest: AbstractionForest):
     """
     if kind == "dp":
         return SingleTreeFrontier(provenance, forest.trees()[0])
-    with obs_trace("compress.trajectory", monomials=provenance.size()):
-        return GreedyTrajectory(provenance, forest)
+    with obs_trace("compress.trajectory", monomials=provenance.size()) as span:
+        trajectory = GreedyTrajectory(provenance, forest)
+        span.update(
+            {"candidates": trajectory.candidates, "pairs": trajectory.initial_pairs}
+        )
+        return trajectory
 
 
 def select_abstraction(

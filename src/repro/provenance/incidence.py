@@ -23,10 +23,9 @@ is the one place it is answered:
   rewrite: :meth:`ProvenanceIncidence.renamed` renames a set on it
   (``ProvenanceSet.rename``, hence ``apply_abstraction``), the single-tree
   DP counts its loads on it, :func:`~repro.provenance.statistics.describe_provenance`
-  summarises it, and the compression kernel's
-  :class:`~repro.core.kernel.index.MonomialIncidenceIndex` builds its
-  per-tree-node CSR on its name-keyed view (:attr:`~ProvenanceIncidence.rows`,
-  :attr:`~ProvenanceIncidence.variable_rows`);
+  summarises it (through :attr:`~ProvenanceIncidence.variable_rows`), and
+  the greedy kernel (:mod:`repro.core.kernel.greedy`) keeps its rows and
+  signatures on its id-encoded rows;
 * small array helpers (:func:`ragged_ranges`, :func:`sorted_unique`,
   :func:`unique_rows`, :func:`expand_segment_rows`) shared by the kernels.
 """
@@ -42,10 +41,6 @@ import numpy as np
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import _ZERO_EPSILON, Polynomial, ProvenanceSet
 from repro.provenance.variables import variable_name
-
-#: One flattened monomial: (group index, canonical (variable, exponent)
-#: factors, coefficient) — an entry of :attr:`ProvenanceIncidence.rows`.
-MonomialRow = Tuple[int, Tuple[Tuple[str, int], ...], float]
 
 _EMPTY_INTP = np.zeros(0, dtype=np.intp)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
@@ -386,14 +381,12 @@ class ProvenanceIncidence:
         "coefficients",
         "insertion",
         "_polynomials",
-        "_rows",
         "_variable_rows",
     )
 
     def __init__(self, provenance: ProvenanceSet) -> None:
         self.keys: Tuple[Tuple, ...] = provenance.keys()
         self._polynomials: Tuple[Polynomial, ...] = provenance.polynomials()
-        self._rows: Optional[List[MonomialRow]] = None
         self._variable_rows: Optional[Dict[str, np.ndarray]] = None
 
         # One pass over the terms in insertion order, numbering each
@@ -452,22 +445,7 @@ class ProvenanceIncidence:
             np.arange(total, dtype=np.intp) - np.repeat(starts, counts)
         )[canonical]
 
-    # -- the name-keyed view (the greedy kernel's row store) -------------------
-
-    @property
-    def rows(self) -> Sequence[MonomialRow]:
-        """``(group_index, factors, coefficient)`` per row (built on first use)."""
-        if self._rows is None:
-            factors = [monomial.factors for monomial in self.monomials]
-            self._rows = [
-                (group, factors[monomial], coefficient)
-                for group, monomial, coefficient in zip(
-                    self.group_ids.tolist(),
-                    self.monomial_ids.tolist(),
-                    self.coefficients.tolist(),
-                )
-            ]
-        return self._rows
+    # -- the name-keyed view ------------------------------------------------------
 
     @property
     def variable_rows(self) -> Dict[str, np.ndarray]:

@@ -55,13 +55,12 @@ def _resolve_value_backend(semiring):
 class FingerprintCache:
     """A small LRU cache keyed by content fingerprints.
 
-    Compiling provenance (a backend's compiled set) and building the
-    compression kernel's incidence index are both one-linear-pass
-    preprocessing steps worth paying exactly once per distinct provenance
-    set.  Both caches key their entries by
-    :meth:`~repro.provenance.polynomial.ProvenanceSet.fingerprint` (possibly
-    combined with extra structure such as a forest signature); this class
-    centralises the LRU + hit/miss bookkeeping they share.
+    Compiling provenance (a backend's compiled set) and building its
+    id-encoded incidence rows are both one-linear-pass preprocessing steps
+    worth paying exactly once per distinct provenance set.  Both caches key
+    their entries by
+    :meth:`~repro.provenance.polynomial.ProvenanceSet.fingerprint`; this
+    class centralises the LRU + hit/miss bookkeeping they share.
 
     ``metrics=`` names a prefix under which the cache additionally reports
     hits/misses into the process-wide

@@ -59,6 +59,11 @@ class TestBatchCommand:
         assert summary["scenarios"] == 12
         assert summary["batch_seconds"] > 0.0
 
+    def test_unreachable_bound_is_reported_not_raised(self, capsys):
+        assert main(self.ARGS + ["--bound", "10"]) == 1
+        output = capsys.readouterr().out
+        assert "cobra batch: no abstraction satisfies bound 10" in output
+
 
 def _sweep_args(*extra):
     return [
@@ -129,6 +134,11 @@ class TestSweepCommand:
         assert main(_sweep_args("--plan-json", "{not json")) == 1
         assert "invalid plan spec" in capsys.readouterr().out
 
+    def test_unreachable_bound_is_reported_not_raised(self, capsys):
+        assert main(_sweep_args("--bound", "10")) == 1
+        output = capsys.readouterr().out
+        assert "cobra sweep: no abstraction satisfies bound 10" in output
+
     def test_plan_and_plan_json_are_exclusive(self, capsys, tmp_path):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text("{}")
@@ -193,6 +203,19 @@ class TestTelephonyCommand:
         assert "Full provenance size: 330" in output
         assert "bound" in output
         assert "speedup" in output
+
+    def test_unreachable_bound_is_reported_not_raised(self, capsys):
+        args = [
+            "telephony",
+            "--customers", "200",
+            "--zips", "5",
+            "--months", "6",
+            "--bounds", "250", "10",
+        ]
+        assert main(args) == 1
+        output = capsys.readouterr().out
+        assert "bound      250" in output
+        assert "cobra telephony: no abstraction satisfies bound 10" in output
 
 
 class TestTpchCommand:

@@ -317,6 +317,34 @@ class TestHotPathAllocation:
         )
         assert len(active(findings, "CL003")) == 1
 
+    @pytest.mark.parametrize(
+        "function",
+        ["_pairs", "_renamed", "_signature_keys", "_drop_counters",
+         "_merge_rows", "_append", "_update_counters"],
+    )
+    def test_greedy_per_step_functions_are_guarded(self, tmp_path, function):
+        findings = run_rule(
+            tmp_path,
+            {
+                "src/repro/core/kernel/greedy.py": f"""
+                import numpy as np
+
+                def {function}(keys, removed):
+                    for key in removed.tolist():
+                        keys = keys.copy()
+                    return keys
+
+                def _remove_row(keys, removed):
+                    for key in removed.tolist():
+                        keys = keys.copy()
+                    return keys
+                """
+            },
+            select=["CL003"],
+        )
+        # Only the designated function is checked: one .copy() under a loop.
+        assert len(active(findings, "CL003")) == 1
+
     def test_entry_normalisation_outside_loop_is_clean(self, tmp_path):
         findings = run_rule(
             tmp_path,

@@ -183,12 +183,6 @@ class TestProvenanceIncidence:
         assert incidence.coefficients.tolist() == [1.0, 2.0, 3.0, 4.0]
         # g1's terms were inserted as x*y, z, 1.
         assert incidence.insertion.tolist() == [2, 0, 1, 0]
-        assert incidence.rows == [
-            (0, (), 1.0),
-            (0, (("x", 1), ("y", 1)), 2.0),
-            (0, (("z", 1),), 3.0),
-            (1, (("x", 1),), 4.0),
-        ]
 
     def test_cached_view_must_describe_the_set(self, provenance):
         clear_provenance_incidence_cache()
@@ -216,18 +210,3 @@ class TestProvenanceIncidence:
         provenance[("g3",)] = Polynomial({Monomial.of("w"): 1.0})
         assert provenance_incidence(provenance) is not first
 
-
-class TestKernelIndexUnification:
-    def test_kernel_index_reuses_shared_incidence(self):
-        from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
-        from repro.core.kernel.index import MonomialIncidenceIndex
-
-        provenance = ProvenanceSet()
-        provenance[("g",)] = Polynomial(
-            {Monomial.of("a", "b"): 1.0, Monomial.of("b"): 2.0}
-        )
-        tree = AbstractionTree("R", {"R": ["a", "b"]})
-        index = MonomialIncidenceIndex(provenance, AbstractionForest([tree]))
-        shared = provenance_incidence(provenance)
-        assert list(index.variable_rows["b"]) == list(shared.rows_for("b"))
-        assert list(index.rows_under("R")) == [0, 1]

@@ -16,7 +16,6 @@ from repro.core.brute_force import optimize_brute_force
 from repro.core.compression import METHODS, Compressor
 from repro.core.greedy import optimize_greedy
 from repro.core.kernel.greedy import IncrementalGreedyKernel
-from repro.core.kernel.index import MonomialIncidenceIndex
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.workloads.random_polynomials import (
@@ -169,21 +168,6 @@ class TestKernelPreconditions:
         provenance, tree = self._colliding_instance()
         with pytest.raises(AbstractionError, match="G2"):
             IncrementalGreedyKernel(provenance, tree)
-
-
-class TestIncidenceIndex:
-    def test_csr_rows_aggregate_bottom_up(self, simple_provenance, simple_tree):
-        index = MonomialIncidenceIndex(
-            simple_provenance, AbstractionForest([simple_tree])
-        )
-        assert index.num_rows() == simple_provenance.size()
-        # a1 occurs in two monomials (one per group); the "A" subtree adds a2.
-        assert index.occurrences("a1") == 2
-        assert index.occurrences("A") == 3
-        # The root touches every monomial containing any tree leaf (the pure
-        # e1 monomial of g2 has no tree variable).
-        assert index.occurrences("R") == simple_provenance.size() - 1
-        assert set(index.rows_under("A")) >= set(index.rows_under("a1"))
 
 
 class TestCompressor:

@@ -398,3 +398,33 @@ class TestCompressSpan:
             ("greedy", "greedy", "miss"),
             ("exact", "exhaustive-forest", "miss"),
         ]
+
+
+class TestGreedyKernelSpans:
+    def _compress(self):
+        from repro.core.compression import Compressor
+        from repro.workloads.random_polynomials import random_single_tree_instance
+
+        provenance, tree = random_single_tree_instance(seed=2)
+        Compressor().compress(
+            provenance, tree, 1, method="greedy", allow_infeasible=True
+        )
+        return len(tree.inner_nodes())
+
+    def test_trajectory_and_coarsen_spans_record_their_sizes(self, traced):
+        candidates = self._compress()
+        spans = {
+            span.name: span.attributes
+            for root in traced.drain()
+            for span in root.walk()
+        }
+        assert spans["compress.trajectory"]["candidates"] == candidates
+        assert spans["compress.trajectory"]["pairs"] > 0
+        assert spans["kernel.coarsen"]["steps"] > 0
+        assert spans["kernel.coarsen"]["affected_rows"] > 0
+
+    def test_disabled_tracing_records_no_span(self, traced):
+        disable_tracing()
+        self._compress()
+        assert traced.drain() == []
+        assert get_registry().snapshot()["counters"]["kernel.steps"] > 0

@@ -6,7 +6,9 @@ O(touched) pass into an O(everything) one.  The designated kernels are the
 matrix/delta evaluators and their per-group algebra hooks in
 ``provenance/backends/numeric.py`` (one compiled-set implementation for
 every numeric semiring), the
-incremental-greedy coarsening step in ``core/kernel/greedy.py`` and the
+incremental-greedy coarsening step in ``core/kernel/greedy.py`` (``apply``
+and the per-step array functions it calls: pair expansion, renaming,
+signature keys, row merging/appending and the counter updates) and the
 loop driving it in ``core/kernel/trajectory.py``, and the shared-delta
 factoring loop in ``batch/factored.py``.
 
@@ -53,8 +55,13 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("provenance/backends/numeric.py", "_accumulate"),
     ("provenance/backends/numeric.py", "_fold_rows"),
     ("core/kernel/greedy.py", "apply"),
-    ("core/kernel/greedy.py", "_remove_row"),
-    ("core/kernel/greedy.py", "_add_row"),
+    ("core/kernel/greedy.py", "_pairs"),
+    ("core/kernel/greedy.py", "_renamed"),
+    ("core/kernel/greedy.py", "_signature_keys"),
+    ("core/kernel/greedy.py", "_drop_counters"),
+    ("core/kernel/greedy.py", "_merge_rows"),
+    ("core/kernel/greedy.py", "_append"),
+    ("core/kernel/greedy.py", "_update_counters"),
     ("core/kernel/trajectory.py", "extend_to"),
     ("batch/factored.py", "factor_batch"),
     ("batch/factored.py", "prefix_statistics"),
