@@ -49,7 +49,6 @@ def _best_of(func: Callable[[], object], repeats: int) -> float:
 def run_benchmark(
     num_scenarios: int,
     config: TelephonyConfig,
-    workers: Optional[int],
     repeats: int,
     min_speedup: float,
     json_path: Optional[str] = None,
@@ -77,7 +76,7 @@ def run_benchmark(
             valuation = scenario.apply(base, variables)
             compiled.evaluate_vector(valuation)
 
-    evaluator = BatchEvaluator(max_workers=workers)
+    evaluator = BatchEvaluator()
     evaluator.compile(provenance)  # steady-state: the service compiles once
 
     def batch() -> None:
@@ -147,10 +146,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--zips", type=int, default=None)
     parser.add_argument("--customers", type=int, default=None)
     parser.add_argument("--months", type=int, default=12)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="thread-pool size for the batch evaluator (default: serial)",
-    )
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument(
         "--min-speedup", type=float, default=None,
@@ -180,7 +175,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return run_benchmark(
         num_scenarios=num_scenarios,
         config=config,
-        workers=args.workers,
         repeats=repeats,
         min_speedup=min_speedup,
         json_path=args.json,

@@ -11,7 +11,7 @@ many analysts at once runs per request batch.
 Run with::
 
     python examples/batch_scenarios.py
-    python examples/batch_scenarios.py --scenarios 500 --workers 4
+    python examples/batch_scenarios.py --scenarios 500
 """
 
 import argparse
@@ -30,7 +30,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenarios", type=int, default=200)
     parser.add_argument("--zips", type=int, default=200)
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     config = TelephonyConfig(num_customers=20_000, num_zips=args.zips)
@@ -47,7 +46,7 @@ def main() -> None:
     print(f"Compressed: {session.compressed_provenance.size():,} monomials\n")
 
     scenarios = telephony_scenario_sweep(args.scenarios, months=config.months)
-    evaluator = BatchEvaluator(max_workers=args.workers)
+    evaluator = BatchEvaluator()
 
     start = time.perf_counter()
     report = session.evaluate_many(scenarios, evaluator=evaluator)

@@ -69,8 +69,7 @@ def main() -> None:
     print()
     print("knobs for heavy traffic:")
     print("  evaluate_many(..., processes=4)      # shard rows across workers")
-    print("  BatchEvaluator(max_bytes=256 << 20)  # bound dense chunk memory")
-    print("  COBRA_BATCH_MAX_BYTES=268435456      # same budget via the environment")
+    print("  BatchEvaluator(chunk_size=64)        # rows per dense chunk")
 
 
 if __name__ == "__main__":

@@ -12,13 +12,15 @@ built for heavy multi-scenario traffic:
 * :mod:`repro.batch.evaluator` — :class:`BatchEvaluator` compiles provenance
   sets once (LRU-cached by content fingerprint) and evaluates whole sweeps
   with chunked matrix kernels or baseline-once sparse delta kernels
-  (``mode="auto"`` picks per batch), optionally sharded across one
-  persistent worker pool that maps each compiled set from a store file
+  (``mode="auto"`` picks per batch).  Sharding has one path, ``processes``:
+  one persistent worker pool that maps each compiled set from a store file
   (in-memory sets are spilled once to a temporary store);
 * :mod:`repro.batch.factored` — shared-delta factoring for structured
   sweeps: the scenarios' common operation prefix is evaluated once against
   the base row and only small per-scenario residual deltas hit the kernels
-  (``mode="auto"`` upgrades qualifying sparse batches to it);
+  (``mode="auto"`` upgrades qualifying sparse batches to it).  The residual
+  plan is lowered by the same loop as the sparse plan, and both go through
+  the same delta pipeline;
 * :mod:`repro.batch.report` — :class:`BatchReport` aggregates per-scenario /
   per-group deltas against the baseline and the abstraction-induced error of
   the compressed provenance across the sweep.

@@ -7,8 +7,8 @@ scenario lists through :class:`~repro.batch.planner.ScenarioBatch`, and
 evaluates the whole sweep with one of three vectorised pipelines:
 
 * **dense** — one ``scenarios × variables`` matrix through the segmented
-  matrix kernels, chunked to a memory budget and optionally fanned out over
-  a thread pool (the kernels release the GIL);
+  matrix kernels, in row chunks of ``chunk_size`` (default: a fixed cap on
+  the float cells one chunk materialises);
 * **sparse** — the baseline valuation is evaluated **once**, then each
   scenario is applied as a ``(changed_columns, new_values)`` delta
   (:meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_deltas`):
@@ -19,7 +19,8 @@ evaluates the whole sweep with one of three vectorised pipelines:
   (grids, samples and composed plans from :mod:`repro.engine.plan`): the
   prefix is applied **once** to produce a factored baseline
   (:mod:`repro.batch.factored`), then only each scenario's small residual
-  delta runs through the sparse kernel.
+  delta runs through the sparse kernel.  Sparse and factored share one
+  delta pipeline; they differ only in the plan it lowers.
 
 ``mode="auto"`` picks between them by the batch's touched-variable fraction
 and prefix-sharing statistics; ``processes=N`` shards scenario rows of any
@@ -53,10 +54,19 @@ import time
 import weakref
 from collections import OrderedDict
 from contextlib import suppress
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 try:
     from concurrent.futures.process import BrokenProcessPool
@@ -86,7 +96,7 @@ from repro.resilience import (
     policy_from_env,
     record_degradation,
 )
-from repro.batch.factored import factor_batch, prefix_statistics
+from repro.batch.factored import Factoring, factor_batch, prefix_statistics
 from repro.batch.planner import DeltaPlan, ScenarioBatch
 from repro.batch.report import BatchReport
 
@@ -100,14 +110,10 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: materialisation for huge grids.
 PLAN_CHUNK_SCENARIOS = 8192
 
-#: Target number of float64 cells materialised per evaluation chunk when no
-#: explicit memory budget is configured; keeps the per-chunk gather/product
+#: Target number of float64 cells materialised per dense evaluation chunk
+#: when no ``chunk_size`` is configured; keeps the per-chunk gather/product
 #: temporaries comfortably inside cache/RAM.
 _TARGET_CELLS_PER_CHUNK = 4_000_000
-
-#: Environment variable naming the default per-chunk memory budget (bytes)
-#: of the dense matrix pipeline.
-MAX_BYTES_ENV = "COBRA_BATCH_MAX_BYTES"
 
 #: ``mode="auto"`` takes the sparse path when the mean fraction of the
 #: variable universe the scenarios touch is at most this.  Real what-if
@@ -307,29 +313,34 @@ def _harvest_round(pool, task, indices, pieces, results, policy, obs):
     return failed
 
 
-def _resolve_max_bytes(max_bytes: Optional[int]) -> Optional[int]:
-    """The effective dense-chunk memory budget, or ``None`` for the default.
+def _meta_lowering(
+    abstraction: Abstraction,
+    batch: ScenarioBatch,
+    meta_variables: Sequence[str],
+) -> List[Tuple[str, Any]]:
+    """How each meta column derives from the batch universe's columns.
 
-    An explicit argument wins; otherwise the ``COBRA_BATCH_MAX_BYTES``
-    environment variable is consulted, and a malformed or non-positive value
-    there raises a :class:`ValueError` naming the variable and the value —
-    not a bare ``int()`` traceback deep inside evaluation.
+    Per meta column: ``("mean", member columns)`` for a meta-variable with
+    members in the universe, ``("pass", column)`` for an original the
+    abstraction leaves untouched, ``("fill", None)`` otherwise.  The one
+    table behind :func:`lower_meta_matrix` and :func:`lower_meta_deltas`.
     """
-    if max_bytes is not None:
-        return int(max_bytes)
-    env = os.environ.get(MAX_BYTES_ENV)
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{MAX_BYTES_ENV} must be an integer number of bytes, "
-            f"got {env!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{MAX_BYTES_ENV} must be >= 1, got {env!r}")
-    return value
+    grouped = abstraction.grouped_variables()
+    mapped = set(abstraction.mapping)
+    universe = set(batch.variables)
+    lowering: List[Tuple[str, Any]] = []
+    for variable in meta_variables:
+        members = grouped.get(variable)
+        if members is not None:
+            present = [m for m in members if m in universe]
+            if present:
+                lowering.append(("mean", batch.columns_for(present)))
+                continue
+        elif variable in universe and variable not in mapped:
+            lowering.append(("pass", int(batch.columns_for([variable])[0])))
+            continue
+        lowering.append(("fill", None))
+    return lowering
 
 
 def lower_meta_matrix(
@@ -351,20 +362,16 @@ def lower_meta_matrix(
     backend: it is the paper's default for real and tropical values, and for
     0/1 Boolean columns it is non-zero exactly when the disjunction is.
     """
-    grouped = abstraction.grouped_variables()
-    mapped = set(abstraction.mapping)
-    universe = set(batch.variables)
     result = np.full(
         (matrix.shape[0], len(meta_variables)), fill, dtype=np.float64
     )
-    for j, variable in enumerate(meta_variables):
-        members = grouped.get(variable)
-        if members is not None:
-            present = [m for m in members if m in universe]
-            if present:
-                result[:, j] = matrix[:, batch.columns_for(present)].mean(axis=1)
-        elif variable in universe and variable not in mapped:
-            result[:, j] = matrix[:, batch.columns_for([variable])[0]]
+    for j, (kind, source) in enumerate(
+        _meta_lowering(abstraction, batch, meta_variables)
+    ):
+        if kind == "mean":
+            result[:, j] = matrix[:, source].mean(axis=1)
+        elif kind == "pass":
+            result[:, j] = matrix[:, source]
     return result
 
 
@@ -384,33 +391,17 @@ def lower_meta_deltas(
     re-averaged.  Cell for cell this computes the exact numbers
     :func:`lower_meta_matrix` would.
     """
-    grouped = abstraction.grouped_variables()
-    mapped = set(abstraction.mapping)
-    universe = set(batch.variables)
+    lowering = _meta_lowering(abstraction, batch, meta_variables)
     base_row = np.full(len(meta_variables), fill, dtype=np.float64)
-    # Per meta column: ("mean", member column array) | ("pass", column) |
-    # ("fill", None) — mirroring the dense lowering's three cases.
-    lowering = []
     column_to_metas: Dict[int, list] = {}
-    for j, variable in enumerate(meta_variables):
-        members = grouped.get(variable)
-        if members is not None:
-            present = [m for m in members if m in universe]
-            if present:
-                columns = batch.columns_for(present)
-                base_row[j] = plan.base_row[columns].mean()
-                lowering.append(("mean", columns))
-                for column in columns:
-                    column_to_metas.setdefault(int(column), []).append(j)
-            else:
-                lowering.append(("fill", None))
-        elif variable in universe and variable not in mapped:
-            column = int(batch.columns_for([variable])[0])
-            base_row[j] = plan.base_row[column]
-            lowering.append(("pass", column))
-            column_to_metas.setdefault(column, []).append(j)
-        else:
-            lowering.append(("fill", None))
+    for j, (kind, source) in enumerate(lowering):
+        if kind == "mean":
+            base_row[j] = plan.base_row[source].mean()
+            for column in source:
+                column_to_metas.setdefault(int(column), []).append(j)
+        elif kind == "pass":
+            base_row[j] = plan.base_row[source]
+            column_to_metas.setdefault(source, []).append(j)
 
     empty_columns = np.zeros(0, dtype=np.intp)
     empty_values = np.zeros(0, dtype=np.float64)
@@ -446,6 +437,28 @@ def lower_meta_deltas(
     return base_row, tuple(changes)
 
 
+def _factor(batch: ScenarioBatch, base: Valuation, fill: float) -> Factoring:
+    """The factored path's lowering step, with its counters and span data.
+
+    Records ``batch.factored.prefix_cells``/``residual_cells`` and stamps
+    the factoring statistics on the enclosing ``batch.evaluate`` span.
+    """
+    factoring = factor_batch(batch, base, fill=fill)
+    registry = get_registry()
+    registry.inc("batch.factored.prefix_cells", factoring.prefix_cells)
+    registry.inc("batch.factored.residual_cells", factoring.residual_cells)
+    if tracing_enabled():
+        current_span().update(
+            {
+                "prefix_length": factoring.prefix_length,
+                "prefix_cells": factoring.prefix_cells,
+                "residual_cells": factoring.residual_cells,
+                "shared_fraction": factoring.shared_fraction,
+            }
+        )
+    return factoring
+
+
 class BatchEvaluator:
     """Evaluates many scenarios against (possibly many) provenance sets.
 
@@ -456,17 +469,10 @@ class BatchEvaluator:
         is the expensive step (one pass over every monomial), so a service
         answering what-if traffic over a handful of live provenance sets pays
         it once per set, not once per request.
-    max_workers:
-        When set (> 1), dense mega-batches are split into chunks evaluated on
-        a thread pool; the numpy kernels release the GIL for the bulk of the
-        work.  ``None`` evaluates chunks serially on the calling thread.
     chunk_size:
-        Rows per evaluation chunk; overrides the memory-derived default.
-    max_bytes:
-        Peak bytes of dense-kernel temporaries a chunk may materialise.
-        Defaults to the ``COBRA_BATCH_MAX_BYTES`` environment variable when
-        set, otherwise a ~32 MB cells heuristic.  A single row is always
-        evaluable, so the effective floor is one row's footprint.
+        Rows per dense evaluation chunk.  ``None`` sizes chunks so one
+        chunk's kernel temporaries stay under ``_TARGET_CELLS_PER_CHUNK``
+        float64 cells (~32 MB), floored at one row.
     processes:
         Default process-pool width for :meth:`evaluate`'s sharding path
         (overridable per call).  ``None`` evaluates in-process.
@@ -480,27 +486,18 @@ class BatchEvaluator:
     def __init__(
         self,
         cache_size: int = 8,
-        max_workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         compressor: Optional[Compressor] = None,
-        max_bytes: Optional[int] = None,
         processes: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1 (or None)")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 (or None)")
         if processes is not None and processes < 1:
             raise ValueError("processes must be >= 1 (or None)")
-        max_bytes = _resolve_max_bytes(max_bytes)
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None)")
-        self._max_workers = max_workers
         self._chunk_size = chunk_size
-        self._max_bytes = max_bytes
         self._processes = processes
         self._retry = retry_policy if retry_policy is not None else policy_from_env()
         self._compiled = FingerprintCache(cache_size, metrics="batch.compile_cache")
@@ -755,20 +752,17 @@ class BatchEvaluator:
     # -- matrix evaluation ----------------------------------------------------
 
     def _resolve_chunk_size(self, compiled, rows: int) -> int:
-        """Rows per dense chunk, respecting the explicit memory budget.
+        """Rows per dense chunk: ``chunk_size``, or else the cell cap.
 
-        With ``max_bytes`` set, the chunk is sized so the dense kernels'
+        Without ``chunk_size`` the chunk is sized so the dense kernels'
         per-row float64 temporaries (``compiled.dense_row_footprint()``
-        cells) never exceed the budget — floored at one row, since a single
-        row is the smallest evaluable unit.
+        cells) stay under ``_TARGET_CELLS_PER_CHUNK`` — floored at one row,
+        since a single row is the smallest evaluable unit.
         """
         if self._chunk_size is not None:
             return self._chunk_size
         footprint = getattr(compiled, "dense_row_footprint", None)
         per_row_cells = footprint() if callable(footprint) else max(1, compiled.size())
-        if self._max_bytes is not None:
-            per_row_bytes = 8 * per_row_cells
-            return max(1, min(rows, self._max_bytes // max(1, per_row_bytes)))
         return max(1, min(rows, _TARGET_CELLS_PER_CHUNK // per_row_cells))
 
     def evaluate_matrix(
@@ -777,7 +771,7 @@ class BatchEvaluator:
         matrix: np.ndarray,
         processes: Optional[int] = None,
     ) -> np.ndarray:
-        """Chunked (threaded or process-sharded) ``scenarios × groups`` evaluation."""
+        """Chunked, optionally process-sharded, ``scenarios × groups`` evaluation."""
         matrix = np.asarray(matrix, dtype=np.float64)
         rows = matrix.shape[0]
         chunk = self._resolve_chunk_size(compiled, rows)
@@ -793,13 +787,6 @@ class BatchEvaluator:
                 results = self._shard_map(
                     processes, compiled, None, "dense", pieces
                 )
-            elif (
-                self._max_workers is not None
-                and self._max_workers > 1
-                and len(pieces) > 1
-            ):
-                with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-                    results = list(pool.map(compiled.evaluate_matrix, pieces))
             else:
                 results = [compiled.evaluate_matrix(piece) for piece in pieces]
             return np.concatenate(results, axis=0)
@@ -987,20 +974,22 @@ class BatchEvaluator:
         if compressed is not None and abstraction is not None:
             compiled_compressed = self.compile(compressed, backend)
 
-        if chosen == "factored":
-            baseline, full_results, meta_rows = self._evaluate_factored(
-                compiled_full, compiled_compressed, abstraction, batch, base,
-                fill, processes,
-            )
-        elif chosen == "sparse":
-            baseline, full_results, meta_rows = self._evaluate_sparse(
+        if chosen == "dense":
+            baseline, full_results, meta_rows = self._evaluate_dense(
                 compiled_full, compiled_compressed, abstraction, batch, base,
                 fill, processes,
             )
         else:
-            baseline, full_results, meta_rows = self._evaluate_dense(
-                compiled_full, compiled_compressed, abstraction, batch, base,
-                fill, processes,
+            unfactored_row = None
+            if chosen == "factored":
+                factoring = _factor(batch, base, fill)
+                plan = factoring.residual_plan
+                unfactored_row = factoring.base_row
+            else:
+                plan = batch.delta_plan(base, fill=fill)
+            baseline, full_results, meta_rows = self._evaluate_deltas(
+                compiled_full, compiled_compressed, abstraction, batch, plan,
+                fill, processes, unfactored_row,
             )
 
         with trace("batch.reduce", keys=len(compiled_full.keys)):
@@ -1025,7 +1014,7 @@ class BatchEvaluator:
                 mode=chosen,
             )
 
-    # -- the two numeric pipelines --------------------------------------------
+    # -- the numeric pipelines ------------------------------------------------
 
     def _evaluate_dense(
         self, compiled_full, compiled_compressed, abstraction, batch, base,
@@ -1070,14 +1059,24 @@ class BatchEvaluator:
             )
         return baseline, full_results, meta_rows
 
-    def _evaluate_sparse(
-        self, compiled_full, compiled_compressed, abstraction, batch, base,
-        fill, processes,
+    def _evaluate_deltas(
+        self, compiled_full, compiled_compressed, abstraction, batch, plan,
+        fill, processes, unfactored_row=None,
     ):
-        plan = batch.delta_plan(base, fill=fill)
+        """The sparse and factored pipelines: ``plan``'s deltas, evaluated.
+
+        ``plan`` is the sparse plan or a factored residual plan.  The
+        report's baseline is the valuation with no scenario applied: the
+        plan's own base row, or ``unfactored_row`` when the plan's base row
+        is a factored one.  A residual plan's rows equal the sparse plan's
+        rows bit-for-bit (see :mod:`repro.batch.factored`), so per-scenario
+        results agree cell for cell.
+        """
         full_columns = batch.columns_for(compiled_full.variables)
         base_vector, plans = plan.project(full_columns)
-        baseline = compiled_full.baseline_totals(base_vector)
+        baseline = compiled_full.baseline_totals(
+            base_vector if unfactored_row is None else unfactored_row[full_columns]
+        )
         full_results = self.evaluate_deltas(
             compiled_full, base_vector, plans, processes
         )
@@ -1086,54 +1085,6 @@ class BatchEvaluator:
         if compiled_compressed is not None:
             meta_base, meta_plans = lower_meta_deltas(
                 abstraction, batch, plan, compiled_compressed.variables, fill=fill
-            )
-            meta_rows = self.evaluate_deltas(
-                compiled_compressed, meta_base, meta_plans, processes
-            )
-        return baseline, full_results, meta_rows
-
-    def _evaluate_factored(
-        self, compiled_full, compiled_compressed, abstraction, batch, base,
-        fill, processes,
-    ):
-        """The factored pipeline: shared prefix once, residual deltas after.
-
-        The report's baseline stays the *unfactored* baseline (the valuation
-        with no scenario applied); only the delta evaluation runs against the
-        factored row.  The residual plan's rows equal the unfactored plan's
-        rows bit-for-bit (see :mod:`repro.batch.factored`), so per-scenario
-        results match the sparse path cell for cell.
-        """
-        factoring = factor_batch(batch, base, fill=fill)
-        full_columns = batch.columns_for(compiled_full.variables)
-        base_vector = np.array(
-            [float(base.get(name, fill)) for name in compiled_full.variables],
-            dtype=np.float64,
-        )
-        baseline = compiled_full.baseline_totals(base_vector)
-        factored_vector, plans = factoring.residual_plan.project(full_columns)
-        full_results = self.evaluate_deltas(
-            compiled_full, factored_vector, plans, processes
-        )
-
-        registry = get_registry()
-        registry.inc("batch.factored.prefix_cells", factoring.prefix_cells)
-        registry.inc("batch.factored.residual_cells", factoring.residual_cells)
-        if tracing_enabled():
-            current_span().update(
-                {
-                    "prefix_length": factoring.prefix_length,
-                    "prefix_cells": factoring.prefix_cells,
-                    "residual_cells": factoring.residual_cells,
-                    "shared_fraction": factoring.shared_fraction,
-                }
-            )
-
-        meta_rows = None
-        if compiled_compressed is not None:
-            meta_base, meta_plans = lower_meta_deltas(
-                abstraction, batch, factoring.residual_plan,
-                compiled_compressed.variables, fill=fill,
             )
             meta_rows = self.evaluate_deltas(
                 compiled_compressed, meta_base, meta_plans, processes

@@ -22,24 +22,22 @@ valuation rows are bit-identical to the unfactored ones; the delta kernels
 then see the same rows they would have seen, just against a different
 baseline.
 
-The hot loop lives in :func:`factor_batch` and is covered by cobralint's
-CL003 hot-path-allocation rule — keep per-scenario allocations out of it.
+The residual loop is :meth:`~repro.batch.planner.ScenarioBatch.lower_residuals`,
+shared with the unfactored sparse lowering; it and :func:`factor_batch` are
+covered by cobralint's CL003 hot-path-allocation rule — keep per-scenario
+allocations out of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.batch.planner import DeltaPlan, ScenarioBatch
 from repro.engine.scenario import Scenario
 from repro.obs.tracer import trace
-from repro.provenance.valuation import Valuation
-
-_EMPTY_COLUMNS = np.zeros(0, dtype=np.intp)
-_EMPTY_VALUES = np.zeros(0, dtype=np.float64)
 
 
 def common_prefix_length(scenarios: Sequence[Scenario]) -> int:
@@ -75,6 +73,8 @@ class Factoring:
     ----------
     prefix_length:
         Number of leading operations shared by every scenario.
+    base_row:
+        The unfactored base row (no operation applied), over the universe.
     factored_row:
         The base row with the shared prefix applied once.
     residual_plan:
@@ -87,6 +87,7 @@ class Factoring:
     """
 
     prefix_length: int
+    base_row: np.ndarray
     factored_row: np.ndarray
     residual_plan: DeltaPlan
     prefix_cells: int
@@ -110,6 +111,20 @@ class Factoring:
         return self.prefix_cells / denominator
 
 
+def _prefix_cells(batch: ScenarioBatch, prefix_length: int) -> int:
+    """Distinct universe cells the shared operation prefix touches."""
+    if prefix_length == 0 or not len(batch):
+        return 0
+    selected = [
+        columns
+        for _kind, columns, _amount in batch.resolved_operations[0][:prefix_length]
+        if columns.size
+    ]
+    if not selected:
+        return 0
+    return int(np.unique(np.concatenate(selected)).size)
+
+
 def prefix_statistics(
     batch: ScenarioBatch, prefix_length: Optional[int] = None
 ) -> Tuple[int, int, float]:
@@ -117,27 +132,19 @@ def prefix_statistics(
     prefix_cells, shared_fraction_estimate)``.
 
     The estimate compares the cells the prefix touches against the mean
-    cells each scenario touches in total; the batch-mode heuristic uses it
-    to decide whether factoring is worth the extra full-row evaluation.
+    cells each scenario touches in total (the batch's cached
+    :meth:`~repro.batch.planner.ScenarioBatch.touched_counts`); the
+    batch-mode heuristic uses it to decide whether factoring is worth the
+    extra full-row evaluation.
     """
     if prefix_length is None:
         prefix_length = common_prefix_length(batch.scenarios)
     if prefix_length == 0 or not len(batch):
         return 0, 0, 0.0
-    resolved = batch.resolved_operations
-    prefix_ops = resolved[0][:prefix_length]
-    prefix_selected = [columns for _kind, columns, _amount in prefix_ops
-                       if columns.size]
-    if not prefix_selected:
+    prefix_cells = _prefix_cells(batch, prefix_length)
+    if prefix_cells == 0:
         return prefix_length, 0, 0.0
-    prefix_cells = int(np.unique(np.concatenate(prefix_selected)).size)
-    total = 0
-    for operations in resolved:
-        selected = [columns for _kind, columns, _amount in operations
-                    if columns.size]
-        if selected:
-            total += int(np.unique(np.concatenate(selected)).size)
-    mean_touched = total / len(batch)
+    mean_touched = int(batch.touched_counts().sum()) / len(batch)
     if mean_touched == 0:
         return prefix_length, prefix_cells, 0.0
     return prefix_length, prefix_cells, min(1.0, prefix_cells / mean_touched)
@@ -152,88 +159,39 @@ def factor_batch(
     """Lower ``batch`` into a factored baseline plus residual deltas.
 
     Mirrors :meth:`ScenarioBatch.delta_plan` (same ``base``/``fill``
-    contract, same value arithmetic) but applies the shared operation prefix
-    exactly once.  The returned residual plan's rows, applied on top of the
-    factored row, reproduce the unfactored valuation rows bit-for-bit.
+    contract, and the same residual loop,
+    :meth:`~repro.batch.planner.ScenarioBatch.lower_residuals`) but applies
+    the shared operation prefix exactly once.  The returned residual plan's
+    rows, applied on top of the factored row, reproduce the unfactored
+    valuation rows bit-for-bit.
     """
     if prefix_length is None:
         prefix_length = common_prefix_length(batch.scenarios)
-    variables = batch.variables
-    if base is None:
-        base = Valuation.uniform(variables, fill)
     with trace(
         "batch.factor",
         scenarios=len(batch),
-        variables=len(variables),
+        variables=len(batch.variables),
         prefix_length=prefix_length,
     ) as span:
-        base_row = np.array(
-            [float(base.get(name, fill)) for name in variables],
-            dtype=np.float64,
-        )
-        resolved = batch.resolved_operations
+        base_row = batch.base_row(base, fill)
         factored_row = base_row.copy()
-        prefix_selected: List[np.ndarray] = []
         if len(batch):
-            for kind, columns, amount in resolved[0][:prefix_length]:
+            for kind, columns, amount in batch.resolved_operations[0][:prefix_length]:
                 if columns.size == 0:
                     continue
-                prefix_selected.append(columns)
                 if kind == "scale":
                     factored_row[columns] *= amount
                 else:
                     factored_row[columns] = amount
-        prefix_cells = (
-            int(np.unique(np.concatenate(prefix_selected)).size)
-            if prefix_selected
-            else 0
-        )
-
-        changes: List[Tuple[np.ndarray, np.ndarray]] = []
-        residual_cells = 0
-        for operations in resolved:
-            live = [
-                (kind, columns, amount)
-                for kind, columns, amount in operations[prefix_length:]
-                if columns.size
-            ]
-            if not live:
-                changes.append((_EMPTY_COLUMNS, _EMPTY_VALUES))
-                continue
-            if len(live) == 1:
-                kind, touched, amount = live[0]
-                if kind == "scale":
-                    values = factored_row[touched] * amount
-                else:
-                    values = np.full(touched.size, amount, dtype=np.float64)
-            else:
-                touched = np.unique(
-                    np.concatenate(
-                        [columns for _kind, columns, _amount in live]
-                    )
-                )
-                # Fancy indexing yields a fresh array — no .copy() needed in
-                # this per-scenario loop.
-                values = factored_row[touched]
-                for kind, columns, amount in live:
-                    local = np.searchsorted(touched, columns)
-                    if kind == "scale":
-                        values[local] *= amount
-                    else:
-                        values[local] = amount
-            moved = values != factored_row[touched]
-            changed = touched[moved]
-            changes.append((changed, values[moved]))
-            residual_cells += int(changed.size)
-
+        prefix_cells = _prefix_cells(batch, prefix_length)
+        changes, residual_cells = batch.lower_residuals(factored_row, prefix_length)
         span.set("prefix_cells", prefix_cells)
         span.set("residual_cells", residual_cells)
         return Factoring(
             prefix_length=prefix_length,
+            base_row=base_row,
             factored_row=factored_row,
-            residual_plan=DeltaPlan(
-                base_row=factored_row, changes=tuple(changes)
-            ),
+            residual_plan=DeltaPlan(base_row=factored_row, changes=changes),
             prefix_cells=prefix_cells,
             residual_cells=residual_cells,
         )

@@ -93,7 +93,7 @@ class ScenarioBatch:
         valuation's).  Sorted into a canonical column order.
     """
 
-    __slots__ = ("_scenarios", "_variables", "_index", "_resolved")
+    __slots__ = ("_scenarios", "_variables", "_index", "_resolved", "_touched")
 
     def __init__(
         self, scenarios: Sequence[Scenario], variables: Iterable[str]
@@ -116,6 +116,7 @@ class ScenarioBatch:
             )
             for scenario in self._scenarios
         )
+        self._touched: Optional[np.ndarray] = None
 
     # -- inspection ---------------------------------------------------------
 
@@ -172,22 +173,61 @@ class ScenarioBatch:
             columns.size == 0 for _kind, columns, _amount in self._resolved[row]
         )
 
+    def touched_counts(self) -> np.ndarray:
+        """Per scenario, the number of distinct universe columns it selects.
+
+        Computed once per batch, lazily, in one vectorised pass: every
+        selected cell is keyed ``row * |universe| + column`` and the distinct
+        keys are counted per row.  The sparse/dense heuristic
+        (:meth:`touched_fraction`) and the factoring statistics
+        (:func:`repro.batch.factored.prefix_statistics`) both read it.
+        """
+        if self._touched is None:
+            rows: List[int] = []
+            parts: List[np.ndarray] = []
+            for row, operations in enumerate(self._resolved):
+                for _kind, columns, _amount in operations:
+                    if columns.size:
+                        rows.append(row)
+                        parts.append(columns)
+            counts = np.zeros(len(self._scenarios), dtype=np.int64)
+            if parts:
+                sizes = np.array([part.size for part in parts], dtype=np.int64)
+                keys = np.repeat(np.array(rows, dtype=np.int64), sizes) * len(
+                    self._variables
+                ) + np.concatenate(parts)
+                distinct = np.unique(keys) // len(self._variables)
+                counts = np.bincount(distinct, minlength=len(self._scenarios))
+            self._touched = counts
+        return self._touched
+
     def touched_fraction(self) -> float:
         """Mean fraction of the universe the scenarios touch (the sparse/dense
         heuristic): per scenario, distinct selected columns over universe
         size, averaged over the batch."""
         if not self._scenarios or not self._variables:
             return 0.0
-        total = 0
-        for operations in self._resolved:
-            selected = [columns for _kind, columns, _amount in operations
-                        if columns.size]
-            if not selected:
-                continue
-            total += np.unique(np.concatenate(selected)).size
+        total = int(self.touched_counts().sum())
         return total / (len(self._scenarios) * len(self._variables))
 
     # -- lowering -----------------------------------------------------------
+
+    def base_row(
+        self, base: Optional[Mapping[str, float]] = None, fill: float = 1.0
+    ) -> np.ndarray:
+        """The base valuation as a row over the universe.
+
+        Variables missing from ``base`` default to ``fill`` — 1.0 (the
+        identity valuation) on the float pipeline, the backend's identity
+        fill for other numeric semirings (e.g. 0.0 added cost in the
+        tropical backend).
+        """
+        if base is None:
+            base = Valuation.uniform(self._variables, fill)
+        return np.array(
+            [float(base.get(name, fill)) for name in self._variables],
+            dtype=np.float64,
+        )
 
     def valuation_matrix(
         self, base: Optional[Mapping[str, float]] = None, fill: float = 1.0
@@ -196,9 +236,7 @@ class ScenarioBatch:
 
         Row *s* equals ``scenarios[s].apply(base, variables)`` restricted to
         the universe, with variables missing from ``base`` defaulting to
-        ``fill`` — 1.0 (the identity valuation) on the float pipeline, the
-        backend's identity fill for other numeric semirings (e.g. 0.0 added
-        cost in the tropical backend).
+        ``fill`` (see :meth:`base_row`).
         """
         with trace(
             "batch.lower",
@@ -206,13 +244,7 @@ class ScenarioBatch:
             scenarios=len(self._scenarios),
             variables=len(self._variables),
         ):
-            if base is None:
-                base = Valuation.uniform(self._variables, fill)
-            base_row = np.array(
-                [float(base.get(name, fill)) for name in self._variables],
-                dtype=np.float64,
-            )
-            matrix = np.tile(base_row, (len(self._scenarios), 1))
+            matrix = np.tile(self.base_row(base, fill), (len(self._scenarios), 1))
             for row, operations in enumerate(self._resolved):
                 for kind, columns, amount in operations:
                     if columns.size == 0:
@@ -240,22 +272,29 @@ class ScenarioBatch:
             scenarios=len(self._scenarios),
             variables=len(self._variables),
         ):
-            return self._delta_plan(base, fill)
+            base_row = self.base_row(base, fill)
+            changes, _cells = self.lower_residuals(base_row, 0)
+            return DeltaPlan(base_row=base_row, changes=changes)
 
-    def _delta_plan(
-        self, base: Optional[Mapping[str, float]], fill: float
-    ) -> DeltaPlan:
-        if base is None:
-            base = Valuation.uniform(self._variables, fill)
-        base_row = np.array(
-            [float(base.get(name, fill)) for name in self._variables],
-            dtype=np.float64,
-        )
+    def lower_residuals(
+        self, row: np.ndarray, start: int
+    ) -> Tuple[Tuple[Tuple[np.ndarray, np.ndarray], ...], int]:
+        """Each scenario's operations from position ``start`` on, against ``row``.
+
+        The one sparse lowering loop: :meth:`delta_plan` runs it from 0
+        against the base row, :func:`repro.batch.factored.factor_batch` from
+        the shared prefix's length against the factored row.  Returns the
+        per-scenario ``(changed_columns, new_values)`` pairs — cells that end
+        up back at their ``row`` value are filtered out — and the total
+        number of changed cells.  Covered by cobralint's CL003 rule: keep
+        per-scenario allocations out of it.
+        """
         changes: List[Tuple[np.ndarray, np.ndarray]] = []
+        cells = 0
         for operations in self._resolved:
             live = [
                 (kind, columns, amount)
-                for kind, columns, amount in operations
+                for kind, columns, amount in operations[start:]
                 if columns.size
             ]
             if not live:
@@ -265,23 +304,26 @@ class ScenarioBatch:
                 # The common one-operation scenario needs no column union.
                 kind, touched, amount = live[0]
                 if kind == "scale":
-                    values = base_row[touched] * amount
+                    values = row[touched] * amount
                 else:
                     values = np.full(touched.size, amount, dtype=np.float64)
             else:
                 touched = np.unique(
                     np.concatenate([columns for _kind, columns, _amount in live])
                 )
-                values = base_row[touched].copy()
+                # Fancy indexing yields a fresh array: no copy needed.
+                values = row[touched]
                 for kind, columns, amount in live:
                     local = np.searchsorted(touched, columns)
                     if kind == "scale":
                         values[local] *= amount
                     else:
                         values[local] = amount
-            moved = values != base_row[touched]
-            changes.append((touched[moved], values[moved]))
-        return DeltaPlan(base_row=base_row, changes=tuple(changes))
+            moved = values != row[touched]
+            changed = touched[moved]
+            changes.append((changed, values[moved]))
+            cells += changed.size
+        return tuple(changes), cells
 
     def columns_for(self, names: Sequence[str]) -> np.ndarray:
         """Column indices of ``names`` within the universe (for submatrices).

@@ -273,7 +273,7 @@ def run_batch(args: argparse.Namespace) -> int:
             f"{session.compressed_provenance.size()} monomials"
         )
 
-    with BatchEvaluator(max_workers=args.workers) as evaluator:
+    with BatchEvaluator() as evaluator:
         if getattr(args, "store", None):
             from repro.exceptions import SerializationError, SessionStateError
 
@@ -788,9 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
     telephony = subparsers.add_parser(
         "telephony", help="run the Section 4 scale experiment"
     )
-    telephony.add_argument("--customers", type=int, default=50_000)
-    telephony.add_argument("--zips", type=int, default=1_055)
-    telephony.add_argument("--months", type=int, default=12)
+    telephony.add_argument("--customers", type=_positive_int, default=50_000)
+    telephony.add_argument("--zips", type=_positive_int, default=1_055)
+    telephony.add_argument("--months", type=_positive_int, default=12)
     telephony.add_argument(
         "--bounds",
         type=int,
@@ -806,17 +806,13 @@ def build_parser() -> argparse.ArgumentParser:
         "batch",
         help="evaluate a whole what-if scenario sweep in one vectorised batch",
     )
-    batch.add_argument("--scenarios", type=int, default=100, help="sweep size")
+    batch.add_argument("--scenarios", type=_positive_int, default=100, help="sweep size")
     batch.add_argument("--customers", type=_positive_int, default=5_000)
     batch.add_argument("--zips", type=_positive_int, default=100)
     batch.add_argument("--months", type=_positive_int, default=12)
     batch.add_argument(
         "--bound", type=int, default=None,
         help="also compress under this bound and report abstraction error",
-    )
-    batch.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="thread-pool size for chunked mega-batches (default: serial)",
     )
     _add_batch_mode_arguments(batch)
     batch.add_argument("--top", type=int, default=10, help="rows to print")

@@ -17,7 +17,7 @@ the algebra hooks:
 
 All three consume the same ``scenarios × variables`` float matrices the
 batch planner produces (the Boolean backend thresholds them at non-zero), so
-the chunked/threaded matrix pipeline works for every numeric semiring.
+the chunked matrix pipeline works for every numeric semiring.
 Sparse scenarios have two delta kernels: the base class re-reduces the
 affected segments (min and or are not invertible), while the real semiring,
 whose ``+`` is, aggregates: per baseline it sums monomial contributions per
@@ -65,8 +65,8 @@ DeltaPlanRow = Tuple[np.ndarray, np.ndarray]
 _DELTA_BASELINE_SLOTS = 4
 
 #: One group's sparse delta index: ``(inverted variable→monomial index,
-#: per-monomial result rows, per-segment end offsets)``.
-_DeltaGroup = Tuple[VariableIncidence, np.ndarray, np.ndarray]
+#: per-segment end offsets)``.
+_DeltaGroup = Tuple[VariableIncidence, np.ndarray]
 
 #: One cached delta-state entry: ``(key, base_vector, per-group monomial
 #: contributions, kernel reductions, totals)``.  The kernel reductions are
@@ -126,10 +126,6 @@ class _CompiledNumericSet(CompiledSemiringSet):
     """
 
     supports_deltas = True
-
-    #: Whether compiled stores persist :meth:`_delta_groups` (the segment
-    #: kernel's index); the real set derives its own index on first use.
-    stores_delta_index = True
 
     #: The semiring backend this compiled form belongs to (the name stamped
     #: into compiled stores; see :mod:`repro.provenance.store`).
@@ -363,10 +359,12 @@ class _CompiledNumericSet(CompiledSemiringSet):
         return max(1, cells)
 
     def _delta_groups(self) -> Tuple[_DeltaGroup, ...]:
-        """Per-group inverted index, per-monomial rows and segment extents.
+        """Per-group inverted index and segment extents.
 
-        Immutable once built (concurrent builders may race, but every result
-        is equivalent), so cached compiled sets stay safe to share.
+        Derived from the group arrays on first use (compiled stores do not
+        persist it).  Immutable once built (concurrent builders may race,
+        but every result is equivalent), so cached compiled sets stay safe
+        to share.
         """
         if self._delta_index is None:
             with trace(
@@ -381,9 +379,6 @@ class _CompiledNumericSet(CompiledSemiringSet):
                         (
                             VariableIncidence.from_factor_arrays(
                                 len(self._variables), group.indices, group.exponents
-                            ),
-                            expand_segment_rows(
-                                group.segment_starts, group.segment_rows, num_monomials
                             ),
                             np.append(
                                 group.segment_starts[1:], num_monomials
@@ -475,9 +470,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
             # Pass 1: the segments (and thus output rows) each group affects.
             affected_segments = []
             row_parts = []
-            for (incidence, _monomial_rows, _ends), group in zip(
-                index, self._groups
-            ):
+            for (incidence, _ends), group in zip(index, self._groups):
                 positions = incidence.rows_for_any(columns)
                 if positions.size:
                     segments = np.unique(
@@ -501,7 +494,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
             # Pass 2: re-fold every segment owned by an affected row —
             # recomputing the affected ones, reusing baseline reductions for
             # the rest.
-            for (incidence, _monomial_rows, ends), group, segments, base_segments in zip(
+            for (incidence, ends), group, segments, base_segments in zip(
                 index, self._groups, affected_segments, segment_values
             ):
                 lookup = np.searchsorted(affected_rows, group.segment_rows)
@@ -540,7 +533,6 @@ class CompiledProvenanceSet(_CompiledNumericSet):
     __slots__ = ("_row_delta_index",)
 
     backend_name = "real"
-    stores_delta_index = False
     _identity = 0.0
 
     def _fold_constant(self, row: int, coefficient: float) -> None:

@@ -9,13 +9,11 @@ worker.  This module persists the *compiled* form instead:
 
 * one binary file holding the width-group arrays of a numeric backend's
   compiled set (real, tropical or bool; see
-  :mod:`repro.provenance.backends.numeric`); tropical and bool stores also
-  hold the pre-built
-  :class:`~repro.provenance.incidence.VariableIncidence` CSR arrays
-  (``ptr``/``positions``/``exponents``) and per-monomial rows of their
-  segment delta index.  Real stores hold no delta index: the real kernel's
-  :class:`~repro.provenance.incidence.RowDeltaIndex` is derived from the
-  group arrays on first use;
+  :mod:`repro.provenance.backends.numeric`) and nothing else: no store
+  holds a delta index.  Every backend derives its sparse kernel's index
+  (the real :class:`~repro.provenance.incidence.RowDeltaIndex`, the
+  tropical/bool :class:`~repro.provenance.incidence.VariableIncidence`)
+  from the group arrays on first use;
 * :func:`write_store` lays them out as 64-byte-aligned raw blocks behind a
   versioned JSON header (PR 3's version/kind envelope, written through the
   same atomic temp-file + ``os.replace`` machinery);
@@ -47,12 +45,12 @@ Integrity (format version 2 on): every block directory entry carries a
 CRC32 of its raw bytes, verified when the block is first mapped — and since
 opening reconstructs the compiled set from every block it uses, a corrupt
 store fails at open time, before any kernel touches bad data.  Version-1
-stores (no checksums) remain readable, and so do version-1 and -2 real
-stores, whose delta index blocks opening ignores (version 3 stopped writing
-them).  :func:`quarantine_store` renames a store
-that failed verification to ``<path>.quarantined`` so the next open does
-not trip over it again; callers (the evaluator, sessions) then recompile
-from provenance.  The ``store.open``/``store.read_block`` fault-injection
+stores (no checksums) remain readable, and so do stores of versions 1–3
+that carry delta index blocks (real stores up to version 2, tropical and
+bool stores up to version 3): opening ignores those blocks.
+:func:`quarantine_store` renames a store that failed verification to
+``<path>.quarantined`` so the next open does not trip over it again;
+callers (the evaluator, sessions) then recompile from provenance.  The ``store.open``/``store.read_block`` fault-injection
 sites let the chaos suite drive these paths deterministically.
 """
 
@@ -84,13 +82,14 @@ STORE_KIND = "compiled_store"
 
 #: The store format version written by this build.  Version 2 added
 #: per-block CRC32 checksums to the block directory; version 3 dropped the
-#: delta index blocks (``g*.inc.*``, ``g*.monomial_rows``) from real stores.
-STORE_VERSION = 3
+#: delta index blocks (``g*.inc.*``, ``g*.monomial_rows``) from real
+#: stores, and version 4 from tropical and bool stores.
+STORE_VERSION = 4
 
 #: Store format versions this build reads.  Version-1 stores simply lack
-#: block checksums; real stores of versions 1 and 2 carry delta index
-#: blocks that no kernel reads any more, and opening ignores them.
-SUPPORTED_STORE_VERSIONS = (1, 2, 3)
+#: block checksums; older stores may carry delta index blocks, which
+#: opening ignores.
+SUPPORTED_STORE_VERSIONS = (1, 2, 3, 4)
 
 #: Every raw block (and the data section itself) starts on this boundary,
 #: so mapped views are aligned for any vectorised access.
@@ -114,17 +113,12 @@ def _align(offset: int) -> int:
 
 
 def _compiled_blocks(compiled: Any) -> List[Tuple[str, np.ndarray]]:
-    """The named arrays of ``compiled`` in their canonical on-disk order.
-
-    Tropical and bool sets also store their segment kernel's delta index
-    (built here if the set never evaluated deltas), so loaders get
-    ``evaluate_deltas`` readiness for free.  Real sets store only their
-    group arrays: their delta index is derived from them on first use.
-    """
+    """The named arrays of ``compiled`` in their canonical on-disk order:
+    the constant fold and each width-group's arrays (the delta index is
+    derived from them on first use)."""
     blocks: List[Tuple[str, np.ndarray]] = [
         ("constant", np.ascontiguousarray(compiled._constant, dtype=_FLOAT_DTYPE))
     ]
-    delta_index = compiled._delta_groups() if compiled.stores_delta_index else None
     for i, group in enumerate(compiled._groups):
         blocks.extend(
             (
@@ -135,16 +129,6 @@ def _compiled_blocks(compiled: Any) -> List[Tuple[str, np.ndarray]]:
                 (f"g{i}.segment_rows", np.ascontiguousarray(group.segment_rows, dtype=_INDEX_DTYPE)),
             )
         )
-        if delta_index is not None:
-            incidence, monomial_rows, _ends = delta_index[i]
-            blocks.extend(
-                (
-                    (f"g{i}.inc.ptr", np.ascontiguousarray(incidence.ptr, dtype=_INDEX_DTYPE)),
-                    (f"g{i}.inc.positions", np.ascontiguousarray(incidence.positions, dtype=_INDEX_DTYPE)),
-                    (f"g{i}.inc.exponents", np.ascontiguousarray(incidence.exponents, dtype=_FLOAT_DTYPE)),
-                    (f"g{i}.monomial_rows", np.ascontiguousarray(monomial_rows, dtype=_INDEX_DTYPE)),
-                )
-            )
     return blocks
 
 
@@ -361,7 +345,6 @@ def _open_store(path: str) -> "CompiledSemiringSet":
         _CompiledTropicalSet,
         _SegmentGroup,
     )
-    from repro.provenance.incidence import VariableIncidence
 
     fault_point("store.open", path=path)
     header = read_store_header(path)
@@ -389,8 +372,6 @@ def _open_store(path: str) -> "CompiledSemiringSet":
     compiled._store_path = os.path.abspath(path)
 
     groups = []
-    delta_index = []
-    stored_index = compiled.stores_delta_index
     for i, meta in enumerate(header.get("groups", [])):
         group = _SegmentGroup.__new__(_SegmentGroup)
         group.coefficients = block(f"g{i}.coefficients")
@@ -402,20 +383,7 @@ def _open_store(path: str) -> "CompiledSemiringSet":
         # True is always correct (it only enables the exponent power step).
         group.has_higher_powers = bool(meta.get("has_higher_powers", True))
         groups.append(group)
-        if not stored_index:
-            continue
-        incidence = VariableIncidence(
-            block(f"g{i}.inc.ptr"),
-            block(f"g{i}.inc.positions"),
-            block(f"g{i}.inc.exponents"),
-        )
-        ends = np.append(
-            group.segment_starts[1:], int(meta["monomials"])
-        ).astype(np.intp)
-        delta_index.append((incidence, block(f"g{i}.monomial_rows"), ends))
     compiled._groups = groups
-    if stored_index:
-        compiled._delta_index = tuple(delta_index)
     return compiled
 
 

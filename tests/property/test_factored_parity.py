@@ -10,7 +10,10 @@ exactly equal for the idempotent tropical/bool kernels (which recompute the
 affected contributions from the rows themselves).  Scenario programs are
 drawn as composed sweeps — a random shared base prefix plus small random
 residuals, including ``set 0`` / ``scale 0`` operations — so the factored
-row genuinely differs from the plain baseline in most examples.
+row genuinely differs from the plain baseline in most examples.  Every
+sweep is also evaluated over a compressed set (a random grouping of the
+variables into meta-variables), so the meta lowering of each path is held to
+the same agreement.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchEvaluator, factor_batch, ScenarioBatch
+from repro.core.compression import Abstraction, apply_abstraction
 from repro.engine.plan import compose
 from repro.engine.scenario import Scenario
 from repro.provenance.monomial import Monomial
@@ -113,11 +117,24 @@ def base_valuations(draw):
     )
 
 
-def _reports(provenance, scenario_list, base, semiring):
+@st.composite
+def abstractions(draw):
+    """Each variable stays itself or joins one of two meta-variables."""
+    groups = {}
+    for name in VARIABLE_NAMES:
+        meta = draw(st.sampled_from([None, "m0", "m1"]))
+        if meta is not None:
+            groups.setdefault(meta, []).append(name)
+    return Abstraction.from_groups(groups)
+
+
+def _reports(provenance, scenario_list, base, semiring, abstraction):
+    compressed = apply_abstraction(provenance, abstraction).compressed
     evaluator = BatchEvaluator()
     return {
         mode: evaluator.evaluate(
             provenance, scenario_list, base_valuation=base,
+            compressed=compressed, abstraction=abstraction,
             semiring=semiring, mode=mode,
         )
         for mode in ("dense", "sparse", "factored")
@@ -129,21 +146,22 @@ def _reports(provenance, scenario_list, base, semiring):
     provenance=provenance_sets(),
     scenario_list=composed_sweeps(),
     base=base_valuations(),
+    abstraction=abstractions(),
 )
 def test_real_factored_matches_dense_and_sparse(
-    provenance, scenario_list, base
+    provenance, scenario_list, base, abstraction
 ):
-    reports = _reports(provenance, scenario_list, base, semiring="real")
+    reports = _reports(
+        provenance, scenario_list, base, semiring="real", abstraction=abstraction
+    )
     assert reports["factored"].mode == "factored"
     for other in ("dense", "sparse"):
-        np.testing.assert_allclose(
-            reports["factored"].baseline, reports[other].baseline,
-            rtol=1e-9, atol=1e-9,
-        )
-        np.testing.assert_allclose(
-            reports["factored"].full_results, reports[other].full_results,
-            rtol=1e-9, atol=1e-9,
-        )
+        for field in ("baseline", "full_results", "compressed_results"):
+            np.testing.assert_allclose(
+                getattr(reports["factored"], field),
+                getattr(reports[other], field),
+                rtol=1e-9, atol=1e-9,
+            )
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,21 +169,25 @@ def test_real_factored_matches_dense_and_sparse(
     provenance=provenance_sets(),
     scenario_list=composed_sweeps(),
     base=base_valuations(),
+    abstraction=abstractions(),
 )
 @pytest.mark.parametrize("semiring", ["tropical", "bool"])
 def test_idempotent_factored_matches_dense_exactly(
-    semiring, provenance, scenario_list, base
+    semiring, provenance, scenario_list, base, abstraction
 ):
-    reports = _reports(provenance, scenario_list, base, semiring=semiring)
+    reports = _reports(
+        provenance, scenario_list, base, semiring=semiring,
+        abstraction=abstraction,
+    )
     assert np.array_equal(
         reports["factored"].baseline, reports["dense"].baseline
     )
-    assert np.array_equal(
-        reports["factored"].full_results, reports["dense"].full_results
-    )
-    assert np.array_equal(
-        reports["factored"].full_results, reports["sparse"].full_results
-    )
+    for other in ("dense", "sparse"):
+        for field in ("full_results", "compressed_results"):
+            assert np.array_equal(
+                getattr(reports["factored"], field),
+                getattr(reports[other], field),
+            )
 
 
 @settings(max_examples=50, deadline=None)

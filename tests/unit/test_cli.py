@@ -64,6 +64,21 @@ class TestBatchCommand:
         output = capsys.readouterr().out
         assert "cobra batch: no abstraction satisfies bound 10" in output
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_scenarios_rejected(self, capsys, count):
+        """A non-positive sweep size used to run an empty sweep silently."""
+        args = list(self.ARGS)
+        args[args.index("--scenarios") + 1] = count
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + ["--workers", "2"])
+        assert exit_info.value.code == 2
+
 
 def _sweep_args(*extra):
     return [
@@ -216,6 +231,26 @@ class TestTelephonyCommand:
         output = capsys.readouterr().out
         assert "bound      250" in output
         assert "cobra telephony: no abstraction satisfies bound 10" in output
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--customers", "-5"), ("--zips", "0"), ("--months", "0")],
+    )
+    def test_non_positive_sizes_rejected(self, capsys, flag, value):
+        """Negative sizes used to crash with a numpy traceback, and zero
+        months "compressed" an empty provenance."""
+        args = [
+            "telephony",
+            "--customers", "200",
+            "--zips", "5",
+            "--months", "6",
+            "--bounds", "250",
+        ]
+        args[args.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestTpchCommand:

@@ -1,6 +1,6 @@
 """Unit tests for sparse delta evaluation (planner delta plans, the compiled
-sets' ``evaluate_deltas`` kernels, and the evaluator's mode/sharding/budget
-machinery)."""
+sets' ``evaluate_deltas`` kernels, and the evaluator's mode selection,
+sharding and chunking)."""
 
 import gc
 import stat
@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchEvaluator, DeltaPlan, ScenarioBatch
+from repro.batch import evaluator as evaluator_module
 from repro.batch.evaluator import (
-    MAX_BYTES_ENV,
     SPARSE_TOUCHED_FRACTION,
-    _resolve_max_bytes,
     lower_meta_deltas,
     lower_meta_matrix,
 )
@@ -271,65 +270,37 @@ class TestChunkBudget:
             return self._compiled.evaluate_matrix(matrix)
 
     @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
-    def test_max_bytes_bounds_every_chunk(self, name):
+    def test_default_cap_bounds_every_chunk(self, name, monkeypatch):
         provenance = _random_provenance(seed=10)
         recorder = self._Recorder(resolve_backend(name).compile(provenance))
-        per_row_bytes = 8 * recorder.dense_row_footprint()
-        budget = per_row_bytes * 3  # three rows per chunk
-        evaluator = BatchEvaluator(max_bytes=budget)
+        per_row_cells = recorder.dense_row_footprint()
+        cap = per_row_cells * 3  # three rows per chunk
+        monkeypatch.setattr(evaluator_module, "_TARGET_CELLS_PER_CHUNK", cap)
         matrix = np.ones((50, len(recorder.variables)))
-        result = evaluator.evaluate_matrix(recorder, matrix)
+        result = BatchEvaluator().evaluate_matrix(recorder, matrix)
         assert result.shape == (50, len(recorder.keys))
-        assert recorder.chunk_rows  # chunking actually happened
-        assert max(recorder.chunk_rows) * per_row_bytes <= budget
+        assert len(recorder.chunk_rows) > 1  # chunking actually happened
+        assert max(recorder.chunk_rows) * per_row_cells <= cap
         assert sum(recorder.chunk_rows) == 50
 
     @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
-    def test_tiny_budget_still_evaluates_row_by_row(self, name):
+    def test_tiny_cap_still_evaluates_row_by_row(self, name, monkeypatch):
         provenance = _random_provenance(seed=11)
         recorder = self._Recorder(resolve_backend(name).compile(provenance))
-        evaluator = BatchEvaluator(max_bytes=1)
-        result = evaluator.evaluate_matrix(
+        monkeypatch.setattr(evaluator_module, "_TARGET_CELLS_PER_CHUNK", 1)
+        result = BatchEvaluator().evaluate_matrix(
             recorder, np.ones((4, len(recorder.variables)))
         )
         assert result.shape[0] == 4
         assert recorder.chunk_rows == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
-    def test_budget_default_comes_from_environment(self, name, monkeypatch):
-        provenance = _random_provenance(seed=12)
-        compiled = resolve_backend(name).compile(provenance)
-        per_row_bytes = 8 * compiled.dense_row_footprint()
-        monkeypatch.setenv(MAX_BYTES_ENV, str(per_row_bytes * 2))
-        evaluator = BatchEvaluator()
-        assert evaluator._resolve_chunk_size(compiled, rows=100) == 2
-
-    @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
-    def test_explicit_chunk_size_wins(self, name):
+    def test_explicit_chunk_size_wins(self, name, monkeypatch):
         provenance = _random_provenance(seed=13)
         compiled = resolve_backend(name).compile(provenance)
-        evaluator = BatchEvaluator(chunk_size=7, max_bytes=10**12)
+        monkeypatch.setattr(evaluator_module, "_TARGET_CELLS_PER_CHUNK", 1)
+        evaluator = BatchEvaluator(chunk_size=7)
         assert evaluator._resolve_chunk_size(compiled, rows=100) == 7
-
-    def test_invalid_max_bytes(self):
-        with pytest.raises(ValueError):
-            BatchEvaluator(max_bytes=0)
-
-    def test_malformed_environment_budget_names_the_variable(self, monkeypatch):
-        """Regression: "2GB" in the env used to die as a bare ``int()``
-        ValueError deep inside evaluation; it must name variable + value."""
-        monkeypatch.setenv(MAX_BYTES_ENV, "2GB")
-        with pytest.raises(ValueError, match=r"COBRA_BATCH_MAX_BYTES.*'2GB'"):
-            _resolve_max_bytes(None)
-
-    def test_non_positive_environment_budget(self, monkeypatch):
-        monkeypatch.setenv(MAX_BYTES_ENV, "-5")
-        with pytest.raises(ValueError, match=r"COBRA_BATCH_MAX_BYTES.*>= 1"):
-            _resolve_max_bytes(None)
-
-    def test_explicit_argument_bypasses_environment(self, monkeypatch):
-        monkeypatch.setenv(MAX_BYTES_ENV, "2GB")
-        assert _resolve_max_bytes(1024) == 1024
 
 
 class TestModeSelection:

@@ -98,11 +98,12 @@ def _rewrite_header(path, mutate):
     )
 
 
-def _append_version2_delta_index(path, compiled):
-    """Rewrite a real store as a version-2 one, with its delta index blocks.
+def _append_delta_index(path, compiled, version):
+    """Rewrite a store as an older ``version``, with delta index blocks.
 
-    Version-2 real stores carried each group's inverted index
-    (``g*.inc.ptr``/``positions``/``exponents``) and per-monomial rows.
+    Real stores up to version 2, and tropical/bool stores up to version 3,
+    carried each group's inverted index (``g*.inc.ptr``/``positions``/
+    ``exponents``) and per-monomial rows.
     """
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
@@ -133,11 +134,11 @@ def _append_version2_delta_index(path, compiled):
             appended += array.tobytes()
     path.write_bytes(raw + appended)
 
-    def to_version2(document):
-        document["version"] = 2
+    def to_version(document):
+        document["version"] = version
         document["store"]["blocks"].update(blocks)
 
-    _rewrite_header(path, to_version2)
+    _rewrite_header(path, to_version)
 
 
 class TestStoreFormat:
@@ -308,34 +309,35 @@ class TestStoreFormat:
         )
 
     def test_delta_index_blocks_by_backend(self, name, provenance, tmp_path):
-        """Real stores derive their delta index; tropical/bool store theirs."""
+        """No backend stores a delta index: each derives it on first use."""
         compiled, path = _store(provenance, tmp_path, name)
-        blocks = set(read_store_header(path)["blocks"])
-        index_blocks = {
+        header = read_store_header(path)
+        assert {
             block
-            for block in blocks
+            for block in header["blocks"]
             if ".inc." in block or block.endswith(".monomial_rows")
+        } == set()
+        assert set(header["blocks"]) == {"constant"} | {
+            f"g{i}.{block}"
+            for i in range(len(compiled._groups))
+            for block in (
+                "coefficients", "indices", "exponents",
+                "segment_starts", "segment_rows",
+            )
         }
-        if name == "real":
-            assert index_blocks == set()
-        else:
-            assert index_blocks == {
-                f"g{i}.{block}"
-                for i in range(len(compiled._groups))
-                for block in (
-                    "inc.ptr", "inc.positions", "inc.exponents", "monomial_rows"
-                )
-            }
 
-    def test_version2_real_store_with_delta_index_opens(
-        self, provenance, scenarios, tmp_path
+    @pytest.mark.parametrize(
+        "backend, version", [("real", 2), ("tropical", 3), ("bool", 3)]
+    )
+    def test_older_store_with_delta_index_opens(
+        self, backend, version, provenance, scenarios, tmp_path
     ):
-        compiled, path = _store(provenance, tmp_path, "real")
-        _append_version2_delta_index(path, compiled)
+        compiled, path = _store(provenance, tmp_path, backend)
+        _append_delta_index(path, compiled, version)
         raw = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
         document = json.loads(raw[len(MAGIC) + 4 : len(MAGIC) + 4 + header_len])
-        assert document["version"] == 2
+        assert document["version"] == version
         assert "g0.inc.positions" in document["store"]["blocks"]
 
         mapped = open_store(path, cached=False)

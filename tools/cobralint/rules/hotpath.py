@@ -9,8 +9,10 @@ every numeric semiring), the
 incremental-greedy coarsening step in ``core/kernel/greedy.py`` (``apply``
 and the per-step array functions it calls: pair expansion, renaming,
 signature keys, row merging/appending and the counter updates) and the
-loop driving it in ``core/kernel/trajectory.py``, and the shared-delta
-factoring loop in ``batch/factored.py``.
+loop driving it in ``core/kernel/trajectory.py``, the sparse lowering loop
+shared by the plain and factored paths and the touched-cells pass in
+``batch/planner.py``, and the shared-delta factoring in
+``batch/factored.py``.
 
 Inside a designated kernel this rule flags, **when executed under a loop**
 (a one-off allocation at kernel entry is fine; one per scenario/segment is
@@ -63,8 +65,11 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("core/kernel/greedy.py", "_append"),
     ("core/kernel/greedy.py", "_update_counters"),
     ("core/kernel/trajectory.py", "extend_to"),
+    ("batch/planner.py", "touched_counts"),
+    ("batch/planner.py", "lower_residuals"),
     ("batch/factored.py", "factor_batch"),
     ("batch/factored.py", "prefix_statistics"),
+    ("batch/factored.py", "_prefix_cells"),
 )
 
 DTYPE_CONSTRUCTORS = {
@@ -89,6 +94,7 @@ class HotPathAllocationRule(Rule):
         "src/repro/provenance/backends/numeric.py",
         "src/repro/core/kernel/greedy.py",
         "src/repro/core/kernel/trajectory.py",
+        "src/repro/batch/planner.py",
         "src/repro/batch/factored.py",
     )
 
