@@ -9,8 +9,8 @@ multi-tree forests:
    |provenance|));
 2. **incremental** — ``optimize_greedy``: the :mod:`repro.core.kernel`
    pipeline — array rows over the id-encoded incidence, delta-updated
-   signature-code gain counters, lazy max-heap.  The incidence cache is
-   cleared before every run, so each run pays for building the incidence.
+   signature-code gain counters, lazy max-heap.  Every run gets a fresh
+   copy of the provenance set, so each pays for building its incidence.
 
 Each engine's time is the median of ``REPEATS`` runs.  Both engines must
 select **byte-identical cuts** on every instance (the benchmark asserts
@@ -48,7 +48,6 @@ from repro.core.compression import Compressor
 from repro.core.cut import Cut
 from repro.core.greedy import optimize_greedy
 from repro.core.kernel.greedy import IncrementalGreedyKernel
-from repro.provenance.incidence import clear_provenance_incidence_cache
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.workloads.random_polynomials import random_provenance, random_tree
@@ -66,17 +65,19 @@ T = TypeVar("T")
 
 
 def median_seconds(
-    run: Callable[[], T], before: Callable[[], None] = lambda: None
+    run: Callable[[ProvenanceSet], T], provenance: ProvenanceSet
 ) -> Tuple[float, T]:
     """The median wall time of ``REPEATS`` calls of ``run``, and its result.
 
-    ``before`` is called ahead of every run, outside the timed region.
+    Every call gets a fresh copy of ``provenance``, made outside the timed
+    region, so each pays for building the set's incidence rows (a set keeps
+    them once built).
     """
     times: List[float] = []
     for _ in range(REPEATS):
-        before()
+        fresh = ProvenanceSet(dict(provenance.items()))
         start = time.perf_counter()
-        result = run()
+        result = run(fresh)
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
 
@@ -162,12 +163,11 @@ def run_long_trajectory() -> Tuple[float, float, int]:
     """``(dict seconds, array seconds, steps)`` on the long-trajectory instance."""
     provenance, tree = build_long_trajectory_instance()
     dict_seconds, reference = median_seconds(
-        lambda: run_to_exhaustion(DictGreedyKernel, provenance, tree),
-        before=clear_provenance_incidence_cache,
+        lambda fresh: run_to_exhaustion(DictGreedyKernel, fresh, tree), provenance
     )
     array_seconds, result = median_seconds(
-        lambda: run_to_exhaustion(IncrementalGreedyKernel, provenance, tree),
-        before=clear_provenance_incidence_cache,
+        lambda fresh: run_to_exhaustion(IncrementalGreedyKernel, fresh, tree),
+        provenance,
     )
     assert result[0] == reference[0], "step-record mismatch between kernels"
     assert result[1] == reference[1], "cut mismatch between kernels"
@@ -200,15 +200,16 @@ def run_benchmark(
     )
 
     legacy_seconds, legacy = median_seconds(
-        lambda: legacy_greedy(
-            provenance, forest, bound, allow_infeasible=True, keep_trace=True
-        )
+        lambda fresh: legacy_greedy(
+            fresh, forest, bound, allow_infeasible=True, keep_trace=True
+        ),
+        provenance,
     )
     incremental_seconds, incremental = median_seconds(
-        lambda: optimize_greedy(
-            provenance, forest, bound, allow_infeasible=True, keep_trace=True
+        lambda fresh: optimize_greedy(
+            fresh, forest, bound, allow_infeasible=True, keep_trace=True
         ),
-        before=clear_provenance_incidence_cache,
+        provenance,
     )
 
     # Byte-identical selection is the contract, not a sampling artefact.

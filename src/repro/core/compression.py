@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.exceptions import AbstractionError
 from repro.obs.tracer import trace as obs_trace
-from repro.provenance.incidence import provenance_incidence
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree, as_forest
 from repro.core.cut import Cut
@@ -249,7 +248,7 @@ def apply_abstraction(
     elif isinstance(abstraction, Mapping) and not isinstance(abstraction, Abstraction):
         abstraction = Abstraction(dict(abstraction))
 
-    incidence = provenance_incidence(_as_provenance_set(provenance))
+    incidence = _as_provenance_set(provenance).incidence()
     compressed = incidence.renamed(dict(abstraction.mapping))
     return CompressionResult(
         compressed=compressed,
@@ -383,9 +382,8 @@ class Compressor:
     def clear_cache(self) -> None:
         """Drop this instance's cached plans (counters are kept).
 
-        The id-encoded incidence rows the plans are built on are cached
-        process-wide (shared by all compressors and
-        :func:`~repro.core.greedy.optimize_greedy`); release them explicitly
-        via :func:`repro.provenance.incidence.clear_provenance_incidence_cache`.
+        The id-encoded incidence rows the plans are built on live on the
+        provenance set itself (:meth:`ProvenanceSet.incidence`) and go
+        with it, or with its next mutation.
         """
         self._plans.clear()

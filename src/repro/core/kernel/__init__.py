@@ -7,7 +7,8 @@ with an incremental pipeline:
 
 * :mod:`repro.core.kernel.greedy` — :class:`IncrementalGreedyKernel`: the
   provenance's id-encoded incidence rows
-  (:func:`~repro.provenance.incidence.provenance_incidence`) held as arrays,
+  (:meth:`~repro.provenance.polynomial.ProvenanceSet.incidence`, kept on
+  the set) held as arrays,
   and per-candidate merge-gain counters held as sorted arrays of exact
   ``int64`` signature codes with a count per code.  A coarsening updates
   only the rows it touches and the counters of their active ancestors;

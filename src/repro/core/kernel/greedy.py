@@ -21,7 +21,8 @@ Everything is arrays over one id space — the forest's nodes in preorder
   so "``x`` lies under ``v``" is one interval test, and the strict
   ancestors of every id form a CSR;
 * **rows** — the provenance's id-encoded incidence rows
-  (:func:`~repro.provenance.incidence.provenance_incidence`): group ids, a
+  (:meth:`~repro.provenance.polynomial.ProvenanceSet.incidence`, built once
+  per set and shared with rename and compile): group ids, a
   padded variable-id matrix (ids ascending), an exponent matrix,
   coefficients and an alive mask;
 * **gain counters** — the signature of a (row, candidate) pair is the row
@@ -70,7 +71,6 @@ import numpy as np
 from repro.provenance.incidence import (
     _fold_segments,
     _merge_repeated,
-    provenance_incidence,
     ragged_ranges,
     sorted_unique,
     unique_rows,
@@ -109,7 +109,7 @@ class IncrementalGreedyKernel:
         forest = as_forest(trees)
         check_names_disjoint(provenance, forest)
         self._trees = forest.trees()
-        incidence = provenance_incidence(provenance)
+        incidence = provenance.incidence()
 
         # -- the id space and the tree geometry --------------------------------
         names: List[str] = []

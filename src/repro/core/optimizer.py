@@ -29,11 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InfeasibleBoundError, UnsupportedPolynomialError
-from repro.provenance.incidence import (
-    provenance_incidence,
-    ragged_ranges,
-    unique_rows,
-)
+from repro.provenance.incidence import ragged_ranges, unique_rows
 from repro.provenance.polynomial import ProvenanceSet
 from repro.core.abstraction_tree import AbstractionTree
 from repro.core.compression import (
@@ -146,7 +142,7 @@ def build_load_model(
     """Compute per-node loads for ``provenance`` with respect to ``tree``.
 
     Runs on the provenance's id-encoded incidence rows
-    (:func:`~repro.provenance.incidence.provenance_incidence`): each row
+    (:meth:`~repro.provenance.polynomial.ProvenanceSet.incidence`): each row
     with a tree leaf becomes a ``(leaf, group, residue, exponent)`` key, and
     a node's load is the number of distinct keys over the leaves below it,
     counted as distinct ``(ancestor, key)`` rows.
@@ -157,7 +153,7 @@ def build_load_model(
         If some monomial contains two or more distinct leaves of the tree —
         the single-tree DP's precondition (use the greedy optimiser then).
     """
-    incidence = provenance_incidence(_as_provenance_set(provenance))
+    incidence = _as_provenance_set(provenance).incidence()
     leaves = tree.leaves()
     leaf_index = {leaf: i for i, leaf in enumerate(leaves)}
     # Leaf position of every variable id; the extra last slot maps the -1

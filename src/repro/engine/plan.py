@@ -1,6 +1,6 @@
 """Declarative scenario plans: grids, Monte Carlo samples and composition.
 
-A :class:`ScenarioPlan` describes a *structured* sweep — "scale March's
+A :class:`ScenarioPlan` declares a *structured* sweep — "scale March's
 price by each factor in this list, crossed with these business-plan
 factors", or "draw 1,000 price perturbations from this distribution" —
 without materialising the individual :class:`~repro.engine.scenario.Scenario`

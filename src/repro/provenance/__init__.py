@@ -53,7 +53,6 @@ from repro.provenance.statistics import (
 from repro.provenance.incidence import (
     ProvenanceIncidence,
     VariableIncidence,
-    provenance_incidence,
 )
 from repro.provenance.store import (
     clear_store_cache,
@@ -96,7 +95,6 @@ __all__ = [
     "describe_provenance",
     "ProvenanceIncidence",
     "VariableIncidence",
-    "provenance_incidence",
     "open_store",
     "read_store_header",
     "write_store",

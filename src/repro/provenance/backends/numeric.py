@@ -2,8 +2,10 @@
 
 Three backends share one compiled-set implementation,
 :class:`_CompiledNumericSet` (monomials grouped by factor count, sorted by
-result row, per-row totals via ``*.reduceat``); each subclass supplies only
-the algebra hooks:
+result row, per-row totals via ``*.reduceat``), built by slicing the
+provenance set's id-encoded incidence rows
+(:class:`~repro.provenance.incidence.ProvenanceIncidence`) with no
+per-monomial Python loop; each subclass supplies only the algebra hooks:
 
 * :class:`RealBackend` — the counting semiring ``(R, +, *)``, compiled to
   :class:`CompiledProvenanceSet`: a monomial contributes ``c · ∏ x^e`` and
@@ -115,13 +117,15 @@ class _SegmentGroup:
 class _CompiledNumericSet(CompiledSemiringSet):
     """A :class:`ProvenanceSet` compiled for fast repeated assignment.
 
-    All polynomials share one variable index; the monomials are lowered into
-    flat numpy arrays (coefficient vector, variable-index matrix, exponent
-    matrix) grouped by factor count and sorted by result row.  Evaluating the
+    All polynomials share one variable index; the monomials are sliced out
+    of the set's id-encoded incidence rows (:meth:`ProvenanceSet.incidence`)
+    into flat numpy arrays (coefficient vector, variable-index matrix,
+    exponent matrix) grouped by factor count and sorted by result row; unit
+    monomials become per-row constants.  Evaluating the
     whole set under one valuation — or a whole ``scenarios × variables``
     matrix of valuations (:meth:`evaluate_matrix`) — is a handful of
     vectorised operations with no per-monomial Python loop.  Subclasses fix
-    the algebra through a few hooks (constant fold, per-monomial
+    the algebra through a few hooks (unit-monomial constant, per-monomial
     contribution, segmented reduction, row accumulation).
     """
 
@@ -150,37 +154,35 @@ class _CompiledNumericSet(CompiledSemiringSet):
         self._init_delta_caches()
         self._fingerprint: Optional[str] = provenance.fingerprint()
         self._store_path: Optional[str] = None
-        self._keys: Tuple[Tuple, ...] = provenance.keys()
-        variables = sorted(provenance.variables())
-        self._variables: Tuple[str, ...] = tuple(variables)
-        self._index: Dict[str, int] = {name: i for i, name in enumerate(variables)}
-        key_index = {key: i for i, key in enumerate(self._keys)}
+        # The incidence rows are in canonical order (groups in key order,
+        # terms in ``Polynomial.terms()`` order) with variable ids over the
+        # sorted name table, so each width-group below is a row-sorted
+        # slice of them, variable ids ascending within a monomial.
+        incidence = provenance.incidence()
+        self._keys: Tuple[Tuple, ...] = incidence.keys
+        self._variables: Tuple[str, ...] = incidence.names
+        self._index: Dict[str, int] = {
+            name: i for i, name in enumerate(self._variables)
+        }
+        variables = incidence.monomial_variables[incidence.monomial_ids]
+        exponents = incidence.monomial_exponents[incidence.monomial_ids]
+        widths = np.count_nonzero(variables >= 0, axis=1)
 
+        # A normalised polynomial has at most one unit monomial.
         self._constant = np.full(len(self._keys), self._identity, dtype=np.float64)
-        by_width: Dict[int, List[Tuple[int, float, List[int], List[int]]]] = {}
-        for key, polynomial in provenance.items():
-            row = key_index[key]
-            for monomial, coefficient in polynomial.terms():
-                if monomial.is_unit():
-                    self._fold_constant(row, coefficient)
-                    continue
-                var_indices: List[int] = []
-                exponents: List[int] = []
-                for name, exponent in monomial:
-                    var_indices.append(self._index[name])
-                    exponents.append(exponent)
-                by_width.setdefault(len(var_indices), []).append(
-                    (row, coefficient, var_indices, exponents)
-                )
-
+        units = widths == 0
+        self._constant[incidence.group_ids[units]] = self._constant_values(
+            incidence.coefficients[units]
+        )
         self._groups: List[_SegmentGroup] = []
-        for _width, rows in sorted(by_width.items()):
+        for width in sorted_unique(widths[~units]).tolist():
+            rows = np.flatnonzero(widths == width)
             self._groups.append(
                 _SegmentGroup(
-                    np.array([r[0] for r in rows], dtype=np.intp),
-                    np.array([r[1] for r in rows], dtype=np.float64),
-                    np.array([r[2] for r in rows], dtype=np.intp),
-                    np.array([r[3] for r in rows], dtype=np.float64),
+                    incidence.group_ids[rows],
+                    incidence.coefficients[rows],
+                    variables[rows, :width],
+                    exponents[rows, :width].astype(np.float64),
                 )
             )
 
@@ -191,8 +193,13 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     # -- the algebra hooks ---------------------------------------------------
 
-    def _fold_constant(self, row: int, coefficient: float) -> None:
-        raise NotImplementedError
+    def _constant_values(self, coefficients: np.ndarray) -> np.ndarray:
+        """Row constants of unit monomials with these ``coefficients``.
+
+        The identity folded with each coefficient: ``0 + c`` for the real
+        semiring, ``min(∞, c)`` for the tropical one.
+        """
+        return coefficients
 
     def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
         """Per-monomial contributions for a ``... × variables`` value matrix."""
@@ -504,7 +511,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
                 )
                 if in_rows.size == 0:
                     continue
-                folded = base_segments[in_rows].copy()
+                folded = base_segments[in_rows]
                 if segments.size:
                     positions, local_starts = ragged_ranges(
                         group.segment_starts[segments], ends[segments]
@@ -534,9 +541,6 @@ class CompiledProvenanceSet(_CompiledNumericSet):
 
     backend_name = "real"
     _identity = 0.0
-
-    def _fold_constant(self, row: int, coefficient: float) -> None:
-        self._constant[row] += coefficient
 
     def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
         gathered = matrix[..., group.indices]
@@ -814,9 +818,6 @@ class _CompiledTropicalSet(_CompiledNumericSet):
     backend_name = "tropical"
     _identity = float("inf")
 
-    def _fold_constant(self, row: int, coefficient: float) -> None:
-        self._constant[row] = min(self._constant[row], float(coefficient))
-
     def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
         gathered = matrix[..., group.indices]
         return np.sum(gathered * group.exponents, axis=-1) + group.coefficients
@@ -856,9 +857,8 @@ class _CompiledBooleanSet(_CompiledNumericSet):
     backend_name = "bool"
     _identity = 0.0
 
-    def _fold_constant(self, row: int, coefficient: float) -> None:
-        if coefficient != 0.0:
-            self._constant[row] = 1.0
+    def _constant_values(self, coefficients: np.ndarray) -> np.ndarray:
+        return (coefficients != 0.0).astype(np.float64)
 
     def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
         gathered = matrix[..., group.indices] != 0.0

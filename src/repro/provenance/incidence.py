@@ -16,13 +16,15 @@ is the one place it is answered:
   :class:`PairIncidence` from column pairs to the monomials holding both.
   The real kernel updates one entry per changed variable and row, and
   fixes up only the monomials two changed variables share;
-* :class:`ProvenanceIncidence` / :func:`provenance_incidence` — the rows of
-  a provenance set (groups in key order, terms in canonical order) encoded
-  as integer arrays over a sorted name table and a distinct-monomial table,
-  cached by provenance fingerprint.  One flattening serves every whole-set
-  rewrite: :meth:`ProvenanceIncidence.renamed` renames a set on it
-  (``ProvenanceSet.rename``, hence ``apply_abstraction``), the single-tree
-  DP counts its loads on it, :func:`~repro.provenance.statistics.describe_provenance`
+* :class:`ProvenanceIncidence` — the rows of a provenance set (groups in
+  key order, terms in canonical order) encoded as integer arrays over a
+  sorted name table and a distinct-monomial table, built once per set and
+  kept on it (:meth:`ProvenanceSet.incidence`, dropped when the set is
+  mutated).  It is the set's one array encoding:
+  :meth:`ProvenanceIncidence.renamed` renames a set on it
+  (``ProvenanceSet.rename``, hence ``apply_abstraction``), the numeric
+  backends compile their width-groups from it, the single-tree DP counts
+  its loads on it, :func:`~repro.provenance.statistics.describe_provenance`
   summarises it (through :attr:`~ProvenanceIncidence.variable_rows`), and
   the greedy kernel (:mod:`repro.core.kernel.greedy`) keeps its rows and
   signatures on its id-encoded rows;
@@ -349,7 +351,8 @@ class ProvenanceIncidence:
     Rows are the set's monomials flattened in canonical order: groups in key
     order, each group's terms in :meth:`Polynomial.terms` order.  A row is
     stored as integers over two tables, so whole-set rewrites (renaming,
-    load counting) run as array operations:
+    load counting, compiling) run as array operations.  Obtain it through
+    :meth:`ProvenanceSet.incidence`, which builds it once per set:
 
     Attributes
     ----------
@@ -478,22 +481,6 @@ class ProvenanceIncidence:
     def num_rows(self) -> int:
         """Total number of monomial rows (the provenance size)."""
         return int(self.group_ids.size)
-
-    def describes(self, provenance: ProvenanceSet) -> bool:
-        """Whether this view is exactly ``provenance``'s rows.
-
-        Fingerprints round coefficients and ignore key and term order, so a
-        cached view is checked before use: same keys in the same order, and
-        per group the same polynomial object or the same terms, coefficient
-        bit for bit, in the same insertion order.
-        """
-        if provenance.keys() != self.keys:
-            return False
-        return all(
-            mine is theirs
-            or list(mine._terms.items()) == list(theirs._terms.items())
-            for mine, theirs in zip(self._polynomials, provenance.polynomials())
-        )
 
     # -- renaming ----------------------------------------------------------------
 
@@ -713,42 +700,3 @@ def _fold_segments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         offset += 1
         active = active[lengths[active] > offset]
     return sums
-
-
-def _incidence_cache():
-    # Imported lazily: valuation imports this module for the CSR helpers.
-    from repro.provenance.valuation import FingerprintCache
-
-    global _INCIDENCE_CACHE
-    if _INCIDENCE_CACHE is None:
-        _INCIDENCE_CACHE = FingerprintCache(
-            capacity=8, metrics="incidence_cache"
-        )
-    return _INCIDENCE_CACHE
-
-
-_INCIDENCE_CACHE = None
-
-
-def provenance_incidence(provenance: ProvenanceSet) -> ProvenanceIncidence:
-    """The (fingerprint-cached) incidence of ``provenance``.
-
-    A cached view is reused only if it :meth:`~ProvenanceIncidence.describes`
-    ``provenance`` exactly; otherwise it is rebuilt and replaces the entry.
-    """
-    from repro.obs.tracer import trace
-
-    cache = _incidence_cache()
-    key = provenance.fingerprint()
-    incidence = cache.get(key)
-    if incidence is None or not incidence.describes(provenance):
-        with trace("incidence.build", monomials=provenance.size()):
-            incidence = ProvenanceIncidence(provenance)
-        cache.put(key, incidence)
-    return incidence
-
-
-def clear_provenance_incidence_cache() -> None:
-    """Drop every cached incidence (they can hold large row arrays)."""
-    if _INCIDENCE_CACHE is not None:
-        _INCIDENCE_CACHE.clear()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from numbers import Real
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -27,8 +28,12 @@ from repro.exceptions import (
     InvalidPolynomialError,
     MissingValuationError,
 )
+from repro.obs.tracer import trace
 from repro.provenance.monomial import Monomial, VariableLike
 from repro.provenance.variables import variable_name
+
+if TYPE_CHECKING:  # pragma: no cover — import cycle: incidence imports this
+    from repro.provenance.incidence import ProvenanceIncidence
 
 Number = Union[int, float]
 
@@ -390,15 +395,20 @@ class ProvenanceSet:
     each result row changes under a hypothetical valuation.
     """
 
-    __slots__ = ("_polynomials", "_variables_cache", "_fingerprint_cache")
+    __slots__ = (
+        "_polynomials",
+        "_variables_cache",
+        "_fingerprint_cache",
+        "_size_cache",
+        "_incidence",
+    )
 
     def __init__(
         self,
         polynomials: Optional[Mapping[Tuple, Polynomial]] = None,
     ) -> None:
         self._polynomials: Dict[Tuple, Polynomial] = {}
-        self._variables_cache: Optional[frozenset] = None
-        self._fingerprint_cache: Optional[str] = None
+        self._invalidate_caches()
         if polynomials:
             for key, polynomial in polynomials.items():
                 self[key] = polynomial
@@ -422,8 +432,10 @@ class ProvenanceSet:
     # -- mutation (builder-style) -------------------------------------------
 
     def _invalidate_caches(self) -> None:
-        self._variables_cache = None
-        self._fingerprint_cache = None
+        self._variables_cache: Optional[frozenset] = None
+        self._fingerprint_cache: Optional[str] = None
+        self._size_cache: Optional[int] = None
+        self._incidence: Optional[ProvenanceIncidence] = None
 
     def __setitem__(self, key, polynomial: Polynomial) -> None:
         if not isinstance(polynomial, Polynomial):
@@ -472,8 +484,12 @@ class ProvenanceSet:
     # -- aggregate measures ---------------------------------------------------
 
     def size(self) -> int:
-        """Total number of monomials across all polynomials (provenance size)."""
-        return sum(p.num_monomials() for p in self._polynomials.values())
+        """Total number of monomials across all polynomials (cached until mutation)."""
+        if self._size_cache is None:
+            self._size_cache = sum(
+                p.num_monomials() for p in self._polynomials.values()
+            )
+        return self._size_cache
 
     def variables(self) -> frozenset:
         """Union of variables across all polynomials (cached until mutation).
@@ -521,6 +537,21 @@ class ProvenanceSet:
             self._fingerprint_cache = digest.hexdigest()
         return self._fingerprint_cache
 
+    def incidence(self) -> ProvenanceIncidence:
+        """The set's id-encoded rows (cached until mutation).
+
+        The one array encoding of the set that renaming, compression,
+        statistics and compilation all run on; see
+        :class:`~repro.provenance.incidence.ProvenanceIncidence`.
+        """
+        if self._incidence is None:
+            # Imported here: the incidence module imports this one.
+            from repro.provenance.incidence import ProvenanceIncidence
+
+            with trace("incidence.build", monomials=self.size()):
+                self._incidence = ProvenanceIncidence(self)
+        return self._incidence
+
     # -- transformations --------------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> "ProvenanceSet":
@@ -531,9 +562,7 @@ class ProvenanceSet:
         term order, but is computed on the set's id-encoded incidence rows
         (:meth:`~repro.provenance.incidence.ProvenanceIncidence.renamed`).
         """
-        from repro.provenance.incidence import provenance_incidence
-
-        return provenance_incidence(self).renamed(mapping)
+        return self.incidence().renamed(mapping)
 
     def substitute(self, assignment: Mapping[str, Number]) -> "ProvenanceSet":
         """Partially evaluate every polynomial."""

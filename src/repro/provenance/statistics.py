@@ -103,15 +103,13 @@ def describe_provenance(provenance: ProvenanceSet) -> ProvenanceStatistics:
     """Compute :class:`ProvenanceStatistics` for ``provenance``.
 
     Counted on the id-encoded rows of the provenance's incidence
-    (:func:`~repro.provenance.incidence.provenance_incidence`), so the
+    (:meth:`~repro.provenance.polynomial.ProvenanceSet.incidence`), so the
     statistics and the incidence-based algorithms agree on what counts as a
     monomial row.  Dictionaries list degrees and variables in order of
     first occurrence along the rows; a variable's mass sums the absolute
     coefficients of its rows in row order.
     """
-    from repro.provenance.incidence import provenance_incidence
-
-    incidence = provenance_incidence(provenance)
+    incidence = provenance.incidence()
     size = incidence.num_rows()
     group_sizes = np.bincount(incidence.group_ids, minlength=len(provenance))
 

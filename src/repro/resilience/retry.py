@@ -9,7 +9,7 @@ chaos run retries on the same schedule every time.
 
 ``shard_timeout`` is not used by :meth:`run` — it is the per-shard
 wall-clock deadline the batch evaluator applies to pool futures, carried
-here so one object describes the whole retry posture of an evaluation.
+here so one object holds the whole retry posture of an evaluation.
 
 ``COBRA_RETRY`` (JSON object, e.g. ``{"attempts": 4, "backoff": 0.05}``)
 overrides the defaults process-wide via :func:`policy_from_env`.

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.provenance.incidence import ProvenanceIncidence, provenance_incidence
+from repro.provenance.incidence import ProvenanceIncidence
 from repro.provenance.polynomial import _ZERO_EPSILON, ProvenanceSet
 from repro.core.abstraction_tree import (
     AbstractionForest,
@@ -67,7 +67,7 @@ class MonomialIncidenceIndex:
     __slots__ = ("rows", "variable_rows", "_row_ids", "_node_ptr")
 
     def __init__(self, provenance: ProvenanceSet, forest: AbstractionForest) -> None:
-        incidence = provenance_incidence(provenance)
+        incidence = provenance.incidence()
         self.rows = _incidence_rows(incidence)
         self.variable_rows = incidence.variable_rows
 

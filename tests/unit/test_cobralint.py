@@ -282,6 +282,26 @@ class TestHotPathAllocation:
         )
         assert len(active(findings, "CL003")) == 1
 
+    @pytest.mark.parametrize(
+        "call", ["row[touched].copy()", "row[touched].astype(np.float64)"]
+    )
+    def test_copy_of_a_subscript_under_loop_fires(self, tmp_path, call):
+        findings = run_rule(
+            tmp_path,
+            {
+                "src/repro/batch/planner.py": f"""
+                import numpy as np
+
+                def lower_residuals(row, batch):
+                    for touched in batch:
+                        values = {call}
+                    return row
+                """
+            },
+            select=["CL003"],
+        )
+        assert len(active(findings, "CL003")) == 1
+
     def test_dtype_constructor_under_loop_fires(self, tmp_path):
         findings = run_rule(
             tmp_path,

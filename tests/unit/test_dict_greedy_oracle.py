@@ -7,7 +7,7 @@ checked against, so its own row view and per-tree-node CSR are pinned here.
 from oracles.dict_greedy_kernel import MonomialIncidenceIndex, _incidence_rows
 
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
-from repro.provenance.incidence import ProvenanceIncidence, provenance_incidence
+from repro.provenance.incidence import ProvenanceIncidence
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 
@@ -51,6 +51,6 @@ class TestKernelIndexUnification:
         )
         tree = AbstractionTree("R", {"R": ["a", "b"]})
         index = MonomialIncidenceIndex(provenance, AbstractionForest([tree]))
-        shared = provenance_incidence(provenance)
+        shared = provenance.incidence()
         assert list(index.variable_rows["b"]) == list(shared.rows_for("b"))
         assert list(index.rows_under("R")) == [0, 1]

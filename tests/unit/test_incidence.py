@@ -8,9 +8,7 @@ from repro.provenance.incidence import (
     ProvenanceIncidence,
     RowDeltaIndex,
     VariableIncidence,
-    clear_provenance_incidence_cache,
     expand_segment_rows,
-    provenance_incidence,
     ragged_ranges,
 )
 from repro.provenance.monomial import Monomial
@@ -184,12 +182,31 @@ class TestProvenanceIncidence:
         # g1's terms were inserted as x*y, z, 1.
         assert incidence.insertion.tolist() == [2, 0, 1, 0]
 
-    def test_cached_view_must_describe_the_set(self, provenance):
-        clear_provenance_incidence_cache()
-        first = provenance_incidence(provenance)
-        assert first.describes(provenance)
+    def test_cached_on_the_set(self, provenance):
+        first = provenance.incidence()
+        assert provenance.incidence() is first
+        # An equal but distinct set builds its own rows.
+        clone = ProvenanceSet({key: poly for key, poly in provenance.items()})
+        assert clone.incidence() is not first
+
+    def test_mutation_drops_the_cached_rows(self, provenance):
+        first = provenance.incidence()
+        provenance[("g3",)] = Polynomial({Monomial.of("w"): 1.0})
+        second = provenance.incidence()
+        assert second is not first and second.num_rows() == 5
+        assert provenance.rename({"w": "x"})[("g3",)] == Polynomial(
+            {Monomial.of("x"): 1.0}
+        )
+        provenance.add(("g2",), Polynomial({Monomial.of("y"): 5.0}))
+        assert provenance.incidence() is not second
+        assert provenance.rename({"y": "x"})[("g2",)] == Polynomial(
+            {Monomial.of("x"): 9.0}
+        )
+
+    def test_nudged_set_gets_its_own_rows(self, provenance):
+        first = provenance.incidence()
         # Same fingerprint (coefficients agree to 9 decimals, and key order
-        # is ignored), different rows: rebuilt, not reused.
+        # is ignored), different rows.
         nudged = ProvenanceSet()
         nudged[("g2",)] = provenance[("g2",)]
         nudged[("g1",)] = Polynomial(
@@ -197,16 +214,9 @@ class TestProvenanceIncidence:
              Monomial.unit(): 1.0}
         )
         assert nudged.fingerprint() == provenance.fingerprint()
-        assert not first.describes(nudged)
-        second = provenance_incidence(nudged)
-        assert second is not first and second.describes(nudged)
+        second = nudged.incidence()
+        assert second is not first
         assert second.keys == (("g2",), ("g1",))
-
-    def test_cached_by_fingerprint(self, provenance):
-        clear_provenance_incidence_cache()
-        first = provenance_incidence(provenance)
-        clone = ProvenanceSet({key: poly for key, poly in provenance.items()})
-        assert provenance_incidence(clone) is first
-        provenance[("g3",)] = Polynomial({Monomial.of("w"): 1.0})
-        assert provenance_incidence(provenance) is not first
+        assert second.coefficients.tolist() == [4.0, 1.0, 2.0 + 1e-11, 3.0]
+        assert nudged.rename({})[("g1",)] is nudged[("g1",)]
 

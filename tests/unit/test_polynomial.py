@@ -283,6 +283,14 @@ class TestProvenanceSetCaches:
         provenance.add(("a",), poly(z=1))
         assert provenance.variables() == frozenset({"x", "z"})
 
+    def test_size_cached_and_invalidated(self):
+        provenance = ProvenanceSet({("a",): poly(x=1)})
+        assert provenance.size() == 1
+        provenance[("b",)] = poly(y=2)
+        assert provenance.size() == 2
+        provenance.add(("a",), poly(z=1))
+        assert provenance.size() == 3
+
     def test_fingerprint_stable_for_equal_content(self):
         a = ProvenanceSet({("k",): poly(x=1, y=2)})
         b = ProvenanceSet({("k",): poly(x=1, y=2)})

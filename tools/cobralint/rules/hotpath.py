@@ -34,7 +34,7 @@ stay — with a ``# cobralint: disable=CL003 -- why`` justification.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from tools.cobralint.engine import (
     FileContext,
@@ -144,16 +144,9 @@ class HotPathAllocationRule(Rule):
             )
         if isinstance(node, ast.Call):
             name = call_name(node)
-            if name is None:
-                return False
-            if name.startswith(_NP_PREFIXES) and not name.endswith(".at"):
+            if name and name.startswith(_NP_PREFIXES) and not name.endswith(".at"):
                 return True
-            tail = name.split(".")[-1]
-            if tail in ("copy", "astype", "ravel", "reshape", "view"):
-                receiver = node.func
-                if isinstance(receiver, ast.Attribute):
-                    return self._is_array_expr(receiver.value, arrays) or True
-            return False
+            return _method_name(node) in ("copy", "astype", "ravel", "reshape", "view")
         return False
 
     # -- the checks ----------------------------------------------------------
@@ -165,11 +158,8 @@ class HotPathAllocationRule(Rule):
         for node in ast.walk(func):
             if isinstance(node, ast.Call) and in_loop.get(node, False):
                 name = call_name(node)
-                tail = name.split(".")[-1] if name else None
-                if tail == "copy" and (
-                    name in ("np.copy", "numpy.copy")
-                    or isinstance(node.func, ast.Attribute)
-                ):
+                tail = _method_name(node)
+                if tail == "copy":
                     yield context.finding(
                         self,
                         node,
@@ -211,18 +201,28 @@ class HotPathAllocationRule(Rule):
             return "'.flat'"
         if isinstance(iter_expr, ast.Call):
             name = call_name(iter_expr)
-            tail = name.split(".")[-1] if name else None
+            method = iter_expr.func
             if name in ("np.nditer", "numpy.nditer"):
                 return "'np.nditer(...)'"
-            if tail in ("tolist", "ravel", "flatten") and isinstance(
-                iter_expr.func, ast.Attribute
+            if (
+                isinstance(method, ast.Attribute)
+                and method.attr in ("tolist", "ravel", "flatten")
+                and self._is_array_expr(method.value, arrays)
             ):
-                receiver = iter_expr.func.value
-                if self._is_array_expr(receiver, arrays):
-                    return f"'.{tail}()'"
-            if tail in ("enumerate", "zip"):
+                return f"'.{method.attr}()'"
+            if name in ("enumerate", "zip"):
                 for arg in iter_expr.args:
                     inner = self._loop_iterates_array(arg, arrays)
                     if inner:
                         return inner
         return ""
+
+
+def _method_name(node: ast.Call) -> Optional[str]:
+    """The attribute a call invokes (``copy`` in ``row[touched].copy()``).
+
+    Read off the call itself, so it resolves whatever the receiver is — a
+    name, a subscript or another call — where :func:`call_name` resolves
+    dotted names only.
+    """
+    return node.func.attr if isinstance(node.func, ast.Attribute) else None

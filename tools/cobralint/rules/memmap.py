@@ -21,8 +21,8 @@ at worst silent cross-request corruption.  This rule flags, inside
 Laundering through ``.copy()`` / ``np.array`` / ``np.ascontiguousarray`` /
 ``.astype()`` clears the taint — mutating your own copy is the sanctioned
 pattern (see ``evaluate_deltas``'s scratch buffers).  Writes through ``self``
-to protected attributes are allowed: builders (``__init__``,
-``_fold_constant``) legitimately fill arrays they just allocated.
+to protected attributes are allowed: builders (``__init__``) legitimately
+fill arrays they just allocated.
 """
 
 from __future__ import annotations
