@@ -1,8 +1,9 @@
 """The batch what-if evaluation service.
 
 :class:`BatchEvaluator` ties the batch subsystem together: it compiles
-provenance sets once (an LRU cache keyed by
-:meth:`~repro.provenance.polynomial.ProvenanceSet.fingerprint`), lowers
+provenance sets once (an LRU cache keyed by the exact
+:meth:`~repro.provenance.polynomial.ProvenanceSet.fingerprint`, which
+adopted compiled stores also seed), lowers
 scenario lists through :class:`~repro.batch.planner.ScenarioBatch`, and
 evaluates the whole sweep with one of three vectorised pipelines:
 
@@ -522,8 +523,9 @@ class BatchEvaluator:
     def compile(self, provenance: ProvenanceSet, semiring: "BackendLike" = None):
         """The compiled form of ``provenance``, cached by content fingerprint.
 
-        The cache is keyed by ``(fingerprint, backend name)``, so the same
-        provenance compiled for several semirings coexists; the default is
+        The cache is keyed by ``(fingerprint, backend name)``: the
+        fingerprint is exact (equal only for ``==`` sets), and the same
+        provenance compiled for several semirings coexists.  The default is
         the real backend, whose compiled form is ``CompiledProvenanceSet``.
         """
         backend = resolve_backend(semiring)
@@ -847,9 +849,11 @@ class BatchEvaluator:
 
         ``mode`` picks the numeric pipeline: ``"dense"`` lowers the batch to
         a full matrix, ``"sparse"`` evaluates the baseline once and applies
-        per-scenario deltas through the inverted variable→monomial index,
-        ``"factored"`` additionally evaluates the scenarios' shared
-        operation prefix once against a factored baseline, and ``"auto"``
+        per-scenario deltas through the compiled set's delta index (the real
+        set's per-(variable, row) entries, the tropical/bool sets' inverted
+        variable→monomial index), ``"factored"`` additionally evaluates the
+        scenarios' shared operation prefix once against a factored baseline,
+        and ``"auto"``
         (default) selects sparse whenever the scenarios touch at most
         ``SPARSE_TOUCHED_FRACTION`` of the variable universe on average —
         upgrading to factored when at least ``FACTORED_MIN_SCENARIOS``

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import SerializationError, SessionStateError
+from repro.exceptions import SessionStateError
 from repro.provenance.backends import BackendLike, resolve_backend
-from repro.provenance.backends.numeric import CompiledProvenanceSet
+from repro.provenance.backends.base import CompiledSemiringSet
 from repro.provenance.polynomial import ProvenanceSet
 from repro.provenance.valuation import Valuation
 from repro.core.abstraction_tree import AbstractionForest, AbstractionTree
@@ -93,9 +93,7 @@ class CobraSession:
         self._trees: Optional[AbstractionForest] = None
         self._bound: Optional[int] = None
         self._optimization: Optional[OptimizationResult] = None
-        self._compiled_full: Optional[CompiledProvenanceSet] = None
-        self._compiled_compressed: Optional[CompiledProvenanceSet] = None
-        self._batch_evaluator = None  # lazy repro.batch.BatchEvaluator
+        self._batch_evaluator: Optional["BatchEvaluator"] = None  # lazy
         self._compressor: Optional[Compressor] = None  # lazy, plan-cached
 
     # -- step 1: the input ----------------------------------------------------
@@ -117,11 +115,7 @@ class CobraSession:
 
     def initial_results(self) -> Dict[Tuple, float]:
         """The query results under the base valuation (the demo's first screen)."""
-        if self._backend.name == "real":
-            return self._provenance.evaluate(self._base_valuation)
-        if self._compiled_full is None:
-            self._compiled_full = self._backend.compile(self._provenance)
-        return self._compiled_full.evaluate(self._base_valuation)
+        return self._compile(self._provenance, "full").evaluate(self._base_valuation)
 
     # -- step 2: tree and bound ---------------------------------------------------
 
@@ -148,7 +142,6 @@ class CobraSession:
             )
         self._trees = trees
         self._optimization = None
-        self._compiled_compressed = None
 
     def set_bound(self, bound: int) -> None:
         """Set the bound on the number of monomials of the compressed provenance."""
@@ -156,7 +149,6 @@ class CobraSession:
             raise SessionStateError("the bound must be non-negative")
         self._bound = int(bound)
         self._optimization = None
-        self._compiled_compressed = None
 
     @property
     def bound(self) -> Optional[int]:
@@ -200,7 +192,6 @@ class CobraSession:
                 allow_infeasible=allow_infeasible,
                 keep_trace=keep_trace,
             )
-        self._compiled_compressed = None
         return self._optimization
 
     def compress_sweep(
@@ -292,19 +283,22 @@ class CobraSession:
 
     # -- step 5: assignment and comparison -------------------------------------------
 
-    def _compiled(self) -> Tuple[CompiledProvenanceSet, CompiledProvenanceSet]:
-        # The backend decides the compiled form: CompiledProvenanceSet for the
-        # real backend (unchanged fast path), a numpy semiring kernel or the
-        # generic fallback otherwise — all sharing the same surface.
-        if self._compiled_full is None:
-            with obs_trace("session.compile", which="full"):
-                self._compiled_full = self._backend.compile(self._provenance)
-        if self._compiled_compressed is None:
-            with obs_trace("session.compile", which="compressed"):
-                self._compiled_compressed = self._backend.compile(
-                    self.compressed_provenance
-                )
-        return self._compiled_full, self._compiled_compressed
+    def _evaluator(self) -> "BatchEvaluator":
+        """The session's batch evaluator (lazy): it holds every compiled form.
+
+        It shares the session's Compressor, so a compress-then-sweep
+        through either entry point reuses one plan cache.
+        """
+        if self._batch_evaluator is None:
+            from repro.batch.evaluator import BatchEvaluator
+
+            self._batch_evaluator = BatchEvaluator(compressor=self.compressor())
+        return self._batch_evaluator
+
+    def _compile(self, provenance: ProvenanceSet, which: str) -> CompiledSemiringSet:
+        """``provenance`` compiled for the session's backend (evaluator-cached)."""
+        with obs_trace("session.compile", which=which):
+            return self._evaluator().compile(provenance, self._backend)
 
     # -- compiled stores -------------------------------------------------------
 
@@ -314,12 +308,9 @@ class CobraSession:
         The paper's workflow split in one call: the strong machine compiles
         once and writes ``path``; any number of consumers then
         :meth:`open_from_store` it with O(header) cold-start cost.  Returns
-        the compiled set (also kept as the session's compiled-full state).
+        the compiled set (also kept in the session's evaluator).
         """
-        if self._compiled_full is None:
-            with obs_trace("session.compile", which="full"):
-                self._compiled_full = self._backend.compile(self._provenance)
-        compiled = self._compiled_full
+        compiled = self._compile(self._provenance, "full")
         to_store = getattr(compiled, "to_store", None)
         if to_store is None:
             raise SessionStateError(
@@ -332,25 +323,24 @@ class CobraSession:
     def open_from_store(self, path, recover: bool = True):
         """Adopt the compiled store at ``path`` as this session's compiled form.
 
-        The store must match the session: same backend, and a fingerprint
-        equal to this session's provenance (a store compiled from different
-        provenance would silently answer the wrong what-ifs).  On success the
-        mapped compiled set replaces the session's compiled-full state and is
-        seeded into the batch evaluator's compile cache, so
-        :meth:`evaluate_many` — including ``processes=N`` sharding, which
-        then ships the store *path* to a persistent worker pool — runs off
-        the mapped arrays.  Returns the mapped compiled set.
+        The session's evaluator adopts the store
+        (:meth:`~repro.batch.evaluator.BatchEvaluator.adopt_store`), which
+        seeds its compile cache, so :meth:`evaluate_many` — including
+        ``processes=N`` sharding, which then ships the store *path* to a
+        persistent worker pool — runs off the mapped arrays.  The store must
+        match the session: same backend, and a fingerprint equal to this
+        session's provenance (a store compiled from different provenance
+        would silently answer the wrong what-ifs).  Returns the mapped
+        compiled set.
 
-        Opening runs under the environment's retry policy
-        (``COBRA_RETRY``-tunable): transient I/O failures back off and
-        retry before anything is declared corrupt.
-
-        With ``recover=True`` (default), a store that fails verification —
-        bad magic, truncated blocks, a CRC32 mismatch — is quarantined
-        (renamed ``<path>.quarantined``) and the session transparently
-        recompiles from its own provenance instead of raising: the warm
-        start degrades to a compile, recorded as a degradation event and
-        under ``resilience.quarantines``.
+        Opening runs under the evaluator's retry policy (``COBRA_RETRY``
+        overrides honoured): transient I/O failures back off and retry
+        before anything is declared corrupt.  A store that fails
+        verification — bad magic, truncated blocks, a CRC32 mismatch — is
+        quarantined (renamed ``<path>.quarantined``).  With ``recover=True``
+        (default) the session then recompiles from its own provenance
+        instead of raising: the warm start degrades to a compile, recorded
+        as a degradation event and under ``resilience.quarantines``.
 
         Raises
         ------
@@ -359,31 +349,11 @@ class CobraSession:
         SessionStateError
             On a backend or provenance-fingerprint mismatch.
         """
-        from repro.batch.evaluator import BatchEvaluator
-        from repro.provenance.store import open_store, quarantine_store
-        from repro.resilience import policy_from_env, record_degradation
-
-        def open_once():
-            return open_store(path)
-
-        try:
-            compiled = policy_from_env().run(
-                open_once,
-                retryable=(OSError,),
-                give_up=(FileNotFoundError,),
-                site="store.open",
-            )
-        except SerializationError as exc:
-            quarantined = quarantine_store(path)
-            if not recover:
-                raise
-            record_degradation(
-                f"store {path} was corrupt ({exc}); quarantined to "
-                f"{quarantined} and recompiled from session provenance"
-            )
-            with obs_trace("session.compile", which="full", recovery="store"):
-                self._compiled_full = self._backend.compile(self._provenance)
-            return self._compiled_full
+        compiled = self._evaluator().adopt_store(
+            path, self._provenance if recover else None, self._backend
+        )
+        if getattr(compiled, "store_path", None) is None:
+            return compiled  # corrupt: recompiled from this session's provenance
         if compiled.backend_name != self._backend.name:
             raise SessionStateError(
                 f"{path}: store was compiled for the "
@@ -392,15 +362,20 @@ class CobraSession:
             )
         fingerprint = self._provenance.fingerprint()
         if compiled.source_fingerprint != fingerprint:
+            from repro.provenance.store import STORE_VERSION, read_store_header
+
+            version = read_store_header(path)["version"]
+            if version < STORE_VERSION:
+                raise SessionStateError(
+                    f"{path}: store format version {version} records a "
+                    "fingerprint computed before the exact fingerprint of "
+                    f"version {STORE_VERSION}; recompile the store"
+                )
             raise SessionStateError(
                 f"{path}: store fingerprint {compiled.source_fingerprint!r} "
                 "does not match this session's provenance "
                 f"({fingerprint!r}); recompile the store"
             )
-        self._compiled_full = compiled
-        if self._batch_evaluator is None:
-            self._batch_evaluator = BatchEvaluator(compressor=self.compressor())
-        self._batch_evaluator.adopt_store(path)
         return compiled
 
     def assign(
@@ -473,7 +448,10 @@ class CobraSession:
                 }
             )
 
-        compiled_full, compiled_compressed = self._compiled()
+        compiled_full = self._compile(self._provenance, "full")
+        compiled_compressed = self._compile(
+            self.compressed_provenance, "compressed"
+        )
         baseline_results = compiled_full.evaluate(self._base_valuation)
         full_results = compiled_full.evaluate(full_value_map)
         compressed_results = compiled_compressed.evaluate(meta_valuation)
@@ -535,6 +513,28 @@ class CobraSession:
             measure_assignment_speedup=measure_assignment_speedup,
         )
 
+    def _batch_inputs(
+        self,
+        include_compressed: Union[bool, str],
+        evaluator: Optional["BatchEvaluator"],
+    ) -> Tuple["BatchEvaluator", Optional[ProvenanceSet], Optional[Abstraction]]:
+        """The evaluator and the ``(compressed, abstraction)`` pair
+        (``None`` for full-only) of an :meth:`evaluate_many` or
+        :meth:`evaluate_plan` call."""
+        if include_compressed not in (True, False, "auto"):
+            raise SessionStateError(
+                "include_compressed must be True, False or 'auto'"
+            )
+        if include_compressed is True and self._optimization is None:
+            raise SessionStateError(
+                "include_compressed=True requires compress() to have run"
+            )
+        if evaluator is None:
+            evaluator = self._evaluator()
+        if include_compressed is False or self._optimization is None:
+            return evaluator, None, None
+        return evaluator, self.compressed_provenance, self.abstraction
+
     def evaluate_many(
         self,
         scenarios: Sequence[Scenario],
@@ -566,39 +566,19 @@ class CobraSession:
             the session keeps one of its own, so repeated sweeps reuse the
             compiled provenance.
         mode:
-            ``"auto"`` (default) picks between the dense matrix pipeline and
-            sparse baseline-once delta evaluation by how much of the variable
-            universe the scenarios touch; ``"dense"``/``"sparse"`` force a
-            pipeline.  Both produce element-wise equal results.
+            ``"auto"`` (default) picks between the dense matrix pipeline,
+            sparse baseline-once delta evaluation and the factored pipeline
+            (a shared operation prefix applied once) by how much of the
+            variable universe the scenarios touch and share;
+            ``"dense"``/``"sparse"``/``"factored"`` force a pipeline.  All
+            three produce element-wise equal results.
         processes:
             Shard scenario rows across this many worker processes (large
             sweeps on multi-core hosts); ``None`` evaluates in-process.
         """
-        from repro.batch.evaluator import BatchEvaluator
-
-        if include_compressed not in (True, False, "auto"):
-            raise SessionStateError(
-                "include_compressed must be True, False or 'auto'"
-            )
-        if evaluator is None:
-            if self._batch_evaluator is None:
-                # Share the session's Compressor so a compress-then-sweep
-                # through either entry point reuses one plan cache.
-                self._batch_evaluator = BatchEvaluator(
-                    compressor=self.compressor()
-                )
-            evaluator = self._batch_evaluator
-
-        compressed = None
-        abstraction = None
-        if include_compressed is True and self._optimization is None:
-            raise SessionStateError(
-                "include_compressed=True requires compress() to have run"
-            )
-        if include_compressed is not False and self._optimization is not None:
-            compressed = self.compressed_provenance
-            abstraction = self.abstraction
-
+        evaluator, compressed, abstraction = self._batch_inputs(
+            include_compressed, evaluator
+        )
         with obs_trace(
             "session.evaluate_many",
             scenarios=len(scenarios),
@@ -635,29 +615,9 @@ class CobraSession:
         exactly as in :meth:`evaluate_many`; ``chunk_scenarios`` bounds how
         many ``Scenario`` objects a huge plan materialises at once.
         """
-        from repro.batch.evaluator import BatchEvaluator
-
-        if include_compressed not in (True, False, "auto"):
-            raise SessionStateError(
-                "include_compressed must be True, False or 'auto'"
-            )
-        if evaluator is None:
-            if self._batch_evaluator is None:
-                self._batch_evaluator = BatchEvaluator(
-                    compressor=self.compressor()
-                )
-            evaluator = self._batch_evaluator
-
-        compressed = None
-        abstraction = None
-        if include_compressed is True and self._optimization is None:
-            raise SessionStateError(
-                "include_compressed=True requires compress() to have run"
-            )
-        if include_compressed is not False and self._optimization is not None:
-            compressed = self.compressed_provenance
-            abstraction = self.abstraction
-
+        evaluator, compressed, abstraction = self._batch_inputs(
+            include_compressed, evaluator
+        )
         with obs_trace(
             "session.evaluate_plan",
             plan=getattr(plan, "name", type(plan).__name__),

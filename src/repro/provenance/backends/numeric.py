@@ -309,10 +309,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     def evaluate_vector(self, valuation: Mapping[str, Any]) -> np.ndarray:
         """Like :meth:`evaluate` but returning a bare numpy vector (fast path)."""
-        values = np.array(
-            [float(valuation[name]) for name in self._variables], dtype=np.float64
-        )
-        return self._evaluate_values(values)
+        return self._evaluate_values(self.values_vector(valuation))
 
     def _evaluate_values(self, values: np.ndarray) -> np.ndarray:
         totals = self._constant.copy()

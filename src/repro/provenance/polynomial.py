@@ -10,6 +10,7 @@ values so the engine can report per-group result changes.
 
 from __future__ import annotations
 
+import hashlib
 from numbers import Real
 from typing import (
     TYPE_CHECKING,
@@ -23,6 +24,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from repro.exceptions import (
     InvalidPolynomialError,
@@ -348,10 +351,7 @@ class Polynomial:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(
-                (monomial, round(coefficient, 9))
-                for monomial, coefficient in self._terms.items()
-            )))
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -511,29 +511,38 @@ class ProvenanceSet:
         return len(self.variables())
 
     def fingerprint(self) -> str:
-        """A content hash of the set, stable across processes (cached).
+        """An exact content hash of the set, stable across processes (cached).
 
-        Two provenance sets with the same keys and structurally identical
-        polynomials (coefficients rounded to 9 decimals, the same tolerance
-        :meth:`Polynomial.__hash__` uses) share a fingerprint.  Batch
-        evaluation uses it to key compiled-provenance caches.
+        Hashes the arrays of :meth:`incidence`: the key reprs, the name
+        table, the distinct monomials' factor matrices and, per row, the
+        group, the monomial id and the coefficient's exact float64 bytes.
+        Groups are renumbered in ``repr(key)`` order, so two sets share a
+        fingerprint exactly when they are ``==`` (keys compared by
+        ``repr``), whatever the insertion order of their keys and terms.
+        Compile caches and compiled stores are keyed by it.
         """
         if self._fingerprint_cache is None:
-            import hashlib
-
-            # Keys are visited in sorted order (so insertion order does not
-            # matter) and every field is terminated with a separator byte
-            # (so field boundaries cannot be shifted between inputs).
+            incidence = self.incidence()
+            reprs = [repr(key) for key in incidence.keys]
+            order = sorted(range(len(reprs)), key=reprs.__getitem__)
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order), dtype=np.int64)
+            group_ids = rank[incidence.group_ids]
+            # Rows within a group already ascend by monomial id.
+            rows = np.argsort(group_ids, kind="stable")
             digest = hashlib.sha256()
-            for key in sorted(self._polynomials, key=repr):
-                digest.update(repr(key).encode("utf-8"))
-                digest.update(b"\x1e")
-                for monomial, coefficient in self._polynomials[key].terms():
-                    digest.update(monomial.to_text().encode("utf-8"))
-                    digest.update(b"\x1f")
-                    digest.update(repr(round(coefficient, 9)).encode("utf-8"))
-                    digest.update(b"\x1f")
-                digest.update(b"\x1d")
+            for strings in ([reprs[i] for i in order], incidence.names):
+                encoded = [text.encode("utf-8") for text in strings]
+                _feed(digest, np.array([len(e) for e in encoded], dtype="<i8"))
+                digest.update(b"".join(encoded))
+            for array in (
+                incidence.monomial_variables,
+                incidence.monomial_exponents,
+                group_ids[rows],
+                incidence.monomial_ids[rows],
+            ):
+                _feed(digest, array.astype("<i8"))
+            _feed(digest, incidence.coefficients[rows].astype("<f8"))
             self._fingerprint_cache = digest.hexdigest()
         return self._fingerprint_cache
 
@@ -604,6 +613,12 @@ class ProvenanceSet:
             f"ProvenanceSet(groups={len(self)}, size={self.size()}, "
             f"variables={self.num_variables()})"
         )
+
+
+def _feed(digest, array: np.ndarray) -> None:
+    """Hash an array's shape, then its bytes (so shapes cannot alias)."""
+    digest.update(repr(array.shape).encode("ascii"))
+    digest.update(array.tobytes())
 
 
 def _normalize_key(key) -> Tuple:

@@ -47,7 +47,10 @@ opening reconstructs the compiled set from every block it uses, a corrupt
 store fails at open time, before any kernel touches bad data.  Version-1
 stores (no checksums) remain readable, and so do stores of versions 1–3
 that carry delta index blocks (real stores up to version 2, tropical and
-bool stores up to version 3): opening ignores those blocks.
+bool stores up to version 3): opening ignores those blocks.  Version 5
+changed only the recorded source fingerprint (now exact); a session that
+adopts an older store finds it matches no provenance and is told to
+recompile it.
 :func:`quarantine_store` renames a store that failed verification to
 ``<path>.quarantined`` so the next open does not trip over it again;
 callers (the evaluator, sessions) then recompile from provenance.  The ``store.open``/``store.read_block`` fault-injection
@@ -83,13 +86,17 @@ STORE_KIND = "compiled_store"
 #: The store format version written by this build.  Version 2 added
 #: per-block CRC32 checksums to the block directory; version 3 dropped the
 #: delta index blocks (``g*.inc.*``, ``g*.monomial_rows``) from real
-#: stores, and version 4 from tropical and bool stores.
-STORE_VERSION = 4
+#: stores, and version 4 from tropical and bool stores.  Version 5 records
+#: the exact fingerprint hashed from the incidence arrays
+#: (:meth:`~repro.provenance.polynomial.ProvenanceSet.fingerprint`); its
+#: blocks are those of version 4.
+STORE_VERSION = 5
 
 #: Store format versions this build reads.  Version-1 stores simply lack
 #: block checksums; older stores may carry delta index blocks, which
-#: opening ignores.
-SUPPORTED_STORE_VERSIONS = (1, 2, 3, 4)
+#: opening ignores.  Stores before version 5 carry the older, rounded
+#: fingerprint, so they open but match no provenance set's fingerprint.
+SUPPORTED_STORE_VERSIONS = (1, 2, 3, 4, 5)
 
 #: Every raw block (and the data section itself) starts on this boundary,
 #: so mapped views are aligned for any vectorised access.
@@ -203,7 +210,8 @@ def write_store(compiled: Any, path: PathLike) -> str:
 
 
 def read_store_header(path: PathLike) -> Dict[str, object]:
-    """The store's header payload (backend, fingerprint, keys, directory).
+    """The store's header payload (backend, fingerprint, keys, directory),
+    plus the envelope's format ``version``.
 
     Validates the magic and the version/kind envelope without touching any
     data block — cheap enough to probe a store before adopting it.
@@ -263,7 +271,7 @@ def read_store_header(path: PathLike) -> Dict[str, object]:
         raise SerializationError(
             f"{path}: compiled-store header has no block directory"
         )
-    return payload
+    return dict(payload, version=version)
 
 
 def _data_start(path: PathLike) -> int:
@@ -395,8 +403,8 @@ _STORE_CACHE: Optional["FingerprintCache"] = None
 
 
 def _store_cache() -> "FingerprintCache":
-    # Lazy, like the incidence cache: constructing it registers the
-    # store_cache.hits/.misses counters with the metrics registry.
+    # Lazy: constructing it registers the store_cache.hits/.misses
+    # counters with the metrics registry.
     from repro.provenance.valuation import FingerprintCache
 
     global _STORE_CACHE

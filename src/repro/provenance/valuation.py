@@ -7,8 +7,8 @@ This module provides:
 * :class:`Valuation` — an immutable mapping from variable names to numbers,
   with convenience constructors for the scenarios of the paper (e.g. "scale
   the March price variables by 0.8");
-* :class:`FingerprintCache` — the small LRU cache, keyed by provenance
-  fingerprints, behind every compile/incidence/store cache of the engine.
+* :class:`FingerprintCache` — the small LRU cache behind the engine's
+  compile, compression-plan and open-store caches.
 
 The numpy-compiled forms that make repeated assignment cheap live with the
 numeric semiring backends (:mod:`repro.provenance.backends.numeric`).
@@ -55,11 +55,12 @@ def _resolve_value_backend(semiring):
 class FingerprintCache:
     """A small LRU cache keyed by content fingerprints.
 
-    Compiling provenance (a backend's compiled set) and building its
-    id-encoded incidence rows are both one-linear-pass preprocessing steps
-    worth paying exactly once per distinct provenance set.  Both caches key
-    their entries by
-    :meth:`~repro.provenance.polynomial.ProvenanceSet.fingerprint`; this
+    Compiling provenance (a backend's compiled set) and planning its
+    compression are worth paying once per distinct provenance set: the
+    batch evaluator's compile cache and the compressor's plan cache key
+    their entries by the exact
+    :meth:`~repro.provenance.polynomial.ProvenanceSet.fingerprint`, and the
+    open-store cache keys mapped stores by ``(path, mtime, size)``.  This
     class centralises the LRU + hit/miss bookkeeping they share.
 
     ``metrics=`` names a prefix under which the cache additionally reports

@@ -134,6 +134,18 @@ class TestCompiledParity:
         with pytest.raises(MissingValuationError):
             backend.compile(provenance).evaluate({"x": backend.default_value("x")})
 
+    @pytest.mark.parametrize("name", ["real", "tropical", "bool"])
+    def test_evaluate_vector_checks_coverage(self, provenance, name):
+        backend = resolve_backend(name)
+        compiled = backend.compile(provenance)
+        with pytest.raises(MissingValuationError):
+            compiled.evaluate_vector({"x": backend.default_value("x")})
+        valuation = identity_valuation(backend)
+        np.testing.assert_array_equal(
+            compiled.evaluate_vector(valuation),
+            np.array([float(v) for v in compiled.evaluate(valuation).values()]),
+        )
+
     @pytest.mark.parametrize("name", SEMIRING_BACKEND_NAMES)
     def test_compiled_surface(self, provenance, name):
         compiled = resolve_backend(name).compile(provenance)

@@ -139,6 +139,18 @@ class TestBatchEvaluatorCache:
         evaluator = BatchEvaluator()
         assert evaluator.compile(provenance) is evaluator.compile(clone)
 
+    def test_nearly_equal_constants_compile_apart(self):
+        # Coefficients that agree to 9 decimals are different provenance:
+        # the cache must not answer for one with the other's compiled set.
+        a = ProvenanceSet({("k",): Polynomial({Monomial.unit(): 2.0})})
+        b = ProvenanceSet({("k",): Polynomial({Monomial.unit(): 2.0 + 4e-10})})
+        evaluator = BatchEvaluator()
+        compiled_a = evaluator.compile(a)
+        compiled_b = evaluator.compile(b)
+        assert compiled_b is not compiled_a
+        assert compiled_b.evaluate({}) == {("k",): 2.0000000004}
+        assert compiled_a.evaluate({}) == {("k",): 2.0}
+
     def test_mutation_invalidates_fingerprint(self, provenance):
         evaluator = BatchEvaluator()
         first = evaluator.compile(provenance)

@@ -316,6 +316,40 @@ class TestProvenanceSetCaches:
         b[("k1",)] = poly(x=1)
         assert a.fingerprint() == b.fingerprint()
 
+    def test_fingerprint_is_exact(self):
+        a = ProvenanceSet({("k",): poly(x=1.0)})
+        b = ProvenanceSet({("k",): poly(x=1.0 + 1e-12)})
+        assert a != b
+        assert a.fingerprint() != b.fingerprint()
+
+    def test_fingerprint_is_stable_across_processes(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "from repro.provenance.polynomial import Polynomial, ProvenanceSet\n"
+            "from repro.provenance.monomial import Monomial\n"
+            "s = ProvenanceSet()\n"
+            "s[('z', 1)] = Polynomial({Monomial.of('x', 'y'): 2.5})\n"
+            "s[('a', 2)] = Polynomial({Monomial.unit(): 1.0, Monomial.of('w'): 3.0})\n"
+            "print(s.fingerprint())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        prints = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.strip()
+            for seed in ("1", "2")
+        }
+        assert len(prints) == 1
+
     def test_fingerprint_distinguishes_key_boundaries(self):
         a = ProvenanceSet({("ab",): poly(x=1)})
         b = ProvenanceSet({("a",): poly(x=1), ("b",): poly(x=1)})

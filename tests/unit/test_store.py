@@ -480,6 +480,38 @@ class TestSessionStore:
         with pytest.raises(SessionStateError, match="fingerprint"):
             CobraSession(other).open_from_store(path)
 
+    def test_pre_exact_fingerprint_store_is_told_to_recompile(
+        self, provenance, tmp_path
+    ):
+        path = tmp_path / "s.cps"
+        CobraSession(provenance).compile_to_store(path)
+
+        def to_version_4(document):
+            document["version"] = 4
+            document["store"]["fingerprint"] = "0" * 64
+
+        _rewrite_header(path, to_version_4)
+        with pytest.raises(SessionStateError, match="version 4.*recompile"):
+            CobraSession(provenance).open_from_store(path)
+
+    def test_entry_points_share_one_compile(
+        self, name, provenance, scenarios, tmp_path, monkeypatch
+    ):
+        session = CobraSession(provenance, semiring=name)
+        backend_type = type(session.backend)
+        original = backend_type.compile
+        compiled = []
+
+        def counting_compile(backend, provenance_set):
+            compiled.append(provenance_set)
+            return original(backend, provenance_set)
+
+        monkeypatch.setattr(backend_type, "compile", counting_compile)
+        session.initial_results()
+        session.compile_to_store(tmp_path / "s.cps")
+        session.evaluate_many(scenarios)
+        assert compiled == [provenance]
+
     def test_generic_backend_has_no_store(self, provenance, tmp_path):
         session = CobraSession(provenance, semiring="why")
         with pytest.raises(SessionStateError, match="no"):

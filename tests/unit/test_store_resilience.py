@@ -88,7 +88,7 @@ class TestIntegrityChecks:
     def test_header_carries_version_and_checksums(self, provenance, tmp_path):
         _, path = _store(provenance, tmp_path)
         raw, document, _ = _header_and_data_start(path)
-        assert document["version"] == STORE_VERSION == 4
+        assert document["version"] == STORE_VERSION == 5
         blocks = document["store"]["blocks"]
         assert all("crc32" in meta for meta in blocks.values())
 
