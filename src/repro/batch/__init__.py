@@ -7,12 +7,15 @@ built for heavy multi-scenario traffic:
 * :mod:`repro.batch.planner` — :class:`ScenarioBatch` lowers a list of
   :class:`~repro.engine.scenario.Scenario` objects over a shared variable
   index, either into one ``scenarios × variables`` valuation matrix or into
-  a sparse :class:`DeltaPlan` (shared base row + per-scenario changed
-  cells);
+  a sparse :class:`DeltaPlan` (shared base row + a CSR of changed cells:
+  per-scenario offsets into flat column/value arrays);
 * :mod:`repro.batch.evaluator` — :class:`BatchEvaluator` compiles provenance
   sets once (LRU-cached by content fingerprint) and evaluates whole sweeps
   with chunked matrix kernels or baseline-once sparse delta kernels
-  (``mode="auto"`` picks per batch).  Sharding has one path, ``processes``:
+  (``mode="auto"`` picks per batch).  The compressed side of a sweep is
+  lowered through a cached :class:`~repro.batch.evaluator.MetaLowering`
+  (member CSR and transpose) and aligned through a cached key index.
+  Sharding has one path, ``processes``:
   one persistent worker pool that maps each compiled set from a store file
   (in-memory sets are spilled once to a temporary store);
 * :mod:`repro.batch.factored` — shared-delta factoring for structured

@@ -10,8 +10,9 @@ evaluates the whole sweep with one of three vectorised pipelines:
 * **dense** — one ``scenarios × variables`` matrix through the segmented
   matrix kernels, in row chunks of ``chunk_size`` (default: a fixed cap on
   the float cells one chunk materialises);
-* **sparse** — the baseline valuation is evaluated **once**, then each
-  scenario is applied as a ``(changed_columns, new_values)`` delta
+* **sparse** — the baseline valuation is evaluated **once**, then the
+  scenarios are applied as one :class:`~repro.batch.planner.DeltaPlan`, a
+  CSR of changed cells
   (:meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_deltas`):
   the real set updates one per-row entry per changed variable, the
   tropical/bool sets recompute only affected segments.  Real what-if traffic
@@ -22,6 +23,13 @@ evaluates the whole sweep with one of three vectorised pipelines:
   (:mod:`repro.batch.factored`), then only each scenario's small residual
   delta runs through the sparse kernel.  Sparse and factored share one
   delta pipeline; they differ only in the plan it lowers.
+
+With a compressed set, the sweep's scenario values are lowered to the
+meta-variables through a :class:`MetaLowering` (a member CSR and its
+transpose), cached per abstraction, universe and compressed variables; the
+compressed results are aligned with the full keys through an index cached
+per pair of fingerprints.  Both lowerings are array work over the whole
+sweep.
 
 ``mode="auto"`` picks between them by the batch's touched-variable fraction
 and prefix-sharing statistics; ``processes=N`` shards scenario rows of any
@@ -85,6 +93,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_span, get_tracer, trace, tracing_enabled
 from repro.provenance.backends import BackendLike, resolve_backend
 from repro.provenance.backends.numeric import CompiledProvenanceSet
+from repro.provenance.incidence import ragged_ranges, sorted_unique
 from repro.provenance.polynomial import ProvenanceSet
 from repro.provenance.valuation import FingerprintCache, Valuation
 from repro.resilience import (
@@ -98,7 +107,7 @@ from repro.resilience import (
     record_degradation,
 )
 from repro.batch.factored import Factoring, factor_batch, prefix_statistics
-from repro.batch.planner import DeltaPlan, ScenarioBatch
+from repro.batch.planner import DeltaPlan, ScenarioBatch, offsets_from_counts
 from repro.batch.report import BatchReport
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -138,31 +147,31 @@ _EVALUATION_MODES = ("auto", "dense", "sparse", "factored")
 # ---------------------------------------------------------------------------
 
 
-def _run_shard(compiled, kind, base_vector, piece):
+def _run_shard(compiled, kind, piece):
     """Evaluate one shard: the one kernel call site of every sharded map.
 
     ``kind`` is ``"dense"`` (``piece`` is a matrix chunk) or ``"sparse"``
-    (``piece`` is a slice of delta plans against ``base_vector``).  The pool
-    task and the in-process serial rung both come through here, so the
+    (``piece`` is a scenario range of a :class:`DeltaPlan`).  The pool task
+    and the in-process serial rung both come through here, so the
     ``batch.shard`` fault point fires identically on either.
     """
     fault_point("batch.shard", kind=kind)
     if kind == "dense":
         return compiled.evaluate_matrix(piece)
-    return compiled.evaluate_deltas(base_vector, piece)
+    return compiled.evaluate_deltas(piece)
 
 
 def _shard_task(task):
     """One task of the evaluator's worker pool: open the store, run a shard.
 
-    ``task`` is ``(store_path, kind, base_vector, obs, fault_spec, piece)``.
+    ``task`` is ``(store_path, kind, obs, fault_spec, piece)``.
     The pool is generic (no initializer), so each task names its compiled
     store; the per-process store cache
     (:func:`repro.provenance.store.open_store`) makes repeated opens
     O(header), and every worker mapping the same file shares one page-cache
     copy of the arrays.
     """
-    path, kind, base_vector, obs, fault_spec, piece = task
+    path, kind, obs, fault_spec, piece = task
     if active_plan_spec() != fault_spec:
         # Track the parent's fault plan: armed once per plan, so its
         # counters persist across this worker's tasks and injection
@@ -178,15 +187,14 @@ def _shard_task(task):
 
     compiled = open_store(path)
     if not obs:
-        return _run_shard(compiled, kind, base_vector, piece)
+        return _run_shard(compiled, kind, piece)
     # Traced: return ``(result, span_dicts, metrics_delta)`` — the shard's
     # completed span subtrees and the metric delta it produced, which the
     # parent grafts back via Tracer.attach and MetricsRegistry.merge.
     registry = get_registry()
     before = registry.snapshot()
-    rows = int(piece.shape[0]) if kind == "dense" else len(piece)
-    with trace("batch.shard", kind=kind, rows=rows):
-        result = _run_shard(compiled, kind, base_vector, piece)
+    with trace("batch.shard", kind=kind, rows=len(piece)):
+        result = _run_shard(compiled, kind, piece)
     spans = [span.to_dict() for span in tracer.drain()]
     return result, spans, registry.diff(before, registry.snapshot())
 
@@ -314,34 +322,119 @@ def _harvest_round(pool, task, indices, pieces, results, policy, obs):
     return failed
 
 
-def _meta_lowering(
-    abstraction: Abstraction,
-    batch: ScenarioBatch,
-    meta_variables: Sequence[str],
-) -> List[Tuple[str, Any]]:
-    """How each meta column derives from the batch universe's columns.
+class MetaLowering:
+    """How the compressed variables derive from a batch universe's columns.
 
-    Per meta column: ``("mean", member columns)`` for a meta-variable with
-    members in the universe, ``("pass", column)`` for an original the
-    abstraction leaves untouched, ``("fill", None)`` otherwise.  The one
-    table behind :func:`lower_meta_matrix` and :func:`lower_meta_deltas`.
+    Meta column *j* is the mean of the universe columns
+    ``members[member_ptr[j]:member_ptr[j + 1]]``: a meta-variable's members
+    that occur in the universe (in sorted member order), the column itself
+    for an original the abstraction leaves untouched (a mean of one), and
+    none for anything else, which takes the backend's identity ``fill``.
+    The transpose (``column_ptr``/``column_metas``: universe column → the
+    metas it feeds) lets the sparse lowering find the metas a scenario's
+    cells touch without a Python loop.
+
+    Depends only on the abstraction's mapping, the universe and the
+    compressed variables, so :class:`BatchEvaluator` caches it under exactly
+    that content.  Every mean is one ``np.add.reduceat`` over members in
+    this order, so the dense, sparse and factored lowerings build identical
+    meta rows for the same scenario.
     """
-    grouped = abstraction.grouped_variables()
-    mapped = set(abstraction.mapping)
-    universe = set(batch.variables)
-    lowering: List[Tuple[str, Any]] = []
-    for variable in meta_variables:
-        members = grouped.get(variable)
-        if members is not None:
-            present = [m for m in members if m in universe]
-            if present:
-                lowering.append(("mean", batch.columns_for(present)))
-                continue
-        elif variable in universe and variable not in mapped:
-            lowering.append(("pass", int(batch.columns_for([variable])[0])))
-            continue
-        lowering.append(("fill", None))
-    return lowering
+
+    __slots__ = (
+        "counts",
+        "member_ptr",
+        "members",
+        "column_ptr",
+        "column_metas",
+        "_averaged",
+    )
+
+    def __init__(
+        self,
+        abstraction: Abstraction,
+        variables: Sequence[str],
+        meta_variables: Sequence[str],
+    ) -> None:
+        grouped = abstraction.grouped_variables()
+        index = {name: i for i, name in enumerate(variables)}
+        per_meta: List[List[int]] = []
+        for variable in meta_variables:
+            members = grouped.get(variable)
+            if members is not None:
+                per_meta.append([index[m] for m in members if m in index])
+            elif variable in index and variable not in abstraction.mapping:
+                per_meta.append([index[variable]])
+            else:
+                per_meta.append([])
+        self.counts = np.array([len(m) for m in per_meta], dtype=np.intp)
+        self.member_ptr = offsets_from_counts(self.counts)
+        self.members = np.array(
+            [column for members in per_meta for column in members], dtype=np.intp
+        )
+        owners = np.repeat(np.arange(len(per_meta), dtype=np.intp), self.counts)
+        order = np.argsort(self.members, kind="stable")
+        self.column_ptr = offsets_from_counts(
+            np.bincount(self.members, minlength=len(index))
+        )
+        self.column_metas = owners[order]
+        self._averaged = np.flatnonzero(self.counts)
+
+    def lower_matrix(self, matrix: np.ndarray, fill: float) -> np.ndarray:
+        """Lower a scenarios × universe matrix to the compressed columns:
+        one ``reduceat`` along axis 1 over the gathered member columns."""
+        averaged = self._averaged
+        result = np.full((matrix.shape[0], self.counts.size), fill, dtype=np.float64)
+        if averaged.size and matrix.shape[0]:
+            sums = np.add.reduceat(
+                matrix[:, self.members], self.member_ptr[averaged], axis=1
+            )
+            result[:, averaged] = sums / self.counts[averaged]
+        return result
+
+    def lower_deltas(self, plan: DeltaPlan, fill: float) -> DeltaPlan:
+        """Lower a plan over the universe to a plan over the compressed columns.
+
+        The meta base row is the lowered plan base row.  Then,
+        as array work over the whole plan: the changed cells expand through
+        the transpose into ``(scenario, meta)`` codes, made distinct; each
+        affected meta's members are gathered from the base row, the
+        scenario's own cells overlaid by a ``searchsorted`` on the plan's
+        sorted cell codes; one ``reduceat`` over them, divided by the member
+        counts, gives the new means, and cells equal to the meta base drop.
+        """
+        base = self.lower_matrix(plan.base_row[np.newaxis, :], fill)[0]
+        sids = plan.scenario_ids()
+        starts = self.column_ptr[plan.columns]
+        fanout = self.column_ptr[plan.columns + 1] - starts
+        positions, _ = ragged_ranges(starts, starts + fanout)
+        width = np.int64(base.size)
+        codes = sorted_unique(
+            np.repeat(sids.astype(np.int64), fanout) * width
+            + self.column_metas[positions]
+        )
+        pair_sids, metas = np.divmod(codes, width)
+        counts = self.counts[metas]
+        member_positions, segments = ragged_ranges(
+            self.member_ptr[metas], self.member_ptr[metas] + counts
+        )
+        columns = self.members[member_positions]
+        values = plan.base_row[columns]
+        universe = np.int64(plan.base_row.size)
+        cell_codes = sids * universe + plan.columns
+        query = np.repeat(pair_sids, counts) * universe + columns
+        found = np.minimum(np.searchsorted(cell_codes, query), cell_codes.size - 1)
+        hit = cell_codes[found] == query
+        values[hit] = plan.values[found[hit]]
+        means = np.add.reduceat(values, segments) / counts
+        moved = means != base[metas]
+        return DeltaPlan.from_cells(
+            base,
+            len(plan),
+            pair_sids[moved],
+            metas[moved].astype(np.intp),
+            means[moved],
+        )
 
 
 def lower_meta_matrix(
@@ -354,26 +447,18 @@ def lower_meta_matrix(
     """Lower a scenarios × originals matrix to the compressed variable space.
 
     Column *j* of the result is the value of ``meta_variables[j]`` under each
-    scenario, derived exactly as the interactive engine's
-    ``default_meta_valuation(reducer="mean", on_missing="skip")``: the mean of
-    the scenario values of the meta-variable's members that occur in the
-    universe, the scenario value itself for originals the abstraction leaves
-    untouched, and ``fill`` (the backend's identity fill, 1.0 on the float
-    pipeline) otherwise.  The mean lowering is shared by every numeric
+    scenario, derived as the interactive engine's
+    ``default_meta_valuation(reducer="mean", on_missing="skip")`` does: the
+    mean of the scenario values of the meta-variable's members that occur in
+    the universe, the scenario value itself for originals the abstraction
+    leaves untouched, and ``fill`` (the backend's identity fill, 1.0 on the
+    float pipeline) otherwise.  The mean lowering is shared by every numeric
     backend: it is the paper's default for real and tropical values, and for
     0/1 Boolean columns it is non-zero exactly when the disjunction is.
+    Means are ``reduceat`` sums in member order (:class:`MetaLowering`).
     """
-    result = np.full(
-        (matrix.shape[0], len(meta_variables)), fill, dtype=np.float64
-    )
-    for j, (kind, source) in enumerate(
-        _meta_lowering(abstraction, batch, meta_variables)
-    ):
-        if kind == "mean":
-            result[:, j] = matrix[:, source].mean(axis=1)
-        elif kind == "pass":
-            result[:, j] = matrix[:, source]
-    return result
+    lowering = MetaLowering(abstraction, batch.variables, meta_variables)
+    return lowering.lower_matrix(matrix, fill)
 
 
 def lower_meta_deltas(
@@ -382,60 +467,17 @@ def lower_meta_deltas(
     plan: DeltaPlan,
     meta_variables: Sequence[str],
     fill: float = 1.0,
-) -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
+) -> DeltaPlan:
     """The sparse counterpart of :func:`lower_meta_matrix`.
 
     Lowers a :class:`~repro.batch.planner.DeltaPlan` over the originals into
-    the compressed variable space without materialising any dense matrix:
-    the meta base row is derived once from the plan's base row, and per
-    scenario only the meta-variables containing a changed original are
-    re-averaged.  Cell for cell this computes the exact numbers
-    :func:`lower_meta_matrix` would.
+    a plan over the compressed variable space without materialising any
+    dense matrix (:meth:`MetaLowering.lower_deltas`).  Applied to the
+    returned plan's base row, each scenario's cells rebuild exactly the row
+    :func:`lower_meta_matrix` computes for it.
     """
-    lowering = _meta_lowering(abstraction, batch, meta_variables)
-    base_row = np.full(len(meta_variables), fill, dtype=np.float64)
-    column_to_metas: Dict[int, list] = {}
-    for j, (kind, source) in enumerate(lowering):
-        if kind == "mean":
-            base_row[j] = plan.base_row[source].mean()
-            for column in source:
-                column_to_metas.setdefault(int(column), []).append(j)
-        elif kind == "pass":
-            base_row[j] = plan.base_row[source]
-            column_to_metas.setdefault(source, []).append(j)
-
-    empty_columns = np.zeros(0, dtype=np.intp)
-    empty_values = np.zeros(0, dtype=np.float64)
-    scratch = plan.base_row.copy()
-    changes = []
-    for columns, values in plan.changes:
-        if columns.size == 0:
-            changes.append((empty_columns, empty_values))
-            continue
-        scratch[columns] = values
-        metas = sorted(
-            {
-                j
-                for column in columns
-                for j in column_to_metas.get(int(column), ())
-            }
-        )
-        meta_columns = []
-        meta_values = []
-        for j in metas:
-            kind, source = lowering[j]
-            value = scratch[source].mean() if kind == "mean" else scratch[source]
-            if value != base_row[j]:
-                meta_columns.append(j)
-                meta_values.append(value)
-        changes.append(
-            (
-                np.asarray(meta_columns, dtype=np.intp),
-                np.asarray(meta_values, dtype=np.float64),
-            )
-        )
-        scratch[columns] = plan.base_row[columns]
-    return base_row, tuple(changes)
+    lowering = MetaLowering(abstraction, batch.variables, meta_variables)
+    return lowering.lower_deltas(plan, fill)
 
 
 def _factor(batch: ScenarioBatch, base: Valuation, fill: float) -> Factoring:
@@ -502,6 +544,11 @@ class BatchEvaluator:
         self._processes = processes
         self._retry = retry_policy if retry_policy is not None else policy_from_env()
         self._compiled = FingerprintCache(cache_size, metrics="batch.compile_cache")
+        # Per-request derived state of the compressed side, bounded like
+        # the compile cache: meta lowerings keyed by exact content, and the
+        # compressed → full key alignment keyed by the two fingerprints.
+        self._lowerings = FingerprintCache(cache_size)
+        self._alignments = FingerprintCache(cache_size)
         self._compressor = compressor
         # The one worker pool (and its width), plus the directory holding
         # in-memory compiled sets spilled for it, keyed like the compile
@@ -681,7 +728,7 @@ class BatchEvaluator:
                 os.remove(stale)
         return path
 
-    def _shard_map(self, processes, compiled, base_vector, kind, pieces):
+    def _shard_map(self, processes, compiled, kind, pieces):
         """Map shards over the worker pool in salvage rounds, then serially.
 
         Every task ships the compiled set's store path (see
@@ -705,7 +752,7 @@ class BatchEvaluator:
         results = [None] * len(pieces)
         pending = list(range(len(pieces)))
         path = self._store_path_for(compiled)
-        task = (path, kind, base_vector, obs, active_plan_spec())
+        task = (path, kind, obs, active_plan_spec())
         for round_no in range(max(1, policy.attempts - 1)):
             pool = None if path is None else self._pool_for(processes)
             if pool is None:
@@ -733,7 +780,7 @@ class BatchEvaluator:
                 piece = pieces[i]
 
                 def run_shard(piece=piece):
-                    return _run_shard(compiled, kind, base_vector, piece)
+                    return _run_shard(compiled, kind, piece)
 
                 results[i] = policy.run(
                     run_shard,
@@ -786,9 +833,7 @@ class BatchEvaluator:
             span.set("chunks", len(pieces))
             if processes and processes > 1 and len(pieces) > 1:
                 span.set("processes", processes)
-                results = self._shard_map(
-                    processes, compiled, None, "dense", pieces
-                )
+                results = self._shard_map(processes, compiled, "dense", pieces)
             else:
                 results = [compiled.evaluate_matrix(piece) for piece in pieces]
             return np.concatenate(results, axis=0)
@@ -796,30 +841,27 @@ class BatchEvaluator:
     def evaluate_deltas(
         self,
         compiled,
-        base_vector: np.ndarray,
-        plans: Sequence[Tuple[np.ndarray, np.ndarray]],
+        plan: DeltaPlan,
         processes: Optional[int] = None,
     ) -> np.ndarray:
         """Sparse ``scenarios × groups`` evaluation, optionally process-sharded.
 
         The baseline is evaluated once (inside the compiled set's cached
-        delta state); each shard re-ships only its plans, so assembly memory
-        is bounded by ``shards × shard_rows × groups`` floats.
+        delta state); each shard is a scenario range of ``plan``
+        (:meth:`DeltaPlan.rows`), so assembly memory is bounded by
+        ``shards × shard_rows × groups`` floats.
         """
-        with trace("batch.kernel.sparse", rows=len(plans)) as span:
-            if not (processes and processes > 1) or len(plans) < 2:
-                return compiled.evaluate_deltas(base_vector, plans)
-            shard = max(1, -(-len(plans) // (processes * 4)))
+        rows = len(plan)
+        with trace("batch.kernel.sparse", rows=rows) as span:
+            if not (processes and processes > 1) or rows < 2:
+                return compiled.evaluate_deltas(plan)
+            shard = -(-rows // (processes * 4))
             pieces = [
-                plans[start : start + shard]
-                for start in range(0, len(plans), shard)
+                plan.rows(start, min(start + shard, rows))
+                for start in range(0, rows, shard)
             ]
-            if len(pieces) == 1:
-                return compiled.evaluate_deltas(base_vector, plans)
             span.update({"processes": processes, "shards": len(pieces)})
-            results = self._shard_map(
-                processes, compiled, base_vector, "sparse", pieces
-            )
+            results = self._shard_map(processes, compiled, "sparse", pieces)
             return np.concatenate(results, axis=0)
 
     # -- the full service entry point -----------------------------------------
@@ -1055,11 +1097,9 @@ class BatchEvaluator:
 
         meta_rows = None
         if compiled_compressed is not None:
-            meta_matrix = lower_meta_matrix(
-                abstraction, batch, matrix, compiled_compressed.variables, fill=fill
-            )
+            lowering = self._meta_lowering(abstraction, batch, compiled_compressed)
             meta_rows = self.evaluate_matrix(
-                compiled_compressed, meta_matrix, processes
+                compiled_compressed, lowering.lower_matrix(matrix, fill), processes
             )
         return baseline, full_results, meta_rows
 
@@ -1077,23 +1117,37 @@ class BatchEvaluator:
         results agree cell for cell.
         """
         full_columns = batch.columns_for(compiled_full.variables)
-        base_vector, plans = plan.project(full_columns)
+        full_plan = plan.project(full_columns)
         baseline = compiled_full.baseline_totals(
-            base_vector if unfactored_row is None else unfactored_row[full_columns]
+            full_plan.base_row
+            if unfactored_row is None
+            else unfactored_row[full_columns]
         )
-        full_results = self.evaluate_deltas(
-            compiled_full, base_vector, plans, processes
-        )
+        full_results = self.evaluate_deltas(compiled_full, full_plan, processes)
 
         meta_rows = None
         if compiled_compressed is not None:
-            meta_base, meta_plans = lower_meta_deltas(
-                abstraction, batch, plan, compiled_compressed.variables, fill=fill
-            )
+            lowering = self._meta_lowering(abstraction, batch, compiled_compressed)
             meta_rows = self.evaluate_deltas(
-                compiled_compressed, meta_base, meta_plans, processes
+                compiled_compressed, lowering.lower_deltas(plan, fill), processes
             )
         return baseline, full_results, meta_rows
+
+    def _meta_lowering(
+        self, abstraction: Abstraction, batch: ScenarioBatch, compiled_compressed
+    ) -> MetaLowering:
+        """The cached :class:`MetaLowering` of ``abstraction`` over the batch.
+
+        Keyed by exact content — the mapping's items, the universe and the
+        compressed variables — so a sweep repeating its inputs rebuilds
+        nothing, and a few bounds cycling through one evaluator each keep
+        their own entry.
+        """
+        variables = compiled_compressed.variables
+        return self._lowerings.get_or_build(
+            (tuple(abstraction.mapping.items()), batch.variables, variables),
+            lambda: MetaLowering(abstraction, batch.variables, variables),
+        )
 
     # -- declarative plans ------------------------------------------------------
 
@@ -1193,20 +1247,37 @@ class BatchEvaluator:
             ),
         )
 
-    @staticmethod
     def _align_compressed(
-        compiled_full, compiled_compressed, full_results, meta_rows, backend
+        self, compiled_full, compiled_compressed, full_results, meta_rows, backend
     ) -> np.ndarray:
         """Align compressed columns with the full provenance's keys; groups
         absent from the compressed set evaluate to the semiring zero, as in
-        the interactive report."""
-        key_column = {key: i for i, key in enumerate(compiled_compressed.keys)}
-        zero = float(backend.semiring.zero)
-        compressed_results = np.full_like(full_results, zero)
-        for j, key in enumerate(compiled_full.keys):
-            column = key_column.get(key)
-            if column is not None:
-                compressed_results[:, j] = meta_rows[:, column]
+        the interactive report.
+
+        The ``(destination, source)`` column index is cached per pair of
+        source fingerprints, together with the key tuples it was built from:
+        it is reused while both compiled sets list the same keys in the same
+        order (an identity check when they are the same tuples), so a
+        request pays one fancy-indexed assignment.
+        """
+        full_keys, compressed_keys = compiled_full.keys, compiled_compressed.keys
+        key = (
+            compiled_full.source_fingerprint,
+            compiled_compressed.source_fingerprint,
+        )
+        cached = self._alignments.get(key)
+        if cached is None or cached[:2] != (full_keys, compressed_keys):
+            key_column = {k: i for i, k in enumerate(compressed_keys)}
+            pairs = [
+                (j, key_column[k]) for j, k in enumerate(full_keys) if k in key_column
+            ]
+            destination = np.array([j for j, _ in pairs], dtype=np.intp)
+            source = np.array([i for _, i in pairs], dtype=np.intp)
+            cached = (full_keys, compressed_keys, destination, source)
+            self._alignments.put(key, cached)
+        _full_keys, _compressed_keys, destination, source = cached
+        compressed_results = np.full_like(full_results, float(backend.semiring.zero))
+        compressed_results[:, destination] = meta_rows[:, source]
         return compressed_results
 
     def _evaluate_generic(

@@ -13,7 +13,7 @@ scenario*; factoring splits the batch instead:
    baseline** row (:func:`factor_batch`);
 3. lower only the *residual* operations of each scenario against the
    factored row, yielding a :class:`~repro.batch.planner.DeltaPlan` whose
-   per-scenario changes are tiny.
+   CSR holds few cells per scenario.
 
 The factored row and residual values are computed by the same sequential
 float operations the unfactored lowering applies per scenario (prefix steps
@@ -22,7 +22,7 @@ valuation rows are bit-identical to the unfactored ones; the delta kernels
 then see the same rows they would have seen, just against a different
 baseline.
 
-The residual loop is :meth:`~repro.batch.planner.ScenarioBatch.lower_residuals`,
+The residual lowering is :meth:`~repro.batch.planner.ScenarioBatch.lower_residuals`,
 shared with the unfactored sparse lowering; it and :func:`factor_batch` are
 covered by cobralint's CL003 hot-path-allocation rule — keep per-scenario
 allocations out of them.
@@ -79,7 +79,7 @@ class Factoring:
         The base row with the shared prefix applied once.
     residual_plan:
         A :class:`DeltaPlan` whose ``base_row`` is the factored row and whose
-        per-scenario changes cover only the residual (post-prefix) steps.
+        cells cover only the residual (post-prefix) steps.
     prefix_cells:
         Distinct universe cells the shared prefix touches.
     residual_cells:
@@ -184,14 +184,15 @@ def factor_batch(
                 else:
                     factored_row[columns] = amount
         prefix_cells = _prefix_cells(batch, prefix_length)
-        changes, residual_cells = batch.lower_residuals(factored_row, prefix_length)
+        residual_plan = batch.lower_residuals(factored_row, prefix_length)
+        residual_cells = residual_plan.changed_cells()
         span.set("prefix_cells", prefix_cells)
         span.set("residual_cells", residual_cells)
         return Factoring(
             prefix_length=prefix_length,
             base_row=base_row,
             factored_row=factored_row,
-            residual_plan=DeltaPlan(base_row=factored_row, changes=changes),
+            residual_plan=residual_plan,
             prefix_cells=prefix_cells,
             residual_cells=residual_cells,
         )

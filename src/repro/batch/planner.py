@@ -9,17 +9,23 @@ shared, sorted variable universe — in one of two shapes:
 * :meth:`ScenarioBatch.valuation_matrix` — the dense ``scenarios ×
   variables`` matrix, feeding
   :meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_matrix`;
-* :meth:`ScenarioBatch.delta_plan` — the sparse lowering: one shared base
-  row plus per-scenario ``(changed_columns, new_values)`` pairs, feeding
+* :meth:`ScenarioBatch.delta_plan` — the sparse lowering: a
+  :class:`DeltaPlan`, one shared base row plus a CSR of changed cells
+  (per-scenario ``offsets`` into flat ``columns``/``values``), feeding
   :meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_deltas`.
   Real what-if scenarios perturb a handful of variables, so the plan is a
   few cells per scenario instead of a full row.
+
+Both lowerings start from the batch's flat operation cells (one entry per
+scenario, operation and selected column), so neither loops over scenarios
+in Python: the scenarios' steps are applied to every touched cell at once,
+one vectorised pass per operation depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,51 +39,161 @@ _EMPTY_VALUES = np.zeros(0, dtype=np.float64)
 
 @dataclass(frozen=True)
 class DeltaPlan:
-    """The sparse lowering of a scenario batch.
+    """The sparse lowering of a scenario batch: a base row plus a CSR of cells.
+
+    Scenario *s* changes the cells ``columns[offsets[s]:offsets[s + 1]]`` to
+    ``values[offsets[s]:offsets[s + 1]]``; every other column keeps its
+    ``base_row`` value.  The CSR is normalised where it is built: within a
+    scenario, cells are sorted by column and each column occurs once (a
+    column repeated in :meth:`from_pairs` input keeps its last value, as
+    ``row[columns] = values`` would).  Consumers — the projection, the meta
+    lowering, the delta kernels and the shard split — read the three flat
+    arrays directly, with no per-scenario objects.
 
     Attributes
     ----------
     base_row:
-        The shared base value vector over the batch's variable universe.
-    changes:
-        Per scenario, ``(changed_columns, new_values)`` — only the cells
-        whose value actually differs from ``base_row`` (a no-op scenario has
-        two empty arrays).  Columns index the batch universe.
+        The shared base value vector over the plan's column space.
+    offsets:
+        ``len(plan) + 1`` non-decreasing ``np.intp`` cell offsets, from 0.
+    columns:
+        The changed cells' columns (``np.intp``), indexing ``base_row``.
+    values:
+        The changed cells' new values (``np.float64``).
     """
 
     base_row: np.ndarray
-    changes: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    offsets: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_pairs(
+        cls,
+        base_row: np.ndarray,
+        pairs: Sequence[Tuple[Sequence[int], Sequence[float]]],
+    ) -> "DeltaPlan":
+        """A normalised plan from per-scenario ``(columns, values)`` pairs.
+
+        The constructor for hand-built plans: cells are sorted by column
+        within each scenario and a repeated column keeps its last value.
+        Raises ``IndexError`` for a column outside ``base_row``.
+        """
+        base_row = np.asarray(base_row, dtype=np.float64)
+        lengths = np.array(
+            [len(columns) for columns, _values in pairs], dtype=np.intp
+        )
+        columns = np.concatenate(
+            [np.asarray(columns, dtype=np.intp) for columns, _values in pairs]
+            + [_EMPTY_COLUMNS]
+        )
+        values = np.concatenate(
+            [np.asarray(values, dtype=np.float64) for _columns, values in pairs]
+            + [_EMPTY_VALUES]
+        )
+        if columns.size and (columns.min() < 0 or columns.max() >= base_row.size):
+            raise IndexError(
+                f"delta plan column out of range for {base_row.size} variables"
+            )
+        offsets = offsets_from_counts(lengths)
+        return cls(base_row, *_normalised(offsets, columns, values))
+
+    @classmethod
+    def from_cells(
+        cls,
+        base_row: np.ndarray,
+        scenarios: int,
+        scenario_ids: np.ndarray,
+        columns: np.ndarray,
+        values: np.ndarray,
+    ) -> "DeltaPlan":
+        """A plan of ``scenarios`` rows from cells already in normal order.
+
+        ``scenario_ids``/``columns``/``values`` list each changed cell,
+        ascending by (scenario, column) with no cell repeated — the order
+        the lowerings produce; only the offsets are computed here.
+        """
+        counts = np.bincount(scenario_ids, minlength=scenarios)
+        return cls(base_row, offsets_from_counts(counts), columns, values)
 
     def __len__(self) -> int:
-        return len(self.changes)
+        return self.offsets.size - 1
 
     def changed_cells(self) -> int:
         """Total number of changed cells across the whole batch."""
-        return sum(columns.size for columns, _values in self.changes)
+        return int(self.columns.size)
 
-    def project(
-        self, columns: np.ndarray
-    ) -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
+    def cells(self, scenario: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Scenario ``scenario``'s ``(columns, values)``, as views of the CSR."""
+        lo, hi = self.offsets[scenario], self.offsets[scenario + 1]
+        return self.columns[lo:hi], self.values[lo:hi]
+
+    def scenario_ids(self) -> np.ndarray:
+        """Each cell's scenario index (``np.intp``, non-decreasing)."""
+        return np.repeat(np.arange(len(self), dtype=np.intp), np.diff(self.offsets))
+
+    def rows(self, start: int, stop: int) -> "DeltaPlan":
+        """The plan of scenarios ``start:stop`` (a shard), sharing the base row."""
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return DeltaPlan(
+            self.base_row,
+            self.offsets[start : stop + 1] - lo,
+            self.columns[lo:hi],
+            self.values[lo:hi],
+        )
+
+    def project(self, columns: np.ndarray) -> "DeltaPlan":
         """Restrict the plan to a compiled set's variable subspace.
 
-        ``columns`` maps the target's variable order to universe columns
-        (``batch.columns_for(compiled.variables)``).  Returns the projected
-        base vector and per-scenario changes with universe columns remapped
-        to target columns; changed variables outside the subspace (which
-        cannot affect the target's results) are dropped.
+        ``columns`` maps the target's variable order to plan columns
+        (``batch.columns_for(compiled.variables)``).  Returns the plan over
+        the target's order: the projected base vector, and every cell
+        remapped to its target column; cells of columns outside the subspace
+        (which cannot affect the target's results) are dropped.  One
+        ``inverse[columns]`` gather, a mask and a ``cumsum`` of the kept
+        counts; an increasing ``columns`` keeps the cells sorted, any other
+        order is re-normalised.
         """
         columns = np.asarray(columns, dtype=np.intp)
         inverse = np.full(len(self.base_row), -1, dtype=np.intp)
         inverse[columns] = np.arange(columns.size, dtype=np.intp)
-        projected: List[Tuple[np.ndarray, np.ndarray]] = []
-        for changed, values in self.changes:
-            local = inverse[changed]
-            keep = local >= 0
-            if keep.all():
-                projected.append((local, values))
-            else:
-                projected.append((local[keep], values[keep]))
-        return self.base_row[columns], tuple(projected)
+        local = inverse[self.columns]
+        keep = local >= 0
+        kept = np.zeros(local.size + 1, dtype=np.intp)
+        np.cumsum(keep, out=kept[1:])
+        offsets, local, values = kept[self.offsets], local[keep], self.values[keep]
+        if np.any(columns[1:] <= columns[:-1]):
+            offsets, local, values = _normalised(offsets, local, values)
+        return DeltaPlan(self.base_row[columns], offsets, local, values)
+
+
+def offsets_from_counts(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets (``0, c0, c0 + c1, …``) from per-scenario cell counts."""
+    offsets = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _normalised(
+    offsets: np.ndarray, columns: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort a CSR's cells by column within each scenario, last value winning.
+
+    The stable sort keeps a repeated cell's values in input order, so the
+    last of each run is the value the input assigns last.
+    """
+    sids = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
+    width = int(columns.max()) + 1 if columns.size else 1
+    codes = sids * width + columns
+    if not np.any(codes[1:] <= codes[:-1]):
+        return offsets, columns, values
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    last = np.ones(codes.size, dtype=np.bool_)
+    np.not_equal(codes[1:], codes[:-1], out=last[:-1])
+    keep = order[last]
+    counts = np.bincount(sids[keep], minlength=offsets.size - 1)
+    return offsets_from_counts(counts), columns[keep], values[keep]
 
 
 class ScenarioBatch:
@@ -93,7 +209,9 @@ class ScenarioBatch:
         valuation's).  Sorted into a canonical column order.
     """
 
-    __slots__ = ("_scenarios", "_variables", "_index", "_resolved", "_touched")
+    __slots__ = (
+        "_scenarios", "_variables", "_index", "_resolved", "_touched", "_cells"
+    )
 
     def __init__(
         self, scenarios: Sequence[Scenario], variables: Iterable[str]
@@ -117,6 +235,7 @@ class ScenarioBatch:
             for scenario in self._scenarios
         )
         self._touched: Optional[np.ndarray] = None
+        self._cells: Optional[Tuple[np.ndarray, ...]] = None
 
     # -- inspection ---------------------------------------------------------
 
@@ -176,30 +295,55 @@ class ScenarioBatch:
     def touched_counts(self) -> np.ndarray:
         """Per scenario, the number of distinct universe columns it selects.
 
-        Computed once per batch, lazily, in one vectorised pass: every
-        selected cell is keyed ``row * |universe| + column`` and the distinct
-        keys are counted per row.  The sparse/dense heuristic
+        Computed once per batch, lazily, from the flat operation cells
+        (:meth:`_operation_cells`): distinct ``(scenario, column)`` cells are
+        counted per scenario.  The sparse/dense heuristic
         (:meth:`touched_fraction`) and the factoring statistics
         (:func:`repro.batch.factored.prefix_statistics`) both read it.
         """
         if self._touched is None:
-            rows: List[int] = []
-            parts: List[np.ndarray] = []
-            for row, operations in enumerate(self._resolved):
-                for _kind, columns, _amount in operations:
-                    if columns.size:
-                        rows.append(row)
-                        parts.append(columns)
-            counts = np.zeros(len(self._scenarios), dtype=np.int64)
-            if parts:
-                sizes = np.array([part.size for part in parts], dtype=np.int64)
-                keys = np.repeat(np.array(rows, dtype=np.int64), sizes) * len(
-                    self._variables
-                ) + np.concatenate(parts)
-                distinct = np.unique(keys) // len(self._variables)
-                counts = np.bincount(distinct, minlength=len(self._scenarios))
-            self._touched = counts
+            sids, columns, _positions, _scales, _amounts = self._operation_cells()
+            first = _run_mask(sids * np.int64(len(self._variables)) + columns)
+            self._touched = np.bincount(
+                sids[first], minlength=len(self._scenarios)
+            )
         return self._touched
+
+    def _operation_cells(self) -> Tuple[np.ndarray, ...]:
+        """Every selected cell of every operation, as flat arrays (cached).
+
+        ``(scenarios, columns, positions, scales, amounts)``: one entry per
+        (scenario, operation, selected column), sorted by scenario, then
+        column, then the operation's position in its scenario.  ``scales``
+        is ``True`` for a scale step and ``False`` for a set step.  Built
+        with one Python pass over the resolved operations and one sort; the
+        lowerings below are array work over it.
+        """
+        if self._cells is None:
+            steps = [
+                (row, position, kind == "scale", amount, columns)
+                for row, operations in enumerate(self._resolved)
+                for position, (kind, columns, amount) in enumerate(operations)
+                if columns.size
+            ]
+            rows, positions, scales, amounts, selected = (
+                zip(*steps) if steps else ((),) * 5
+            )
+            sizes = np.array([c.size for c in selected], dtype=np.intp)
+
+            def per_cell(step_values, dtype):
+                return np.repeat(np.array(step_values, dtype=dtype), sizes)
+
+            cells = (
+                per_cell(rows, np.int64),
+                np.concatenate(selected + (_EMPTY_COLUMNS,)),
+                per_cell(positions, np.intp),
+                per_cell(scales, np.bool_),
+                per_cell(amounts, np.float64),
+            )
+            order = np.lexsort(cells[2::-1])
+            self._cells = tuple(array[order] for array in cells)
+        return self._cells
 
     def touched_fraction(self) -> float:
         """Mean fraction of the universe the scenarios touch (the sparse/dense
@@ -244,15 +388,10 @@ class ScenarioBatch:
             scenarios=len(self._scenarios),
             variables=len(self._variables),
         ):
-            matrix = np.tile(self.base_row(base, fill), (len(self._scenarios), 1))
-            for row, operations in enumerate(self._resolved):
-                for kind, columns, amount in operations:
-                    if columns.size == 0:
-                        continue
-                    if kind == "scale":
-                        matrix[row, columns] *= amount
-                    else:
-                        matrix[row, columns] = amount
+            base_row = self.base_row(base, fill)
+            matrix = np.tile(base_row, (len(self._scenarios), 1))
+            sids, columns, values = self._lowered_cells(base_row, 0)
+            matrix[sids, columns] = values
             return matrix
 
     def delta_plan(
@@ -272,58 +411,54 @@ class ScenarioBatch:
             scenarios=len(self._scenarios),
             variables=len(self._variables),
         ):
-            base_row = self.base_row(base, fill)
-            changes, _cells = self.lower_residuals(base_row, 0)
-            return DeltaPlan(base_row=base_row, changes=changes)
+            return self.lower_residuals(self.base_row(base, fill), 0)
 
-    def lower_residuals(
-        self, row: np.ndarray, start: int
-    ) -> Tuple[Tuple[Tuple[np.ndarray, np.ndarray], ...], int]:
+    def lower_residuals(self, row: np.ndarray, start: int) -> DeltaPlan:
         """Each scenario's operations from position ``start`` on, against ``row``.
 
-        The one sparse lowering loop: :meth:`delta_plan` runs it from 0
-        against the base row, :func:`repro.batch.factored.factor_batch` from
-        the shared prefix's length against the factored row.  Returns the
-        per-scenario ``(changed_columns, new_values)`` pairs — cells that end
-        up back at their ``row`` value are filtered out — and the total
-        number of changed cells.  Covered by cobralint's CL003 rule: keep
-        per-scenario allocations out of it.
+        The one sparse lowering: :meth:`delta_plan` runs it from 0 against
+        the base row, :func:`repro.batch.factored.factor_batch` from the
+        shared prefix's length against the factored row.  Returns the
+        :class:`DeltaPlan` over ``row`` — cells sorted by column within each
+        scenario, cells that end up back at their ``row`` value filtered
+        out.  Covered by cobralint's CL003 rule.
         """
-        changes: List[Tuple[np.ndarray, np.ndarray]] = []
-        cells = 0
-        for operations in self._resolved:
-            live = [
-                (kind, columns, amount)
-                for kind, columns, amount in operations[start:]
-                if columns.size
-            ]
-            if not live:
-                changes.append((_EMPTY_COLUMNS, _EMPTY_VALUES))
-                continue
-            if len(live) == 1:
-                # The common one-operation scenario needs no column union.
-                kind, touched, amount = live[0]
-                if kind == "scale":
-                    values = row[touched] * amount
-                else:
-                    values = np.full(touched.size, amount, dtype=np.float64)
-            else:
-                touched = np.unique(
-                    np.concatenate([columns for _kind, columns, _amount in live])
-                )
-                # Fancy indexing yields a fresh array: no copy needed.
-                values = row[touched]
-                for kind, columns, amount in live:
-                    local = np.searchsorted(touched, columns)
-                    if kind == "scale":
-                        values[local] *= amount
-                    else:
-                        values[local] = amount
-            moved = values != row[touched]
-            changed = touched[moved]
-            changes.append((changed, values[moved]))
-            cells += changed.size
-        return tuple(changes), cells
+        sids, columns, values = self._lowered_cells(row, start)
+        moved = values != row[columns]
+        return DeltaPlan.from_cells(
+            row, len(self._scenarios), sids[moved], columns[moved], values[moved]
+        )
+
+    def _lowered_cells(
+        self, row: np.ndarray, start: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every touched ``(scenario, column)`` cell and its value after the
+        scenario's operations from position ``start`` on, applied to ``row``.
+
+        Cells come sorted by scenario, then column.  A cell's operations are
+        applied in operation order, one vectorised pass per operation depth
+        (the k-th operation touching each cell), so every value results from
+        the same sequence of float operations as applying the scenario's
+        steps one by one to a copy of ``row``.
+        """
+        sids, columns, positions, scales, amounts = self._operation_cells()
+        if start:
+            live = positions >= start
+            sids, columns, scales, amounts = (
+                sids[live], columns[live], scales[live], amounts[live]
+            )
+        starts = _run_mask(sids * np.int64(len(self._variables)) + columns)
+        first = np.flatnonzero(starts)
+        cell = np.cumsum(starts) - 1
+        depth = np.arange(sids.size) - first[cell]
+        values = row[columns[first]]
+        for k in range(int(depth.max()) + 1 if depth.size else 0):
+            step = np.flatnonzero(depth == k)
+            scaled = step[scales[step]]
+            values[cell[scaled]] *= amounts[scaled]
+            assigned = step[~scales[step]]
+            values[cell[assigned]] = amounts[assigned]
+        return sids[first], columns[first], values
 
     def columns_for(self, names: Sequence[str]) -> np.ndarray:
         """Column indices of ``names`` within the universe (for submatrices).
@@ -332,3 +467,10 @@ class ScenarioBatch:
         build the batch over the union of every variable set they need.
         """
         return np.array([self._index[name] for name in names], dtype=np.intp)
+
+
+def _run_mask(codes: np.ndarray) -> np.ndarray:
+    """Where a run of equal values starts in a sorted ``codes`` (bool mask)."""
+    starts = np.ones(codes.size, dtype=np.bool_)
+    np.not_equal(codes[1:], codes[:-1], out=starts[1:])
+    return starts

@@ -349,34 +349,48 @@ class CobraSession:
         SessionStateError
             On a backend or provenance-fingerprint mismatch.
         """
-        compiled = self._evaluator().adopt_store(
+        self._check_store(path)
+        return self._evaluator().adopt_store(
             path, self._provenance if recover else None, self._backend
         )
-        if getattr(compiled, "store_path", None) is None:
-            return compiled  # corrupt: recompiled from this session's provenance
-        if compiled.backend_name != self._backend.name:
-            raise SessionStateError(
-                f"{path}: store was compiled for the "
-                f"{compiled.backend_name!r} backend, but this session "
-                f"evaluates in {self._backend.name!r}"
-            )
-        fingerprint = self._provenance.fingerprint()
-        if compiled.source_fingerprint != fingerprint:
-            from repro.provenance.store import STORE_VERSION, read_store_header
 
-            version = read_store_header(path)["version"]
-            if version < STORE_VERSION:
+    def _check_store(self, path) -> None:
+        """Reject a store compiled for another backend or other provenance.
+
+        Probes the store's header only, before the evaluator adopts (and
+        caches) anything, so a rejected store never takes a compile-cache
+        slot.  A header that cannot be read is left to
+        :meth:`~repro.batch.evaluator.BatchEvaluator.adopt_store`, which
+        retries transient failures and quarantines corrupt stores.
+        """
+        from repro.exceptions import SerializationError
+        from repro.provenance.store import STORE_VERSION, read_store_header
+
+        try:
+            header = read_store_header(path)
+        except FileNotFoundError:
+            raise
+        except (OSError, SerializationError):
+            return
+        backend = header.get("backend")
+        if backend != self._backend.name:
+            raise SessionStateError(
+                f"{path}: store was compiled for the {backend!r} backend, "
+                f"but this session evaluates in {self._backend.name!r}"
+            )
+        stored = header.get("fingerprint")
+        fingerprint = self._provenance.fingerprint()
+        if stored != fingerprint:
+            if header["version"] < STORE_VERSION:
                 raise SessionStateError(
-                    f"{path}: store format version {version} records a "
-                    "fingerprint computed before the exact fingerprint of "
+                    f"{path}: store format version {header['version']} records "
+                    "a fingerprint computed before the exact fingerprint of "
                     f"version {STORE_VERSION}; recompile the store"
                 )
             raise SessionStateError(
-                f"{path}: store fingerprint {compiled.source_fingerprint!r} "
-                "does not match this session's provenance "
-                f"({fingerprint!r}); recompile the store"
+                f"{path}: store fingerprint {stored!r} does not match this "
+                f"session's provenance ({fingerprint!r}); recompile the store"
             )
-        return compiled
 
     def assign(
         self,

@@ -71,10 +71,8 @@ class CompiledSemiringSet(ABC):
         """Evaluate a batch of valuations (generic per-valuation loop)."""
         return tuple(self.evaluate(valuation) for valuation in valuations)
 
-    def evaluate_deltas(
-        self, base_vector: Any, plans: Sequence[Tuple[Any, Any]]
-    ) -> Any:
-        """Sparse scenario evaluation against one shared base vector.
+    def evaluate_deltas(self, plan: Any) -> Any:
+        """Sparse scenario evaluation of a :class:`~repro.batch.planner.DeltaPlan`.
 
         Numeric compilations override this with a kernel whose cost follows
         the changed variables, not the set size; the default signals that the caller should take the dense

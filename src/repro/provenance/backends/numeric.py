@@ -30,7 +30,7 @@ scenario get an exact fix-up (:class:`~repro.provenance.incidence.RowDeltaIndex`
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,9 +56,8 @@ from repro.provenance.semiring import (
     TropicalSemiring,
 )
 
-#: One sparse scenario: ``(changed column indices, new values)`` relative to
-#: a shared base vector in a compiled set's variable order.
-DeltaPlanRow = Tuple[np.ndarray, np.ndarray]
+if TYPE_CHECKING:  # pragma: no cover — typing only
+    from repro.batch.planner import DeltaPlan
 
 #: Distinct baselines whose delta state a compiled set keeps, LRU-evicted.
 #: Two is the working set of a factored batch (original baseline for the
@@ -442,15 +441,15 @@ class _CompiledNumericSet(CompiledSemiringSet):
         """The per-group results under ``base_vector`` (the sparse baseline)."""
         return self._delta_state(base_vector)[4].copy()
 
-    def evaluate_deltas(
-        self, base_vector: np.ndarray, plans: Sequence[DeltaPlanRow]
-    ) -> np.ndarray:
+    def evaluate_deltas(self, plan: "DeltaPlan") -> np.ndarray:
         """Evaluate sparse scenarios against one shared base vector.
 
-        Each plan is ``(changed_columns, new_values)`` over this set's
-        variable order.  Idempotent reductions (min, or) cannot be corrected
-        additively, so per scenario the kernel re-reduces exactly the
-        *segments* whose output row contains an affected monomial: affected
+        ``plan`` is a normalised :class:`~repro.batch.planner.DeltaPlan`
+        over this set's variable order: its ``base_row`` is the base vector
+        and scenario *s* changes the cells of its CSR slice.  Idempotent
+        reductions (min, or) cannot be corrected additively, so per scenario
+        the kernel re-reduces exactly the *segments* whose output row
+        contains an affected monomial: affected
         rows are reset to the constant fold, recomputed segments are reduced
         from scratch over the updated values, and every untouched segment of
         an affected row reuses its baseline reduction.  Work per scenario is
@@ -458,15 +457,14 @@ class _CompiledNumericSet(CompiledSemiringSet):
         """
         index = self._delta_groups()
         _key, base, _contributions, segment_values, totals = self._delta_state(
-            base_vector
+            plan.base_row
         )
+        _plan_scenarios(plan, len(self._variables))
         num_keys = len(self._keys)
-        out = np.empty((len(plans), num_keys), dtype=np.float64)
+        out = np.empty((len(plan), num_keys), dtype=np.float64)
         scratch = base.copy()
-        for s, (columns, values) in enumerate(plans):
-            # Plans arrive as caller-shaped sequences; coercion is per-plan.
-            columns = np.asarray(columns, dtype=np.intp)  # cobralint: disable=CL003 -- per-plan input coercion
-            values = np.asarray(values, dtype=np.float64)  # cobralint: disable=CL003 -- per-plan input coercion
+        for s in range(len(plan)):
+            columns, values = plan.cells(s)
             if columns.size == 0:
                 out[s] = totals
                 continue
@@ -614,17 +612,15 @@ class CompiledProvenanceSet(_CompiledNumericSet):
             ),
         )
 
-    def evaluate_deltas(
-        self, base_vector: np.ndarray, plans: Sequence[DeltaPlanRow]
-    ) -> np.ndarray:
+    def evaluate_deltas(self, plan: "DeltaPlan") -> np.ndarray:
         """Evaluate sparse scenarios as deltas against one shared base vector.
 
-        Each plan is ``(changed_columns, new_values)`` over this set's
-        variable order; a column repeated within a plan takes its last
-        value, as ``row[columns] = values`` would.  The base valuation is
-        evaluated once, and with it ``S[v, e, k]``: the summed baseline
-        contributions of row ``k``'s monomials holding ``v`` with exponent
-        ``e`` (see :class:`~repro.provenance.incidence.RowDeltaIndex`).
+        ``plan`` is a normalised :class:`~repro.batch.planner.DeltaPlan`
+        over this set's variable order (cells sorted by column within each
+        scenario, no column repeated), against its ``base_row``.  The base
+        valuation is evaluated once, and with it ``S[v, e, k]``: the summed
+        baseline contributions of row ``k``'s monomials holding ``v`` with
+        exponent ``e`` (see :class:`~repro.provenance.incidence.RowDeltaIndex`).
         With ratios ``r_v = new/base`` over a scenario's changed columns
         ``C``, row ``k`` then moves by::
 
@@ -650,22 +646,22 @@ class CompiledProvenanceSet(_CompiledNumericSet):
         """
         index = self._row_index()
         _key, base, contributions, (entry_sums,), totals = self._delta_state(
-            base_vector
+            plan.base_row
         )
         num_keys = len(self._keys)
-        num_plans = len(plans)
+        num_plans = len(plan)
         num_variables = len(self._variables)
         out = np.tile(totals, (num_plans, 1))
         if num_plans == 0 or num_keys == 0:
             return out
-        cell_sids, cell_columns, cell_values = _flatten_plans(plans, num_variables)
+        cell_sids = _plan_scenarios(plan, num_variables)
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratios = cell_values / base[cell_columns]
+            ratios = plan.values / base[plan.columns]
             exact = np.zeros(num_plans, dtype=np.bool_)
             exact[cell_sids[~np.isfinite(ratios)]] = True
             fast = ~exact[cell_sids]
-            sids, columns, ratios = cell_sids[fast], cell_columns[fast], ratios[fast]
+            sids, columns, ratios = cell_sids[fast], plan.columns[fast], ratios[fast]
 
             # Linear terms: one per (changed column, entry).
             starts = index.entry_ptr[columns]
@@ -699,29 +695,34 @@ class CompiledProvenanceSet(_CompiledNumericSet):
                             sorted_unique(scenario * size + monomials), size
                         )
                     pair_monomials += int(monomials.size)
-                    factor_codes = (
-                        scenario[:, np.newaxis] * stride + group.indices[monomials]
-                    )
-                    found = np.minimum(
-                        np.searchsorted(cell_codes, factor_codes),
-                        cell_codes.size - 1,
-                    )
-                    factor_ratios = np.where(
-                        cell_codes[found] == factor_codes, ratios[found], 1.0
-                    )
-                    if group.has_higher_powers:
-                        factor_ratios = np.power(
-                            factor_ratios, group.exponents[monomials]
+                    width = group.indices.shape[1]
+                    if width == 2 and not group.has_higher_powers:
+                        # A pair-found two-factor monomial holds exactly the
+                        # pair's two cells; two-operand + and * commute, so
+                        # their ratios need no factor-order lookup.
+                        left = ratios[first[query]]
+                        right = ratios[second[query]]
+                        product = left * right
+                        excess = (left - 1.0) + (right - 1.0)
+                    else:
+                        factor_codes = (
+                            scenario[:, np.newaxis] * stride
+                            + group.indices[monomials]
                         )
+                        found = np.minimum(
+                            np.searchsorted(cell_codes, factor_codes),
+                            cell_codes.size - 1,
+                        )
+                        factor_ratios = np.where(
+                            cell_codes[found] == factor_codes, ratios[found], 1.0
+                        )
+                        if group.has_higher_powers:
+                            factor_ratios = np.power(
+                                factor_ratios, group.exponents[monomials]
+                            )
+                        product, excess = _row_product_and_excess(factor_ratios)
                     cells.append(scenario * num_keys + rows[monomials])
-                    terms.append(
-                        old[monomials]
-                        * (
-                            np.prod(factor_ratios, axis=1)
-                            - 1.0
-                            - np.sum(factor_ratios - 1.0, axis=1)
-                        )
-                    )
+                    terms.append(old[monomials] * (product - 1.0 - excess))
             corrections = np.bincount(
                 np.concatenate(cells),
                 weights=np.concatenate(terms),
@@ -736,50 +737,54 @@ class CompiledProvenanceSet(_CompiledNumericSet):
             if exact_rows.size:
                 # Exact fallback: one full (still vectorised) row
                 # re-evaluation per affected scenario.
-                bounds = np.searchsorted(cell_sids, np.arange(num_plans + 1))
                 scratch = base.copy()
                 for s in exact_rows.tolist():  # cobralint: disable=CL003 -- rare zero/overflow fallback, off the fast path
-                    changed = cell_columns[bounds[s] : bounds[s + 1]]
-                    scratch[changed] = cell_values[bounds[s] : bounds[s + 1]]
+                    changed, values = plan.cells(s)
+                    scratch[changed] = values
                     out[s] = self._evaluate_values(scratch)
                     scratch[changed] = base[changed]
         _record_sparse_call(int(entries.size), pair_monomials, int(exact_rows.size))
         return out
 
 
-def _flatten_plans(
-    plans: Sequence[DeltaPlanRow], num_variables: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every changed cell of ``plans`` as ``(scenario, column, value)`` arrays.
+def _plan_scenarios(plan: "DeltaPlan", num_variables: int) -> np.ndarray:
+    """Each cell's scenario index, once ``plan`` is checked to fit the set.
 
-    Cells are sorted by (scenario, column); a column repeated within a plan
-    keeps its last value, matching ``row[columns] = values``.
+    Plans are normalised where they are built
+    (:class:`~repro.batch.planner.DeltaPlan`), so the kernels only check
+    that every column is in range and the cells strictly ascend by
+    (scenario, column).
     """
-    lengths = np.fromiter(
-        (len(columns) for columns, _values in plans), dtype=np.intp, count=len(plans)
-    )
-    columns = np.concatenate(
-        [columns for columns, _values in plans] + [np.zeros(0, dtype=np.intp)]
-    ).astype(np.intp, copy=False)
-    values = np.concatenate(
-        [values for _columns, values in plans] + [np.zeros(0, dtype=np.float64)]
-    ).astype(np.float64, copy=False)
+    columns = plan.columns
     if columns.size and (columns.min() < 0 or columns.max() >= num_variables):
         raise IndexError(
             f"delta plan column out of range for {num_variables} variables"
         )
-    sids = np.repeat(np.arange(len(plans), dtype=np.intp), lengths)
+    sids = plan.scenario_ids()
     codes = sids * np.int64(num_variables) + columns
     if np.any(codes[1:] <= codes[:-1]):
-        # The stable sort keeps a repeated cell's values in plan order,
-        # so the last of each run is the value the plan assigns last.
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        last = np.ones(codes.size, dtype=np.bool_)
-        np.not_equal(codes[1:], codes[:-1], out=last[:-1])
-        keep = order[last]
-        sids, columns, values = sids[keep], columns[keep], values[keep]
-    return sids, columns, values
+        raise ValueError(
+            "delta plan cells must ascend by column within each scenario "
+            "(build hand-made plans with DeltaPlan.from_pairs)"
+        )
+    return sids
+
+
+def _row_product_and_excess(factors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, ``np.prod(factors)`` and ``np.sum(factors - 1.0)``.
+
+    NumPy folds a row of fewer than 8 elements left to right (pairwise
+    summation starts at 8), so narrow rows are folded column by column —
+    the same float operations, without a reduction call per short row.
+    """
+    width = factors.shape[1]
+    if width >= 8:
+        return np.prod(factors, axis=1), np.sum(factors - 1.0, axis=1)
+    product, excess = factors[:, 0], factors[:, 0] - 1.0
+    for k in range(1, width):
+        product = product * factors[:, k]
+        excess = excess + (factors[:, k] - 1.0)
+    return product, excess
 
 
 def _same_scenario_pairs(sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

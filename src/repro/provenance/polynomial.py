@@ -513,17 +513,18 @@ class ProvenanceSet:
     def fingerprint(self) -> str:
         """An exact content hash of the set, stable across processes (cached).
 
-        Hashes the arrays of :meth:`incidence`: the key reprs, the name
-        table, the distinct monomials' factor matrices and, per row, the
-        group, the monomial id and the coefficient's exact float64 bytes.
-        Groups are renumbered in ``repr(key)`` order, so two sets share a
-        fingerprint exactly when they are ``==`` (keys compared by
-        ``repr``), whatever the insertion order of their keys and terms.
-        Compile caches and compiled stores are keyed by it.
+        Hashes the arrays of :meth:`incidence`: the keys' canonical reprs
+        (:func:`_key_text`: numeric parts that compare equal, such as
+        ``1``, ``1.0`` and ``True``, are spelled alike), the name table, the
+        distinct monomials' factor matrices and, per row, the group, the
+        monomial id and the coefficient's exact float64 bytes.  Groups are
+        renumbered in canonical-repr order, so two sets share a fingerprint
+        exactly when they are ``==``, whatever the insertion order of their
+        keys and terms.  Compile caches and compiled stores are keyed by it.
         """
         if self._fingerprint_cache is None:
             incidence = self.incidence()
-            reprs = [repr(key) for key in incidence.keys]
+            reprs = [_key_text(key) for key in incidence.keys]
             order = sorted(range(len(reprs)), key=reprs.__getitem__)
             rank = np.empty(len(order), dtype=np.int64)
             rank[order] = np.arange(len(order), dtype=np.int64)
@@ -619,6 +620,27 @@ def _feed(digest, array: np.ndarray) -> None:
     """Hash an array's shape, then its bytes (so shapes cannot alias)."""
     digest.update(repr(array.shape).encode("ascii"))
     digest.update(array.tobytes())
+
+
+def _key_text(key: Tuple) -> str:
+    """``repr`` of a key with its numeric parts spelled canonically.
+
+    Keys compare by ``==``, under which ``1``, ``1.0``, ``True`` and
+    ``np.int64(1)`` are one value: integral ints, bools and floats are
+    spelled as ``int``, other floats as ``float``, so equal keys get one
+    text.  Other parts (strings, say) keep their ``repr``.
+    """
+    return repr(_canonical_part(key))
+
+
+def _canonical_part(part):
+    if isinstance(part, tuple):
+        return tuple(_canonical_part(item) for item in part)
+    if isinstance(part, (bool, int, np.integer)):
+        return int(part)
+    if isinstance(part, (float, np.floating)):
+        return int(part) if float(part).is_integer() else float(part)
+    return part
 
 
 def _normalize_key(key) -> Tuple:

@@ -18,11 +18,12 @@ that under pytest)::
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
-from repro.provenance.backends.numeric import CompiledProvenanceSet, DeltaPlanRow
+from repro.batch.planner import DeltaPlan
+from repro.provenance.backends.numeric import CompiledProvenanceSet
 from repro.provenance.incidence import VariableIncidence, expand_segment_rows
 
 
@@ -59,15 +60,13 @@ def _delta_state(
 
 
 def ratio_evaluate_deltas(
-    self: CompiledProvenanceSet,
-    base_vector: np.ndarray,
-    plans: Sequence[DeltaPlanRow],
+    self: CompiledProvenanceSet, plan: DeltaPlan
 ) -> np.ndarray:
     """Evaluate sparse scenarios as deltas against one shared base vector.
 
-    Each plan is ``(changed_columns, new_values)`` over this set's
-    variable order, with distinct columns per plan (what
-    :meth:`~repro.batch.planner.ScenarioBatch.delta_plan` emits).  The
+    ``plan`` is a :class:`~repro.batch.planner.DeltaPlan` over this set's
+    variable order, against its ``base_row``; scenario *s* changes the
+    distinct columns of ``plan.cells(s)``.  The
     base valuation is evaluated once; the whole
     batch of scenarios is then answered with a handful of vectorised
     passes over the *occurrences* of changed variables (via the inverted
@@ -87,9 +86,9 @@ def ratio_evaluate_deltas(
     :meth:`evaluate_matrix` path produces for the corresponding rows.
     """
     index = _delta_groups(self)
-    base, contributions, totals = _delta_state(self, base_vector)
+    base, contributions, totals = _delta_state(self, plan.base_row)
     num_keys = len(self._keys)
-    num_plans = len(plans)
+    num_plans = len(plan)
     out = np.tile(totals, (num_plans, 1))
     if num_plans == 0 or num_keys == 0:
         return out
@@ -105,10 +104,8 @@ def ratio_evaluate_deltas(
     # multi-touch product fix-up (a variable occurs once per monomial).
     multi_column = np.zeros(num_plans, dtype=np.bool_)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for s, (columns, values) in enumerate(plans):
-            # Plans arrive as caller-shaped sequences; coercion is per-plan.
-            columns = np.asarray(columns, dtype=np.intp)  # cobralint: disable=CL003 -- per-plan input coercion
-            values = np.asarray(values, dtype=np.float64)  # cobralint: disable=CL003 -- per-plan input coercion
+        for s in range(num_plans):
+            columns, values = plan.cells(s)
             if columns.size == 0:
                 continue
             ratios = values / base[columns]
@@ -211,13 +208,7 @@ def ratio_evaluate_deltas(
         if exact or bad_sids:
             scratch = base.copy()
             for s in sorted(bad_sids):
-                exact.append(
-                    (
-                        s,
-                        np.asarray(plans[s][0], dtype=np.intp),  # cobralint: disable=CL003 -- rare overflow fallback, off the fast path
-                        np.asarray(plans[s][1], dtype=np.float64),  # cobralint: disable=CL003 -- rare overflow fallback, off the fast path
-                    )
-                )
+                exact.append((s, *plan.cells(s)))
             for s, columns, values in exact:
                 scratch[columns] = values
                 out[s] = self._evaluate_values(scratch)

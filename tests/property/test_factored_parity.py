@@ -198,9 +198,9 @@ def test_residual_rows_equal_unfactored_rows_bitwise(scenario_list, base):
     batch = ScenarioBatch(scenario_list, VARIABLE_NAMES)
     flat = batch.delta_plan(base)
     factoring = factor_batch(batch, base)
-    for (cols_a, vals_a), (cols_b, vals_b) in zip(
-        flat.changes, factoring.residual_plan.changes
-    ):
+    for row in range(len(flat)):
+        cols_a, vals_a = flat.cells(row)
+        cols_b, vals_b = factoring.residual_plan.cells(row)
         row_a = flat.base_row.copy()
         row_a[cols_a] = vals_a
         row_b = factoring.factored_row.copy()

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from oracles.ratio_delta_kernel import ratio_evaluate_deltas
+from repro.batch import DeltaPlan
 from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
@@ -100,10 +101,11 @@ def _dense(compiled, base, plans):
 @given(case=cases())
 def test_matches_dense_and_oracle(case):
     compiled, base, plans = case
-    got = compiled.evaluate_deltas(base, plans)
+    plan = DeltaPlan.from_pairs(base, plans)
+    got = compiled.evaluate_deltas(plan)
     np.testing.assert_allclose(got, _dense(compiled, base, plans), rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(
-        got, ratio_evaluate_deltas(compiled, base, plans), rtol=1e-9, atol=1e-9
+        got, ratio_evaluate_deltas(compiled, plan), rtol=1e-9, atol=1e-9
     )
 
 
@@ -112,7 +114,7 @@ def test_matches_dense_and_oracle(case):
 def test_repeated_columns_take_the_last_value(case):
     compiled, base, plans = case
     np.testing.assert_allclose(
-        compiled.evaluate_deltas(base, plans),
+        compiled.evaluate_deltas(DeltaPlan.from_pairs(base, plans)),
         _dense(compiled, base, plans),
         rtol=1e-9,
         atol=1e-9,
@@ -123,15 +125,16 @@ def test_repeated_columns_take_the_last_value(case):
 @given(case=cases(repeated_columns=True), data=st.data())
 def test_rows_do_not_depend_on_the_batch(case, data):
     compiled, base, plans = case
-    whole = compiled.evaluate_deltas(base, plans)
-    for index, plan in enumerate(plans):
-        assert np.array_equal(compiled.evaluate_deltas(base, [plan])[0], whole[index])
+    whole = compiled.evaluate_deltas(DeltaPlan.from_pairs(base, plans))
+    for index, pair in enumerate(plans):
+        single = DeltaPlan.from_pairs(base, [pair])
+        assert np.array_equal(compiled.evaluate_deltas(single)[0], whole[index])
     cuts = sorted(
         data.draw(st.lists(st.integers(0, len(plans)), max_size=3), label="cuts")
     )
     bounds = [0] + cuts + [len(plans)]
     pieces = [
-        compiled.evaluate_deltas(base, plans[start:end])
+        compiled.evaluate_deltas(DeltaPlan.from_pairs(base, plans[start:end]))
         for start, end in zip(bounds[:-1], bounds[1:])
     ]
     assert np.array_equal(np.concatenate(pieces, axis=0), whole)
@@ -163,8 +166,9 @@ def test_overflowing_updates_fall_back_to_exact_rows(width, exponent, ratio):
     ]
     with np.errstate(over="ignore"):
         expected = _dense(compiled, base, plans)
-        oracle = ratio_evaluate_deltas(compiled, base, plans)
-        got = compiled.evaluate_deltas(base, plans)
+        plan = DeltaPlan.from_pairs(base, plans)
+        oracle = ratio_evaluate_deltas(compiled, plan)
+        got = compiled.evaluate_deltas(plan)
     assert np.isinf(got[0, 0])
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(got, oracle, rtol=1e-9, atol=1e-9)

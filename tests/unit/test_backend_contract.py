@@ -17,6 +17,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.batch import DeltaPlan
 from repro.provenance.backends import backend_names, resolve_backend
 from repro.provenance.backends.base import CompiledSemiringSet, SemiringBackend
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
@@ -105,13 +106,15 @@ class TestBackendContract:
         base = np.array(
             [1.0, 2.0, 3.0] if backend.is_numeric else [0.0, 0.0, 0.0]
         )
-        plans = [(np.array([0], dtype=np.intp), np.array([4.0]))]
+        plan = DeltaPlan.from_pairs(
+            base, [(np.array([0], dtype=np.intp), np.array([4.0]))]
+        )
         if compiled.supports_deltas:
-            out = compiled.evaluate_deltas(base, plans)
+            out = compiled.evaluate_deltas(plan)
             assert np.asarray(out).shape[0] == 1
         else:
             with pytest.raises(NotImplementedError):
-                compiled.evaluate_deltas(base, plans)
+                compiled.evaluate_deltas(plan)
 
     def test_error_measure_is_a_float_and_zero_on_identity(self, name):
         backend = resolve_backend(name)

@@ -302,6 +302,30 @@ class TestHotPathAllocation:
         )
         assert len(active(findings, "CL003")) == 1
 
+    def test_per_scenario_loop_in_plan_projection_fires(self, tmp_path):
+        findings = run_rule(
+            tmp_path,
+            {
+                "src/repro/batch/planner.py": """
+                import numpy as np
+
+                class DeltaPlan:
+                    def project(self, columns):
+                        inverse = np.full(8, -1)
+                        inverse[columns] = np.arange(columns.size)
+                        counts = np.diff(self.offsets)
+                        projected, start = [], 0
+                        for count in counts:
+                            local = inverse[self.columns[start : start + count]]
+                            projected.append(local[local >= 0])
+                            start += count
+                        return projected
+                """
+            },
+            select=["CL003"],
+        )
+        assert len(active(findings, "CL003")) == 1
+
     def test_dtype_constructor_under_loop_fires(self, tmp_path):
         findings = run_rule(
             tmp_path,

@@ -103,9 +103,9 @@ class TestFactorBatch:
         assert factoring.prefix_cells == 7
         # Rows reconstructed from the factored plan are bit-identical to the
         # rows of the unfactored plan (same sequential float operations).
-        for (cols_a, vals_a), (cols_b, vals_b) in zip(
-            flat.changes, factoring.residual_plan.changes
-        ):
+        for row in range(len(flat)):
+            cols_a, vals_a = flat.cells(row)
+            cols_b, vals_b = factoring.residual_plan.cells(row)
             row_a = flat.base_row.copy()
             row_a[cols_a] = vals_a
             row_b = factoring.factored_row.copy()
@@ -182,10 +182,10 @@ class TestOverlappingSelectors:
         for row in range(len(scenarios)):
             dense_row = matrix[row]
             sparse_row = plan.base_row.copy()
-            cols, vals = plan.changes[row]
+            cols, vals = plan.cells(row)
             sparse_row[cols] = vals
             fact_row = factoring.factored_row.copy()
-            cols, vals = factoring.residual_plan.changes[row]
+            cols, vals = factoring.residual_plan.cells(row)
             fact_row[cols] = vals
             np.testing.assert_array_equal(dense_row, sparse_row)
             np.testing.assert_array_equal(dense_row, fact_row)

@@ -322,6 +322,15 @@ class TestProvenanceSetCaches:
         assert a != b
         assert a.fingerprint() != b.fingerprint()
 
+    def test_equal_numeric_keys_share_a_fingerprint(self):
+        sets = [
+            ProvenanceSet({key: poly(x=2.0)}) for key in [(1,), (1.0,), (True,)]
+        ]
+        assert sets[0] == sets[1] == sets[2]
+        assert len({s.fingerprint() for s in sets}) == 1
+        other = ProvenanceSet({(2,): poly(x=2.0)})
+        assert other.fingerprint() != sets[0].fingerprint()
+
     def test_fingerprint_is_stable_across_processes(self):
         import subprocess
         import sys

@@ -381,14 +381,14 @@ def _exit_once_shard(run_shard):
     again, so the map converges — a deterministic mid-map pool break.
     """
 
-    def shard(compiled, kind, base_vector, piece):
+    def shard(compiled, kind, piece):
         sentinel = os.environ[_EXIT_SENTINEL_ENV]
-        crashing = any(13.0 in values for _, values in piece)
+        crashing = 13.0 in piece.values
         if crashing and not os.path.exists(sentinel):
             with open(sentinel, "w", encoding="utf-8") as handle:
                 handle.write("crashed")
             os._exit(1)
-        return run_shard(compiled, kind, base_vector, piece)
+        return run_shard(compiled, kind, piece)
 
     return shard
 

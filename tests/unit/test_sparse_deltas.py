@@ -90,7 +90,7 @@ class TestEvaluateDeltasKernels:
             base[::3] = 0.0  # zero crossings exercise the exact fallbacks
         plans = _random_plans(num_variables, 40, rng)
         expected = compiled.evaluate_matrix(_dense_rows(base, plans))
-        got = compiled.evaluate_deltas(base, plans)
+        got = compiled.evaluate_deltas(DeltaPlan.from_pairs(base, plans))
         _assert_sparse_parity(name, got, expected, rtol=1e-9)
 
     def test_baseline_totals_equal_dense_baseline(self, name):
@@ -103,14 +103,16 @@ class TestEvaluateDeltasKernels:
         compiled = resolve_backend(name).compile(_random_provenance(seed=6))
         base = np.ones(len(compiled.variables))
         empty = (np.zeros(0, dtype=np.intp), np.zeros(0))
-        got = compiled.evaluate_deltas(base, [empty, empty])
+        got = compiled.evaluate_deltas(DeltaPlan.from_pairs(base, [empty, empty]))
         np.testing.assert_allclose(got[0], compiled.baseline_totals(base))
         np.testing.assert_allclose(got[1], got[0])
 
     def test_base_vector_shape_is_validated(self, name):
         compiled = resolve_backend(name).compile(_random_provenance(seed=7))
         with pytest.raises(ValueError):
-            compiled.evaluate_deltas(np.ones(len(compiled.variables) + 1), [])
+            compiled.evaluate_deltas(
+                DeltaPlan.from_pairs(np.ones(len(compiled.variables) + 1), [])
+            )
 
     def test_overflowing_updates_fall_back_to_exact_rows(self, name):
         # Huge base contributions make the real kernel's linear ratio update
@@ -131,7 +133,7 @@ class TestEvaluateDeltasKernels:
         ]
         with np.errstate(over="ignore"):
             expected = compiled.evaluate_matrix(_dense_rows(base, plans))
-        got = compiled.evaluate_deltas(base, plans)
+        got = compiled.evaluate_deltas(DeltaPlan.from_pairs(base, plans))
         _assert_sparse_parity(name, got, expected, rtol=1e-7)
 
     def test_repeated_column_takes_the_last_value(self, name):
@@ -148,7 +150,7 @@ class TestEvaluateDeltasKernels:
             (np.array([0, 0], dtype=np.intp), np.array([3.0, 0.0])),
         ]
         expected = compiled.evaluate_matrix(_dense_rows(base, plans))
-        got = compiled.evaluate_deltas(base, plans)
+        got = compiled.evaluate_deltas(DeltaPlan.from_pairs(base, plans))
         _assert_sparse_parity(name, got, expected, rtol=1e-12)
         if name == "real":
             assert got[:, 0].tolist() == [6.0, 6.0, 0.0]
@@ -170,14 +172,15 @@ class TestDeltaPlan:
         dense = batch.valuation_matrix(base)
         assert isinstance(plan, DeltaPlan)
         assert len(plan) == len(scenarios)
-        for row, (columns, values) in enumerate(plan.changes):
+        for row in range(len(plan)):
+            columns, values = plan.cells(row)
             rebuilt = plan.base_row.copy()
             rebuilt[columns] = values
             np.testing.assert_allclose(rebuilt, dense[row])
         # Cells that end up back at base are filtered out entirely.
-        assert plan.changes[0][0].size == 0
-        assert plan.changes[3][0].size == 0
-        assert plan.changes[4][0].size == 0
+        assert plan.cells(0)[0].size == 0
+        assert plan.cells(3)[0].size == 0
+        assert plan.cells(4)[0].size == 0
         assert plan.changed_cells() == 2
 
     def test_project_drops_foreign_columns(self):
@@ -185,9 +188,9 @@ class TestDeltaPlan:
             [Scenario("s").scale(["a", "c"], 2.0)], ("a", "b", "c")
         )
         plan = batch.delta_plan()
-        base_vector, plans = plan.project(batch.columns_for(["a", "b"]))
-        np.testing.assert_allclose(base_vector, [1.0, 1.0])
-        columns, values = plans[0]
+        projected = plan.project(batch.columns_for(["a", "b"]))
+        np.testing.assert_allclose(projected.base_row, [1.0, 1.0])
+        columns, values = projected.cells(0)
         assert list(columns) == [0]
         np.testing.assert_allclose(values, [2.0])
 
@@ -390,15 +393,14 @@ class TestLowerMetaDeltas:
             abstraction, batch, batch.valuation_matrix(base), meta_variables
         )
         plan = batch.delta_plan(base)
-        meta_base, meta_plans = lower_meta_deltas(
-            abstraction, batch, plan, meta_variables
-        )
-        np.testing.assert_allclose(meta_base, dense[0])
-        for row, (columns, values) in enumerate(meta_plans):
-            rebuilt = meta_base.copy()
+        meta_plan = lower_meta_deltas(abstraction, batch, plan, meta_variables)
+        np.testing.assert_allclose(meta_plan.base_row, dense[0])
+        for row in range(len(meta_plan)):
+            columns, values = meta_plan.cells(row)
+            rebuilt = meta_plan.base_row.copy()
             rebuilt[columns] = values
             np.testing.assert_allclose(rebuilt, dense[row])
-        assert meta_plans[0][0].size == 0  # noop scenario stays a noop
+        assert meta_plan.cells(0)[0].size == 0  # noop scenario stays a noop
 
 
 class TestProcessSharding:

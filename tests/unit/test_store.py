@@ -304,8 +304,7 @@ class TestStoreFormat:
         )
         plan = batch.delta_plan(base)
         assert np.array_equal(
-            mapped.evaluate_deltas(plan.base_row, plan.changes),
-            compiled.evaluate_deltas(plan.base_row, plan.changes),
+            mapped.evaluate_deltas(plan), compiled.evaluate_deltas(plan)
         )
 
     def test_delta_index_blocks_by_backend(self, name, provenance, tmp_path):
@@ -346,8 +345,7 @@ class TestStoreFormat:
         batch = ScenarioBatch(scenarios, compiled.variables)
         plan = batch.delta_plan(Valuation({"x": 2.0, "y": 0.5, "z": 1.5}))
         assert np.array_equal(
-            mapped.evaluate_deltas(plan.base_row, plan.changes),
-            compiled.evaluate_deltas(plan.base_row, plan.changes),
+            mapped.evaluate_deltas(plan), compiled.evaluate_deltas(plan)
         )
 
     def test_write_store_rejects_non_compiled(self, tmp_path):
@@ -479,6 +477,22 @@ class TestSessionStore:
         other[("h1",)] = Polynomial.from_terms([(1.0, ["x"])])
         with pytest.raises(SessionStateError, match="fingerprint"):
             CobraSession(other).open_from_store(path)
+
+    @pytest.mark.parametrize("mismatch", ["backend", "fingerprint"])
+    def test_rejected_store_takes_no_cache_slot(
+        self, mismatch, provenance, tmp_path
+    ):
+        path = tmp_path / "s.cps"
+        CobraSession(provenance).compile_to_store(path)
+        if mismatch == "backend":
+            session = CobraSession(provenance, semiring="tropical")
+        else:
+            other = ProvenanceSet()
+            other[("h1",)] = Polynomial.from_terms([(1.0, ["x"])])
+            session = CobraSession(other)
+        with pytest.raises(SessionStateError, match=mismatch):
+            session.open_from_store(path)
+        assert session._evaluator().cache_info()["entries"] == 0
 
     def test_pre_exact_fingerprint_store_is_told_to_recompile(
         self, provenance, tmp_path

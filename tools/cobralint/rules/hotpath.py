@@ -9,10 +9,12 @@ every numeric semiring), the
 incremental-greedy coarsening step in ``core/kernel/greedy.py`` (``apply``
 and the per-step array functions it calls: pair expansion, renaming,
 signature keys, row merging/appending and the counter updates) and the
-loop driving it in ``core/kernel/trajectory.py``, the sparse lowering loop
-shared by the plain and factored paths and the touched-cells pass in
-``batch/planner.py``, and the shared-delta factoring in
-``batch/factored.py``.
+loop driving it in ``core/kernel/trajectory.py``, the sparse lowering
+shared by the plain and factored paths, the touched-cells pass and the
+delta-plan projection in ``batch/planner.py``, the shared-delta factoring in
+``batch/factored.py``, and the meta lowerings in ``batch/evaluator.py``
+(the public functions and the :class:`MetaLowering` methods doing the
+work).
 
 Inside a designated kernel this rule flags, **when executed under a loop**
 (a one-off allocation at kernel entry is fine; one per scenario/segment is
@@ -67,9 +69,15 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("core/kernel/trajectory.py", "extend_to"),
     ("batch/planner.py", "touched_counts"),
     ("batch/planner.py", "lower_residuals"),
+    ("batch/planner.py", "_lowered_cells"),
+    ("batch/planner.py", "project"),
     ("batch/factored.py", "factor_batch"),
     ("batch/factored.py", "prefix_statistics"),
     ("batch/factored.py", "_prefix_cells"),
+    ("batch/evaluator.py", "lower_meta_deltas"),
+    ("batch/evaluator.py", "lower_meta_matrix"),
+    ("batch/evaluator.py", "lower_deltas"),
+    ("batch/evaluator.py", "lower_matrix"),
 )
 
 DTYPE_CONSTRUCTORS = {
@@ -96,6 +104,7 @@ class HotPathAllocationRule(Rule):
         "src/repro/core/kernel/trajectory.py",
         "src/repro/batch/planner.py",
         "src/repro/batch/factored.py",
+        "src/repro/batch/evaluator.py",
     )
 
     def check(self, context: FileContext) -> Iterable[Finding]:
