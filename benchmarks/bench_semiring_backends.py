@@ -8,6 +8,12 @@ measures both on the min-cost routing workload and asserts the numpy
 backends are at least 5x faster (they are typically orders of magnitude
 faster), after verifying they return identical results.
 
+Per backend it also times 64 one-trunk outage scenarios two ways, on the
+sparse delta kernel (``evaluate_deltas``) and the dense matrix kernel
+(``evaluate_matrix``) over the same rows, after checking they agree
+exactly.  ``sparse_seconds`` and ``dense_seconds`` are informational: they
+are the data for the sparse/dense crossover, not a gated speedup.
+
 Run::
 
     PYTHONPATH=src python benchmarks/bench_semiring_backends.py
@@ -22,6 +28,9 @@ import sys
 import time
 from typing import Callable, Optional
 
+import numpy as np
+
+from repro.batch.planner import DeltaPlan
 from repro.provenance.backends import GenericBackend, resolve_backend
 from repro.provenance.semiring import BooleanSemiring, TropicalSemiring
 from repro.workloads.routing import (
@@ -40,7 +49,28 @@ def _best_of(func: Callable[[], object], repeats: int) -> float:
     return best
 
 
-def _bench_backend(name, numpy_backend, generic_backend, provenance, valuation, repeats):
+#: One-trunk outage scenarios per sparse/dense timing.
+DELTA_SCENARIOS = 64
+
+
+def _bench_deltas(compiled, valuation, outage, repeats):
+    """Best-of times of 64 one-trunk outages, sparse and dense, checked equal."""
+    base = compiled.values_vector(valuation)
+    columns = np.arange(DELTA_SCENARIOS) % base.size
+    plan = DeltaPlan.from_pairs(base, [([column], [outage]) for column in columns])
+    matrix = np.tile(base, (DELTA_SCENARIOS, 1))
+    matrix[np.arange(DELTA_SCENARIOS), columns] = outage
+    assert np.array_equal(
+        compiled.evaluate_deltas(plan), compiled.evaluate_matrix(matrix)
+    ), "sparse and dense outage rows differ"
+    sparse_seconds = _best_of(lambda: compiled.evaluate_deltas(plan), repeats)
+    dense_seconds = _best_of(lambda: compiled.evaluate_matrix(matrix), repeats)
+    return sparse_seconds, dense_seconds
+
+
+def _bench_backend(
+    name, numpy_backend, generic_backend, provenance, valuation, outage, repeats
+):
     compiled_numpy = numpy_backend.compile(provenance)
     compiled_generic = generic_backend.compile(provenance)
 
@@ -56,15 +86,22 @@ def _bench_backend(name, numpy_backend, generic_backend, provenance, valuation, 
     numpy_seconds = _best_of(lambda: compiled_numpy.evaluate(valuation), repeats)
     generic_seconds = _best_of(lambda: compiled_generic.evaluate(valuation), repeats)
     speedup = generic_seconds / max(numpy_seconds, 1e-12)
+    sparse_seconds, dense_seconds = _bench_deltas(
+        compiled_numpy, valuation, outage, repeats
+    )
     print(
         f"{name:<10} numpy {numpy_seconds * 1e3:8.3f} ms   "
-        f"generic {generic_seconds * 1e3:8.3f} ms   speedup {speedup:7.1f}x"
+        f"generic {generic_seconds * 1e3:8.3f} ms   speedup {speedup:7.1f}x   "
+        f"{DELTA_SCENARIOS} outages: sparse {sparse_seconds * 1e3:7.3f} ms, "
+        f"dense {dense_seconds * 1e3:7.3f} ms"
     )
     return {
         "backend": name,
         "numpy_seconds": numpy_seconds,
         "generic_seconds": generic_seconds,
         "speedup": speedup,
+        "sparse_seconds": sparse_seconds,
+        "dense_seconds": dense_seconds,
     }
 
 
@@ -94,6 +131,7 @@ def run_benchmark(
         _TropicalGeneric(TropicalSemiring(), name="tropical-generic"),
         provenance,
         costs,
+        float("inf"),
         repeats,
     )
 
@@ -112,6 +150,7 @@ def run_benchmark(
         _BoolGeneric(BooleanSemiring(), name="bool-generic"),
         provenance,
         up,
+        0.0,
         repeats,
     )
 

@@ -20,17 +20,33 @@ per-monomial Python loop; each subclass supplies only the algebra hooks:
 All three consume the same ``scenarios × variables`` float matrices the
 batch planner produces (the Boolean backend thresholds them at non-zero), so
 the chunked matrix pipeline works for every numeric semiring.
-Sparse scenarios have two delta kernels: the base class re-reduces the
-affected segments (min and or are not invertible), while the real semiring,
-whose ``+`` is, aggregates: per baseline it sums monomial contributions per
-(variable, row, exponent) entry, so a changed variable moves a row with one
-update per entry, and only monomials holding two changed variables of one
-scenario get an exact fix-up (:class:`~repro.provenance.incidence.RowDeltaIndex`).
+Sparse scenarios have two delta kernels, each one batched pass over a whole
+:class:`~repro.batch.planner.DeltaPlan`.  The base class re-reduces the
+affected segments (min and or are not invertible): it expands every changed
+cell through the group's inverted index, gathers the hit segments'
+monomials once, patches the changed factors in place and folds the
+reductions with the baseline ones of the unhit segments, in blocks of
+scenarios bounded by :data:`_DELTA_BLOCK_CELLS` recomputed factor cells.
+The real semiring, whose ``+`` is invertible, aggregates: per baseline it
+sums monomial contributions per (variable, row, exponent) entry, so a
+changed variable moves a row with one update per entry, and only monomials
+holding two changed variables of one scenario get an exact fix-up
+(:class:`~repro.provenance.incidence.RowDeltaIndex`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -65,9 +81,21 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: covers interleaved sweeps.
 _DELTA_BASELINE_SLOTS = 4
 
+#: Recomputed factor cells one pass of the segment delta kernel gathers
+#: before the next block of scenarios starts.  Each of a pass's gather,
+#: patch and contribution temporaries holds about this many cells (1 MiB
+#: of float64 here), so the bound keeps them cache-sized where one changed
+#: variable's segments cover much of the set: on routing sweeps, blocks of
+#: 2^16–2^18 cells beat both smaller blocks and one unbounded pass.
+_DELTA_BLOCK_CELLS = 1 << 17
+
 #: One group's sparse delta index: ``(inverted variable→monomial index,
-#: per-segment end offsets)``.
-_DeltaGroup = Tuple[VariableIncidence, np.ndarray]
+#: per-segment end offsets, the segment of each index entry's monomial)``.
+_DeltaGroup = Tuple[VariableIncidence, np.ndarray, np.ndarray]
+
+#: The segment kernel's delta index: per-group indexes, and per column an
+#: upper bound on the factor cells one change of it recomputes.
+_DeltaIndex = Tuple[Tuple[_DeltaGroup, ...], np.ndarray]
 
 #: One cached delta-state entry: ``(key, base_vector, per-group monomial
 #: contributions, kernel reductions, totals)``.  The kernel reductions are
@@ -187,7 +215,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     def _init_delta_caches(self) -> None:
         """Reset the lazily built delta index and the baseline LRU."""
-        self._delta_index: Optional[Tuple[_DeltaGroup, ...]] = None
+        self._delta_index: Optional[_DeltaIndex] = None
         self._delta_baseline: List[_DeltaState] = []
 
     # -- the algebra hooks ---------------------------------------------------
@@ -202,18 +230,26 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
         """Per-monomial contributions for a ``... × variables`` value matrix."""
+        gathered = matrix[..., group.indices]
+        return self._gathered_contributions(group, gathered, slice(None))
+
+    def _gathered_contributions(
+        self,
+        group: _SegmentGroup,
+        gathered: np.ndarray,
+        positions: Union[np.ndarray, slice],
+    ) -> np.ndarray:
+        """Contributions of the monomials at ``positions`` of ``group``.
+
+        ``gathered[..., i, k]`` is the value of factor ``k`` of monomial
+        ``positions[i]`` (``... × n × width``, already gathered).
+        """
         raise NotImplementedError
 
     def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
         raise NotImplementedError
 
     def _accumulate(self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray, axis: int) -> None:
-        raise NotImplementedError
-
-    def _restricted_contributions(
-        self, group: _SegmentGroup, values: np.ndarray, positions: np.ndarray
-    ) -> np.ndarray:
-        """Contributions of the monomials at ``positions`` under ``values``."""
         raise NotImplementedError
 
     def _fold_rows(
@@ -361,34 +397,54 @@ class _CompiledNumericSet(CompiledSemiringSet):
             cells += group.indices.size
         return max(1, cells)
 
-    def _delta_groups(self) -> Tuple[_DeltaGroup, ...]:
-        """Per-group inverted index and segment extents.
+    def _delta_groups(self) -> _DeltaIndex:
+        """Per-group inverted index and segment extents, per-column costs.
 
-        Derived from the group arrays on first use (compiled stores do not
-        persist it).  Immutable once built (concurrent builders may race,
-        but every result is equivalent), so cached compiled sets stay safe
-        to share.
+        Each group's :class:`VariableIncidence` entry (one factor) also gets
+        the segment of its monomial, so the segment kernel maps a changed
+        cell to the segment it hits without a search; per column, the
+        factor cells of the distinct segments it occurs in bound what one
+        change of it recomputes.  Derived from the group arrays on first
+        use (compiled stores do not persist it).  Immutable once built
+        (concurrent builders may race, but every result is equivalent), so
+        cached compiled sets stay safe to share.
         """
         if self._delta_index is None:
+            num_variables = len(self._variables)
             with trace(
                 "incidence.delta_index",
                 groups=len(self._groups),
-                variables=len(self._variables),
+                variables=num_variables,
             ):
                 built = []
+                column_cells = np.zeros(num_variables, dtype=np.int64)
                 for group in self._groups:
-                    num_monomials = len(group.coefficients)
-                    built.append(
-                        (
-                            VariableIncidence.from_factor_arrays(
-                                len(self._variables), group.indices, group.exponents
-                            ),
-                            np.append(
-                                group.segment_starts[1:], num_monomials
-                            ).astype(np.intp),
-                        )
+                    num_monomials, width = group.indices.shape
+                    incidence = VariableIncidence.from_factor_arrays(
+                        num_variables, group.indices, group.exponents
                     )
-                self._delta_index = tuple(built)
+                    ends = np.append(group.segment_starts[1:], num_monomials)
+                    lengths = ends - group.segment_starts
+                    entry_segments = np.repeat(
+                        np.arange(lengths.size, dtype=np.intp), lengths
+                    )[incidence.positions]
+                    entry_columns = np.repeat(
+                        np.arange(num_variables, dtype=np.intp),
+                        np.diff(incidence.ptr),
+                    )
+                    # Entries ascend by (column, monomial), hence by
+                    # (column, segment): a column's distinct segments are
+                    # where that pair changes.
+                    codes = entry_columns * np.int64(lengths.size) + entry_segments
+                    first = np.ones(codes.size, dtype=np.bool_)
+                    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+                    np.add.at(
+                        column_cells,
+                        entry_columns[first],
+                        lengths[entry_segments[first]] * width,
+                    )
+                    built.append((incidence, ends.astype(np.intp), entry_segments))
+                self._delta_index = (tuple(built), column_cells)
         return self._delta_index
 
     def _baseline_reductions(
@@ -447,79 +503,138 @@ class _CompiledNumericSet(CompiledSemiringSet):
         ``plan`` is a normalised :class:`~repro.batch.planner.DeltaPlan`
         over this set's variable order: its ``base_row`` is the base vector
         and scenario *s* changes the cells of its CSR slice.  Idempotent
-        reductions (min, or) cannot be corrected additively, so per scenario
-        the kernel re-reduces exactly the *segments* whose output row
-        contains an affected monomial: affected
-        rows are reset to the constant fold, recomputed segments are reduced
-        from scratch over the updated values, and every untouched segment of
-        an affected row reuses its baseline reduction.  Work per scenario is
-        O(monomials inside affected segments), not O(all monomials).
+        reductions (min, or) cannot be corrected additively, so the kernel
+        re-reduces exactly the *segments* (one output row's monomials of
+        one width-group) that hold a changed variable, and folds them with
+        the baseline reductions of every other segment of an affected row.
+        The batch is answered in passes over blocks of consecutive
+        scenarios (:meth:`_segment_pass`); a block ends once the factor
+        cells its scenarios may recompute reach :data:`_DELTA_BLOCK_CELLS`,
+        so a pass's temporaries stay cache-sized.  Work is O(monomials
+        inside affected segments), not O(all monomials), and min and or
+        are exact, so a scenario's row is the same however the batch is
+        split.
         """
-        index = self._delta_groups()
+        index, column_cells = self._delta_groups()
         _key, base, _contributions, segment_values, totals = self._delta_state(
             plan.base_row
         )
-        _plan_scenarios(plan, len(self._variables))
-        num_keys = len(self._keys)
-        out = np.empty((len(plan), num_keys), dtype=np.float64)
-        scratch = base.copy()
-        for s in range(len(plan)):
-            columns, values = plan.cells(s)
-            if columns.size == 0:
-                out[s] = totals
-                continue
-            scratch[columns] = values
-            # Pass 1: the segments (and thus output rows) each group affects.
-            affected_segments = []
-            row_parts = []
-            for (incidence, _ends), group in zip(index, self._groups):
-                positions = incidence.rows_for_any(columns)
-                if positions.size:
-                    segments = np.unique(
-                        np.searchsorted(
-                            group.segment_starts, positions, side="right"
-                        )
-                        - 1
-                    )
-                    row_parts.append(group.segment_rows[segments])
-                else:
-                    segments = positions
-                affected_segments.append(segments)
-            if not row_parts:
-                out[s] = totals
-                scratch[columns] = base[columns]
-                continue
-            affected_rows = np.unique(np.concatenate(row_parts))
-            out[s] = totals
-            row = out[s]
-            row[affected_rows] = self._constant[affected_rows]
-            # Pass 2: re-fold every segment owned by an affected row —
-            # recomputing the affected ones, reusing baseline reductions for
-            # the rest.
-            for (incidence, ends), group, segments, base_segments in zip(
-                index, self._groups, affected_segments, segment_values
-            ):
-                lookup = np.searchsorted(affected_rows, group.segment_rows)
-                lookup = np.minimum(lookup, affected_rows.size - 1)
-                in_rows = np.flatnonzero(
-                    affected_rows[lookup] == group.segment_rows
-                )
-                if in_rows.size == 0:
-                    continue
-                folded = base_segments[in_rows]
-                if segments.size:
-                    positions, local_starts = ragged_ranges(
-                        group.segment_starts[segments], ends[segments]
-                    )
-                    recomputed = self._reduce(
-                        self._restricted_contributions(group, scratch, positions),
-                        local_starts,
-                        axis=0,
-                    )
-                    folded[np.searchsorted(in_rows, segments)] = recomputed
-                self._fold_rows(row, group.segment_rows[in_rows], folded)
-            scratch[columns] = base[columns]
+        cell_sids = _plan_scenarios(plan, len(self._variables))
+        num_plans = len(plan)
+        out = np.tile(totals, (num_plans, 1))
+        # Scenario s starts block ⌊(cells of the scenarios before s) / bound⌋.
+        cells = np.bincount(
+            cell_sids, weights=column_cells[plan.columns], minlength=num_plans
+        )
+        blocks = (np.cumsum(cells) - cells) // _DELTA_BLOCK_CELLS
+        bounds = np.concatenate(
+            ([0], np.flatnonzero(np.diff(blocks)) + 1, [num_plans])
+        ).tolist()
+        counts = {"segments": 0, "recomputed_monomials": 0}
+        # One step per cost-bounded block of scenarios, not per scenario.
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            first, last = plan.offsets[lo], plan.offsets[hi]
+            segments, monomials = self._segment_pass(
+                index,
+                base,
+                segment_values,
+                plan.columns[first:last],
+                plan.values[first:last],
+                cell_sids[first:last] - lo,
+                out[lo:hi],
+            )
+            counts["segments"] += segments
+            counts["recomputed_monomials"] += monomials
+        _record_sparse_call(counts)
         return out
+
+    def _segment_pass(
+        self,
+        index: Tuple[_DeltaGroup, ...],
+        base: np.ndarray,
+        segment_values: Tuple[np.ndarray, ...],
+        columns: np.ndarray,
+        values: np.ndarray,
+        sids: np.ndarray,
+        out: np.ndarray,
+    ) -> Tuple[int, int]:
+        """One batched pass of :meth:`evaluate_deltas` over a block of cells.
+
+        ``columns``/``values``/``sids`` are the block's changed cells, in
+        plan order, with scenario ids local to ``out`` (the block's rows,
+        pre-filled with the baseline totals).  Per group:
+
+        * every cell's occurrences come out of the inverted index with
+          their segment, giving the distinct hit (scenario, segment) pairs;
+        * the hit segments' monomials are expanded once, their factors
+          gathered from ``base`` and the changed occurrences patched in at
+          (expanded row, factor slot), then reduced per hit segment.
+
+        Every affected (scenario, row) cell then folds, group by group as
+        the dense path does, the constant, the recomputed reductions and
+        the baseline reductions of its unhit segments, and is written with
+        one fancy-index assignment.  Returns the hit pairs and recomputed
+        monomials, for the work counters.
+        """
+        num_keys = len(self._keys)
+        recomputed_parts = []
+        code_parts = [np.zeros(0, dtype=np.intp)]
+        num_segments = num_monomials = 0
+        for (incidence, ends, entry_segments), group in zip(index, self._groups):
+            starts = incidence.ptr[columns]
+            counts = incidence.ptr[columns + 1] - starts
+            entries, _ = ragged_ranges(starts, starts + counts)
+            if entries.size == 0:
+                recomputed_parts.append((entries, entries))
+                continue
+            stride = group.segment_rows.size
+            hit_codes = np.repeat(sids, counts) * stride + entry_segments[entries]
+            hits = sorted_unique(hit_codes)
+            hit_sids, hit_segments = np.divmod(hits, stride)
+            positions, local_starts = ragged_ranges(
+                group.segment_starts[hit_segments], ends[hit_segments]
+            )
+            gathered = base[group.indices[positions]]
+            # Occurrence i lies in hit pair `pair[i]`, at its monomial's
+            # offset inside that pair's expanded segment.
+            pair = np.searchsorted(hits, hit_codes)
+            rows = (
+                local_starts[pair]
+                + incidence.positions[entries]
+                - group.segment_starts[hit_segments[pair]]
+            )
+            gathered[rows, incidence.slots[entries]] = np.repeat(values, counts)
+            recomputed = self._reduce(
+                self._gathered_contributions(group, gathered, positions),
+                local_starts,
+                axis=0,
+            )
+            recomputed_parts.append((hits, recomputed))
+            code_parts.append(hit_sids * num_keys + group.segment_rows[hit_segments])
+            num_segments += int(hits.size)
+            num_monomials += int(positions.size)
+        affected = sorted_unique(np.concatenate(code_parts))
+        if affected.size == 0:
+            return 0, 0
+        affected_sids, affected_rows = np.divmod(affected, num_keys)
+        folded_rows = self._constant[affected_rows]
+        for group, base_segments, (hits, recomputed) in zip(
+            self._groups, segment_values, recomputed_parts
+        ):
+            stride = group.segment_rows.size
+            segments = np.minimum(
+                np.searchsorted(group.segment_rows, affected_rows), stride - 1
+            )
+            present = np.flatnonzero(group.segment_rows[segments] == affected_rows)
+            folded = base_segments[segments[present]]
+            if hits.size:
+                # Affected cells ascend by (scenario, row), so their
+                # (scenario, segment) codes ascend as the hits do.
+                present_codes = affected_sids[present] * stride + segments[present]
+                folded[np.searchsorted(present_codes, hits)] = recomputed
+            self._fold_rows(folded_rows, present, folded)
+        out[affected_sids, affected_rows] = folded_rows
+        return num_segments, num_monomials
 
 
 class CompiledProvenanceSet(_CompiledNumericSet):
@@ -537,11 +652,15 @@ class CompiledProvenanceSet(_CompiledNumericSet):
     backend_name = "real"
     _identity = 0.0
 
-    def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
-        gathered = matrix[..., group.indices]
+    def _gathered_contributions(
+        self,
+        group: _SegmentGroup,
+        gathered: np.ndarray,
+        positions: Union[np.ndarray, slice],
+    ) -> np.ndarray:
         if group.has_higher_powers:
-            gathered = np.power(gathered, group.exponents)
-        return np.prod(gathered, axis=-1) * group.coefficients
+            gathered = np.power(gathered, group.exponents[positions])
+        return np.prod(gathered, axis=-1) * group.coefficients[positions]
 
     def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
         return np.add.reduceat(contributions, starts, axis=axis)
@@ -743,7 +862,13 @@ class CompiledProvenanceSet(_CompiledNumericSet):
                     scratch[changed] = values
                     out[s] = self._evaluate_values(scratch)
                     scratch[changed] = base[changed]
-        _record_sparse_call(int(entries.size), pair_monomials, int(exact_rows.size))
+        _record_sparse_call(
+            {
+                "entries": int(entries.size),
+                "pair_monomials": pair_monomials,
+                "exact_rows": int(exact_rows.size),
+            }
+        )
         return out
 
 
@@ -799,13 +924,8 @@ def _same_scenario_pairs(sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.repeat(cells, ends - cells - 1), second
 
 
-def _record_sparse_call(entries: int, pair_monomials: int, exact_rows: int) -> None:
-    """Count one real sparse call's work in the registry and the live span."""
-    counts = {
-        "entries": entries,
-        "pair_monomials": pair_monomials,
-        "exact_rows": exact_rows,
-    }
+def _record_sparse_call(counts: Dict[str, int]) -> None:
+    """Count one sparse call's work in the registry and the live span."""
     registry = get_registry()
     for name, value in counts.items():
         registry.inc(f"batch.sparse.{name}", value)
@@ -820,9 +940,6 @@ class _CompiledTropicalSet(_CompiledNumericSet):
     backend_name = "tropical"
     _identity = float("inf")
 
-    def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
-        gathered = matrix[..., group.indices]
-        return np.sum(gathered * group.exponents, axis=-1) + group.coefficients
 
     def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
         return np.minimum.reduceat(contributions, starts, axis=axis)
@@ -830,10 +947,12 @@ class _CompiledTropicalSet(_CompiledNumericSet):
     def _accumulate(self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray, axis: int) -> None:
         totals[:, rows] = np.minimum(totals[:, rows], segments)
 
-    def _restricted_contributions(
-        self, group: _SegmentGroup, values: np.ndarray, positions: np.ndarray
+    def _gathered_contributions(
+        self,
+        group: _SegmentGroup,
+        gathered: np.ndarray,
+        positions: Union[np.ndarray, slice],
     ) -> np.ndarray:
-        gathered = values[group.indices[positions]]
         return (
             np.sum(gathered * group.exponents[positions], axis=-1)
             + group.coefficients[positions]
@@ -862,10 +981,6 @@ class _CompiledBooleanSet(_CompiledNumericSet):
     def _constant_values(self, coefficients: np.ndarray) -> np.ndarray:
         return (coefficients != 0.0).astype(np.float64)
 
-    def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
-        gathered = matrix[..., group.indices] != 0.0
-        present = np.all(gathered, axis=-1)
-        return present & (group.coefficients != 0.0)
 
     def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
         return np.logical_or.reduceat(contributions, starts, axis=axis)
@@ -873,11 +988,13 @@ class _CompiledBooleanSet(_CompiledNumericSet):
     def _accumulate(self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray, axis: int) -> None:
         totals[:, rows] = np.maximum(totals[:, rows], segments.astype(np.float64))
 
-    def _restricted_contributions(
-        self, group: _SegmentGroup, values: np.ndarray, positions: np.ndarray
+    def _gathered_contributions(
+        self,
+        group: _SegmentGroup,
+        gathered: np.ndarray,
+        positions: Union[np.ndarray, slice],
     ) -> np.ndarray:
-        gathered = values[group.indices[positions]] != 0.0
-        present = np.all(gathered, axis=-1)
+        present = np.all(gathered != 0.0, axis=-1)
         return present & (group.coefficients[positions] != 0.0)
 
     def _fold_rows(

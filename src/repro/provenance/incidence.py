@@ -7,9 +7,10 @@ is the one place it is answered:
 * :class:`VariableIncidence` — a column-indexed CSR inverted index over the
   flat ``(monomial, variable, exponent)`` factor arrays a compiled provenance
   set stores per width-group.  The segment delta kernel of the tropical and
-  bool compiled sets (:mod:`repro.provenance.backends.numeric`) uses it to
-  find the monomials a scenario's changed variables affect in
-  O(occurrences), not O(monomials);
+  bool compiled sets (:mod:`repro.provenance.backends.numeric`) expands a
+  whole batch's changed cells through it in one pass, in O(occurrences)
+  rather than O(monomials), to find the segments to re-reduce and the
+  factors to patch;
 * :class:`RowDeltaIndex` — the real compiled set's delta index, built from
   the same factor arrays: each column's distinct ``(row, exponent)``
   entries, the entry of every factor, and per width-group a
@@ -101,16 +102,23 @@ class VariableIncidence:
     """CSR inverted index: variable column → monomial positions (+ exponents).
 
     Built from the ``(monomials × width)`` variable-index and exponent arrays
-    of one compiled width-group; positions are ascending within each column.
+    of one compiled width-group; positions are ascending within each column,
+    and ``slots`` gives the factor slot (column of the index array) each
+    occurrence sits in.
     """
 
-    __slots__ = ("ptr", "positions", "exponents")
+    __slots__ = ("ptr", "positions", "slots", "exponents")
 
     def __init__(
-        self, ptr: np.ndarray, positions: np.ndarray, exponents: np.ndarray
+        self,
+        ptr: np.ndarray,
+        positions: np.ndarray,
+        slots: np.ndarray,
+        exponents: np.ndarray,
     ) -> None:
         self.ptr = ptr
         self.positions = positions
+        self.slots = slots
         self.exponents = exponents
 
     @classmethod
@@ -125,21 +133,15 @@ class VariableIncidence:
         rely on it: one column's occurrence list is then a list of distinct
         monomials.
         """
-        num_monomials, width = indices.shape
+        width = indices.shape[1]
         columns = indices.ravel()
-        rows = np.repeat(
-            np.arange(num_monomials, dtype=np.intp), width
-        )
         flat_exponents = np.asarray(exponents, dtype=np.float64).ravel()
         # A stable sort by column keeps positions ascending per column.
         order = np.argsort(columns, kind="stable")
+        positions, slots = np.divmod(order, width)
         counts = np.bincount(columns, minlength=num_variables)
         ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-        return cls(ptr, rows[order], flat_exponents[order])
-
-    def rows_for(self, column: int) -> np.ndarray:
-        """Ascending monomial positions whose monomial contains ``column``."""
-        return self.positions[self.ptr[column] : self.ptr[column + 1]]
+        return cls(ptr, positions, slots, flat_exponents[order])
 
     def occurrences(
         self, columns: np.ndarray
@@ -154,16 +156,6 @@ class VariableIncidence:
         ends = self.ptr[columns + 1]
         flat, _ = ragged_ranges(starts, ends)
         return self.positions[flat], self.exponents[flat], ends - starts
-
-    def rows_for_any(self, columns: np.ndarray) -> np.ndarray:
-        """Sorted unique monomial positions touched by any of ``columns``."""
-        columns = np.asarray(columns, dtype=np.intp)
-        if columns.size == 1:
-            # A variable occurs at most once per monomial, so one column's
-            # positions are already distinct and ascending.
-            return self.rows_for(int(columns[0]))
-        positions, _exponents, _counts = self.occurrences(columns)
-        return sorted_unique(positions)
 
 
 class PairIncidence:

@@ -51,17 +51,6 @@ class TestVariableIncidence:
         )
         return VariableIncidence.from_factor_arrays(3, indices, exponents)
 
-    def test_rows_for_each_column(self):
-        index = self._index()
-        assert list(index.rows_for(0)) == [0, 2]
-        assert list(index.rows_for(1)) == [2, 3, 3]
-        assert list(index.rows_for(2)) == [0, 1, 1]
-
-    def test_rows_for_any_unions_and_dedups(self):
-        index = self._index()
-        assert list(index.rows_for_any(np.array([0, 2]))) == [0, 1, 2]
-        assert index.rows_for_any(np.zeros(0, dtype=np.intp)).size == 0
-
     def test_occurrences_align_exponents_with_positions(self):
         index = self._index()
         positions, exponents, counts = index.occurrences(np.array([1, 0]))
@@ -69,18 +58,12 @@ class TestVariableIncidence:
         assert list(exponents) == [2.0, 1.0, 1.0, 1.0, 1.0]
         assert list(counts) == [3, 2]
 
-    def test_matches_bruteforce_on_random_factors(self):
-        rng = np.random.default_rng(5)
-        # Canonical factors: distinct variables per monomial row.
-        indices = np.stack(
-            [rng.choice(10, size=3, replace=False) for _ in range(50)]
-        ).astype(np.intp)
-        exponents = rng.integers(1, 4, size=(50, 3)).astype(np.float64)
-        index = VariableIncidence.from_factor_arrays(10, indices, exponents)
-        for column in range(10):
-            expected = sorted(np.flatnonzero((indices == column).any(axis=1)))
-            assert list(index.rows_for_any(np.array([column]))) == expected
-            assert list(index.rows_for_any(np.array([column, column]))) == expected
+    def test_slots_locate_each_occurrence(self):
+        indices = np.array([[0, 2], [2, 2], [0, 1], [1, 1]], dtype=np.intp)
+        index = self._index()
+        columns = np.repeat(np.arange(3), np.diff(index.ptr))
+        assert list(index.slots) == [0, 0, 1, 0, 1, 1, 0, 1]
+        assert np.array_equal(indices[index.positions, index.slots], columns)
 
 
 class TestPairIncidence:

@@ -375,6 +375,49 @@ class TestSparseKernelCounters:
         assert get_registry().snapshot()["counters"]["batch.sparse.exact_rows"] == 1
 
 
+class TestSegmentKernelCounters:
+    """The tropical/bool sparse kernel counts its work: registry and kernel span."""
+
+    @pytest.mark.parametrize("semiring, value", [("tropical", 3.0), ("bool", 0.0)])
+    def test_counters_and_span_attributes(self, traced, semiring, value):
+        from repro.batch import BatchEvaluator
+        from repro.engine.scenario import Scenario
+
+        provenance = _tiny_provenance()
+        changes = [["x0"], ["x0", "x5"], []]
+        scenarios = [
+            Scenario(f"#{i}").set_value(names, value) if names else Scenario(f"#{i}")
+            for i, names in enumerate(changes)
+        ]
+        BatchEvaluator().evaluate(
+            provenance, scenarios, semiring=semiring, mode="sparse"
+        )
+        spans = [span for root in traced.drain() for span in root.walk()]
+        (kernel,) = [span for span in spans if span.name == "batch.kernel.sparse"]
+        counters = get_registry().snapshot()["counters"]
+        # Brute force: a segment is one key's monomials of one width, hit
+        # when one of them holds a changed variable.
+        segments = monomials = 0
+        for names in changes:
+            for _key, polynomial in provenance.items():
+                by_width = {}
+                for monomial, _coefficient in polynomial.terms():
+                    held = set(monomial.variables())
+                    by_width.setdefault(len(held), []).append(held)
+                for members in by_width.values():
+                    if any(held & set(names) for held in members):
+                        segments += 1
+                        monomials += len(members)
+        assert segments > 0
+        assert kernel.attributes["segments"] == counters["batch.sparse.segments"]
+        assert counters["batch.sparse.segments"] == segments
+        assert (
+            kernel.attributes["recomputed_monomials"]
+            == counters["batch.sparse.recomputed_monomials"]
+            == monomials
+        )
+
+
 class TestCompressSpan:
     def test_run_span_records_algorithm_and_cache(self, traced):
         from repro.core.compression import Compressor

@@ -3,9 +3,11 @@
 The engine's speed rests on a handful of vectorised kernels; a stray
 ``.copy()`` or per-element Python loop inside one silently turns an
 O(touched) pass into an O(everything) one.  The designated kernels are the
-matrix/delta evaluators and their per-group algebra hooks in
-``provenance/backends/numeric.py`` (one compiled-set implementation for
-every numeric semiring), the
+matrix/delta evaluators in ``provenance/backends/numeric.py`` (one
+compiled-set implementation for every numeric semiring), with the batched
+pass of the tropical/bool segment delta kernel and the per-group algebra
+hooks they call (contributions over gathered factor values, segmented
+reductions and row folds), the
 incremental-greedy coarsening step in ``core/kernel/greedy.py`` (``apply``
 and the per-step array functions it calls: pair expansion, renaming,
 signature keys, row merging/appending and the counter updates) and the
@@ -54,7 +56,8 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("provenance/backends/numeric.py", "evaluate_deltas"),
     ("provenance/backends/numeric.py", "_evaluate_values"),
     ("provenance/backends/numeric.py", "_contributions"),
-    ("provenance/backends/numeric.py", "_restricted_contributions"),
+    ("provenance/backends/numeric.py", "_gathered_contributions"),
+    ("provenance/backends/numeric.py", "_segment_pass"),
     ("provenance/backends/numeric.py", "_reduce"),
     ("provenance/backends/numeric.py", "_accumulate"),
     ("provenance/backends/numeric.py", "_fold_rows"),
