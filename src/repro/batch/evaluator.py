@@ -1068,10 +1068,7 @@ class BatchEvaluator:
     ):
         matrix = batch.valuation_matrix(base, fill=fill)
         full_columns = batch.columns_for(compiled_full.variables)
-        base_row = np.array(
-            [float(base.get(name, fill)) for name in compiled_full.variables],
-            dtype=np.float64,
-        )
+        base_row = batch.base_row(base, fill)[full_columns]
         baseline = compiled_full.evaluate_matrix(base_row[np.newaxis, :])[0]
 
         noop = batch.noop_rows

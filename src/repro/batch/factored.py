@@ -7,8 +7,9 @@ perturbation.  The sparse path still pays for the shared cells *per
 scenario*; factoring splits the batch instead:
 
 1. find the longest common *operation* prefix across the batch's scenarios
-   (:func:`common_prefix_length` — operations compare by dataclass equality,
-   so plans built from a shared base share them structurally);
+   (:attr:`~repro.batch.planner.ScenarioBatch.prefix_length`, cached on the
+   batch — operations compare by their interned id, so plans built from a
+   shared base, whose operation objects are literally reused, share them);
 2. apply that prefix once to the base row, producing the **factored
    baseline** row (:func:`factor_batch`);
 3. lower only the *residual* operations of each scenario against the
@@ -47,7 +48,9 @@ def common_prefix_length(scenarios: Sequence[Scenario]) -> int:
     by value, callable selectors by identity — which is exactly what plans
     built from a shared base produce (the base's operation objects are
     literally reused), so composed sweeps factor even with predicate
-    selectors.
+    selectors.  A batch's own prefix
+    (:attr:`~repro.batch.planner.ScenarioBatch.prefix_length`) compares
+    interned operation ids instead, computed once per batch.
     """
     if not scenarios:
         return 0
@@ -116,9 +119,7 @@ def _prefix_cells(batch: ScenarioBatch, prefix_length: int) -> int:
     if prefix_length == 0 or not len(batch):
         return 0
     selected = [
-        columns
-        for _kind, columns, _amount in batch.resolved_operations[0][:prefix_length]
-        if columns.size
+        columns for _kind, columns, _amount in batch.steps(0)[:prefix_length]
     ]
     if not selected:
         return 0
@@ -138,7 +139,7 @@ def prefix_statistics(
     extra full-row evaluation.
     """
     if prefix_length is None:
-        prefix_length = common_prefix_length(batch.scenarios)
+        prefix_length = batch.prefix_length
     if prefix_length == 0 or not len(batch):
         return 0, 0, 0.0
     prefix_cells = _prefix_cells(batch, prefix_length)
@@ -166,7 +167,7 @@ def factor_batch(
     valuation rows bit-for-bit.
     """
     if prefix_length is None:
-        prefix_length = common_prefix_length(batch.scenarios)
+        prefix_length = batch.prefix_length
     with trace(
         "batch.factor",
         scenarios=len(batch),
@@ -176,7 +177,7 @@ def factor_batch(
         base_row = batch.base_row(base, fill)
         factored_row = base_row.copy()
         if len(batch):
-            for kind, columns, amount in batch.resolved_operations[0][:prefix_length]:
+            for kind, columns, amount in batch.steps(0)[:prefix_length]:
                 if columns.size == 0:
                     continue
                 if kind == "scale":

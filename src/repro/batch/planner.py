@@ -16,21 +16,27 @@ shared, sorted variable universe — in one of two shapes:
   Real what-if scenarios perturb a handful of variables, so the plan is a
   few cells per scenario instead of a full row.
 
-Both lowerings start from the batch's flat operation cells (one entry per
-scenario, operation and selected column), so neither loops over scenarios
-in Python: the scenarios' steps are applied to every touched cell at once,
-one vectorised pass per operation depth.
+The batch is built from one operation table: each distinct operation is
+interned once (by object, then by value), each distinct selector resolved
+once against the universe into one flat column array, and every scenario
+becomes a CSR of operation ids.  The flat operation cells (one entry per
+scenario, operation and selected column), the no-op rows and the shared
+operation prefix are array work over that table, so neither lowering loops
+over scenarios in Python: the scenarios' steps are applied to every touched
+cell at once, one vectorised pass per operation depth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.scenario import Scenario
+from repro.engine.scenario import Scenario, _Operation, _select
 from repro.obs.tracer import trace
+from repro.provenance.incidence import ragged_ranges
 from repro.provenance.valuation import Valuation
 
 _EMPTY_COLUMNS = np.zeros(0, dtype=np.intp)
@@ -196,6 +202,130 @@ def _normalised(
     return offsets_from_counts(counts), columns[keep], values[keep]
 
 
+class _OperationTable(NamedTuple):
+    """A batch's distinct operations, and each scenario as a CSR of their ids.
+
+    Scenario *s* applies the operations ``ids[offsets[s]:offsets[s + 1]]``,
+    in order.  Per distinct operation: ``operations`` holds the first object
+    interned for it, ``scales`` is ``True`` for a scale step and ``False``
+    for a set step, ``amounts`` its amount, and ``starts``/``stops`` bound
+    its resolved universe columns in the flat, read-only ``columns`` —
+    operations sharing a selector share one range.
+    """
+
+    offsets: np.ndarray
+    ids: np.ndarray
+    operations: Tuple[_Operation, ...]
+    scales: np.ndarray
+    amounts: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    columns: np.ndarray
+
+
+#: Stands for a callable selector in an interning key: callables compare by
+#: identity, and no tuple of names can hold this object.
+_CALLABLE = object()
+
+
+def _operation_table(
+    scenarios: Sequence[Scenario],
+    variables: Tuple[str, ...],
+    index: Mapping[str, int],
+) -> _OperationTable:
+    """Intern ``scenarios``' operations and resolve each distinct selector once.
+
+    An operation object seen before reuses its id.  Otherwise operations
+    equal in ``(kind, selector, amount)`` share one id: a ``str`` selector
+    compares by value, a callable by identity, any other sequence as the
+    tuple of its names, and the amount together with its sign, so ``-0.0``
+    and ``0.0`` (equal, but lowering to different bits) stay apart.  Each
+    distinct selector is resolved through :func:`~repro.engine.scenario._select`
+    against the sorted universe, exactly as ``Scenario.resolved_operations``
+    resolves it.
+    """
+    name_set = frozenset(variables)
+    by_object: Dict[int, int] = {}
+    by_value: Dict[Tuple[str, int, float, float], int] = {}
+    by_selector: Dict[object, int] = {}
+    selector_spans: List[Tuple[int, int]] = []
+    operations: List[_Operation] = []
+    selectors: List[int] = []
+    columns: List[int] = []
+    ids: List[int] = []
+    counts: List[int] = []
+    for scenario in scenarios:
+        steps = scenario.operations
+        counts.append(len(steps))
+        for operation in steps:
+            op_id = by_object.get(id(operation))
+            if op_id is None:
+                selector = operation.selector
+                if callable(selector):
+                    key: object = (_CALLABLE, id(selector))
+                elif isinstance(selector, str):
+                    key = selector
+                else:
+                    key = selector = tuple(selector)
+                selector_id = by_selector.get(key)
+                if selector_id is None:
+                    selector_id = by_selector[key] = len(selector_spans)
+                    start = len(columns)
+                    columns.extend(
+                        map(index.__getitem__, _select(selector, variables, name_set))
+                    )
+                    selector_spans.append((start, len(columns)))
+                amount = operation.amount
+                value = (operation.kind, selector_id, amount, math.copysign(1.0, amount))
+                op_id = by_value.get(value)
+                if op_id is None:
+                    op_id = by_value[value] = len(operations)
+                    operations.append(operation)
+                    selectors.append(selector_id)
+                by_object[id(operation)] = op_id
+            ids.append(op_id)
+    bounds = np.array(selector_spans, dtype=np.intp).reshape(-1, 2)[
+        np.array(selectors, dtype=np.intp)
+    ]
+    flat = np.array(columns, dtype=np.intp)
+    flat.setflags(write=False)
+    return _OperationTable(
+        offsets=offsets_from_counts(np.array(counts, dtype=np.intp)),
+        ids=np.array(ids, dtype=np.intp),
+        operations=tuple(operations),
+        scales=np.array([op.kind == "scale" for op in operations], dtype=np.bool_),
+        amounts=np.array([op.amount for op in operations], dtype=np.float64),
+        starts=bounds[:, 0],
+        stops=bounds[:, 1],
+        columns=flat,
+    )
+
+
+def _step_positions(offsets: np.ndarray) -> np.ndarray:
+    """Each CSR entry's position within its row (``np.intp``)."""
+    counts = np.diff(offsets)
+    return np.arange(offsets[-1], dtype=np.intp) - np.repeat(offsets[:-1], counts)
+
+
+def _shared_prefix(offsets: np.ndarray, ids: np.ndarray) -> int:
+    """The length of the longest id prefix every CSR row starts with.
+
+    Compares every entry before the shortest row's length against row 0's
+    entry at the same position; the first position that differs anywhere
+    ends the prefix.  Covered by cobralint's CL003 rule.
+    """
+    counts = np.diff(offsets)
+    if counts.size == 0:
+        return 0
+    length = int(counts.min())
+    if length == 0:
+        return 0
+    positions = _step_positions(offsets)
+    head = np.flatnonzero(positions < length)
+    differs = positions[head[ids[head] != ids[positions[head]]]]
+    return int(differs.min()) if differs.size else length
+
+
 class ScenarioBatch:
     """A list of scenarios lowered over one shared variable index.
 
@@ -210,7 +340,8 @@ class ScenarioBatch:
     """
 
     __slots__ = (
-        "_scenarios", "_variables", "_index", "_resolved", "_touched", "_cells"
+        "_scenarios", "_variables", "_index", "_table", "_selected", "_prefix",
+        "_resolved", "_touched", "_cells",
     )
 
     def __init__(
@@ -221,19 +352,15 @@ class ScenarioBatch:
         self._index: Dict[str, int] = {
             name: i for i, name in enumerate(self._variables)
         }
-        # Selectors are resolved once per scenario against the shared
-        # universe (one membership set for the whole batch); applying the
-        # plan is pure array arithmetic from here on.
-        name_set = frozenset(self._variables)
-        self._resolved = tuple(
-            tuple(
-                (kind, np.array([self._index[n] for n in selected], dtype=np.intp), amount)
-                for kind, selected, amount in scenario.resolved_operations(
-                    self._variables, name_set
-                )
-            )
-            for scenario in self._scenarios
-        )
+        # One operation table per batch: each distinct operation interned
+        # once and each distinct selector resolved once; everything else
+        # (cells, no-op rows, the shared prefix) is array work over it.
+        self._table = _operation_table(self._scenarios, self._variables, self._index)
+        self._selected: Optional[np.ndarray] = None
+        self._prefix: Optional[int] = None
+        self._resolved: Optional[
+            Tuple[Tuple[Tuple[str, np.ndarray, float], ...], ...]
+        ] = None
         self._touched: Optional[np.ndarray] = None
         self._cells: Optional[Tuple[np.ndarray, ...]] = None
 
@@ -257,19 +384,62 @@ class ScenarioBatch:
     def __len__(self) -> int:
         return len(self._scenarios)
 
+    def steps(self, row: int) -> Tuple[Tuple[str, np.ndarray, float], ...]:
+        """Scenario ``row``'s resolved ``(kind, columns, amount)`` steps.
+
+        Columns index the batch universe: read-only ``np.intp`` views of the
+        operation table, in the scenario's operation order.  Operations
+        resolve identically for every scenario sharing them, so a shared
+        operation prefix resolves to a shared step prefix — the contract the
+        factored compiler (:mod:`repro.batch.factored`) relies on when it
+        reads only row 0's steps.
+        """
+        table = self._table
+        lo, hi = table.offsets[row], table.offsets[row + 1]
+        return tuple(
+            (
+                table.operations[op_id].kind,
+                table.columns[table.starts[op_id] : table.stops[op_id]],
+                table.operations[op_id].amount,
+            )
+            for op_id in table.ids[lo:hi].tolist()
+        )
+
     @property
     def resolved_operations(
         self,
     ) -> Tuple[Tuple[Tuple[str, np.ndarray, float], ...], ...]:
-        """Per scenario, the resolved ``(kind, columns, amount)`` steps.
-
-        Columns index the batch universe (``np.intp`` arrays), in the
-        scenario's operation order — the contract the factored compiler
-        (:mod:`repro.batch.factored`) relies on: operations resolve
-        identically for every scenario sharing them, so a shared operation
-        prefix resolves to a shared step prefix.
-        """
+        """Per scenario, the resolved steps (:meth:`steps`), built lazily."""
+        if self._resolved is None:
+            self._resolved = tuple(
+                self.steps(row) for row in range(len(self._scenarios))
+            )
         return self._resolved
+
+    @property
+    def prefix_length(self) -> int:
+        """The length of the longest operation prefix every scenario shares.
+
+        Operations compare by their interned id (see :func:`_operation_table`),
+        computed once per batch and cached.  Never shorter than
+        :func:`repro.batch.factored.common_prefix_length`'s dataclass
+        equality prefix, except that ``-0.0`` and ``0.0`` amounts differ
+        here; longer where equal names are spelled as a list in one scenario
+        and a tuple in another.
+        """
+        if self._prefix is None:
+            self._prefix = _shared_prefix(self._table.offsets, self._table.ids)
+        return self._prefix
+
+    def _selected_counts(self) -> np.ndarray:
+        """Per scenario, the columns its operations select, repeats counted."""
+        if self._selected is None:
+            table = self._table
+            sizes = (table.stops - table.starts)[table.ids]
+            totals = np.zeros(sizes.size + 1, dtype=np.intp)
+            np.cumsum(sizes, out=totals[1:])
+            self._selected = totals[table.offsets[1:]] - totals[table.offsets[:-1]]
+        return self._selected
 
     @property
     def noop_rows(self) -> Tuple[int, ...]:
@@ -280,17 +450,11 @@ class ScenarioBatch:
         value, so evaluators reuse the shared baseline row for it instead of
         re-evaluating.
         """
-        return tuple(
-            row
-            for row, operations in enumerate(self._resolved)
-            if all(columns.size == 0 for _kind, columns, _amount in operations)
-        )
+        return tuple(np.flatnonzero(self._selected_counts() == 0).tolist())
 
     def is_noop(self, row: int) -> bool:
         """Whether the ``row``-th scenario resolves to a pure no-op."""
-        return all(
-            columns.size == 0 for _kind, columns, _amount in self._resolved[row]
-        )
+        return bool(self._selected_counts()[row] == 0)
 
     def touched_counts(self) -> np.ndarray:
         """Per scenario, the number of distinct universe columns it selects.
@@ -315,33 +479,31 @@ class ScenarioBatch:
         ``(scenarios, columns, positions, scales, amounts)``: one entry per
         (scenario, operation, selected column), sorted by scenario, then
         column, then the operation's position in its scenario.  ``scales``
-        is ``True`` for a scale step and ``False`` for a set step.  Built
-        with one Python pass over the resolved operations and one sort; the
-        lowerings below are array work over it.
+        is ``True`` for a scale step and ``False`` for a set step.  Each
+        operation occurrence is expanded to its table column range with
+        ``np.repeat`` and :func:`~repro.provenance.incidence.ragged_ranges`,
+        then one stable sort orders the cells (an operation selects a column
+        at most once, so the order has no ties).  Covered by cobralint's
+        CL003 rule.
         """
         if self._cells is None:
-            steps = [
-                (row, position, kind == "scale", amount, columns)
-                for row, operations in enumerate(self._resolved)
-                for position, (kind, columns, amount) in enumerate(operations)
-                if columns.size
-            ]
-            rows, positions, scales, amounts, selected = (
-                zip(*steps) if steps else ((),) * 5
+            table = self._table
+            ids = table.ids
+            sizes = (table.stops - table.starts)[ids]
+            rows = np.repeat(
+                np.arange(len(self._scenarios), dtype=np.int64),
+                np.diff(table.offsets),
             )
-            sizes = np.array([c.size for c in selected], dtype=np.intp)
-
-            def per_cell(step_values, dtype):
-                return np.repeat(np.array(step_values, dtype=dtype), sizes)
-
+            picked, _starts = ragged_ranges(table.starts[ids], table.stops[ids])
             cells = (
-                per_cell(rows, np.int64),
-                np.concatenate(selected + (_EMPTY_COLUMNS,)),
-                per_cell(positions, np.intp),
-                per_cell(scales, np.bool_),
-                per_cell(amounts, np.float64),
+                np.repeat(rows, sizes),
+                table.columns[picked],
+                np.repeat(_step_positions(table.offsets), sizes),
+                np.repeat(table.scales[ids], sizes),
+                np.repeat(table.amounts[ids], sizes),
             )
-            order = np.lexsort(cells[2::-1])
+            width = np.int64(max(1, len(self._variables)))
+            order = np.argsort(cells[0] * width + cells[1], kind="stable")
             self._cells = tuple(array[order] for array in cells)
         return self._cells
 

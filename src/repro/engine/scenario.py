@@ -9,6 +9,7 @@ to produce the valuation encoding the hypothetical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -46,6 +47,15 @@ def _select(
     )
 
 
+def _amount(amount: float, what: str) -> float:
+    """``amount`` as a float, rejecting NaN: a NaN step would silently turn
+    every row it touches into NaN."""
+    value = float(amount)
+    if math.isnan(value):
+        raise ScenarioError(f"{what} must not be NaN")
+    return value
+
+
 @dataclass(frozen=True)
 class _Operation:
     """One scenario step: scale or set the selected variables."""
@@ -73,21 +83,26 @@ class Scenario:
     operations: Tuple[_Operation, ...] = ()
 
     def scale(self, selector: VariableSelector, factor: float) -> "Scenario":
-        """Multiply the selected variables' values by ``factor``."""
+        """Multiply the selected variables' values by ``factor``.
+
+        ``factor`` must be non-negative and not NaN; ``inf`` is allowed.
+        """
         if factor < 0:
             raise ScenarioError("scale factor must be non-negative")
+        factor = _amount(factor, "scale factor")
         return Scenario(
             self.name,
             self.description,
-            self.operations + (_Operation("scale", selector, float(factor)),),
+            self.operations + (_Operation("scale", selector, factor),),
         )
 
     def set_value(self, selector: VariableSelector, value: float) -> "Scenario":
-        """Set the selected variables' values to ``value``."""
+        """Set the selected variables' values to ``value`` (not NaN; ``inf``
+        is allowed — tropical outages set or scale costs to it)."""
         return Scenario(
             self.name,
             self.description,
-            self.operations + (_Operation("set", selector, float(value)),),
+            self.operations + (_Operation("set", selector, _amount(value, "value")),),
         )
 
     def resolved_operations(

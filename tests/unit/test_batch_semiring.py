@@ -5,10 +5,14 @@ import pytest
 
 from repro.batch import BatchEvaluator
 from repro.core.compression import Abstraction, apply_abstraction
+from repro.engine.plan import compose
 from repro.engine.scenario import Scenario
 from repro.engine.session import CobraSession
 from repro.provenance.backends import resolve_backend
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
+from repro.provenance.semiring import evaluate_in_semiring
+from repro.provenance.valuation import Valuation
+from repro.workloads.abstraction_trees import nation_variable
 from repro.workloads.routing import (
     RoutingConfig,
     generate_routing_provenance,
@@ -16,6 +20,8 @@ from repro.workloads.routing import (
     routing_scenario_sweep,
     trunk_group_tree,
 )
+from repro.workloads.tpch import TpchConfig, generate_tpch_catalog
+from repro.workloads.tpch_queries import customers_by_nation, tpch_deletion_provenance
 
 
 @pytest.fixture
@@ -70,6 +76,81 @@ class TestNumericBatch:
         assert real is not tropical
         assert evaluator.compile(provenance) is real
         assert evaluator.compile(provenance, "tropical") is tropical
+
+
+class TestBooleanDeletionEmptiesAKey:
+    """Deleting every customer of one market segment extinguishes its key.
+
+    ``tpch_deletion_provenance`` keys are market segments, each a sum of 4–8
+    one-customer monomials at this scale, so only a deletion covering the
+    whole segment turns a key false.  Every Boolean pipeline must agree with
+    ``evaluate_in_semiring``, on the full set and on a set compressed by
+    nation.
+    """
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        catalog = generate_tpch_catalog(TpchConfig(scale=0.0002, seed=1))
+        provenance = tpch_deletion_provenance(catalog).provenance
+        groups = {
+            nation_variable(nation): members
+            for nation, members in customers_by_nation(catalog).items()
+        }
+        abstraction = Abstraction.from_groups(groups)
+        compressed = apply_abstraction(provenance, abstraction).compressed
+        return provenance, groups, abstraction, compressed
+
+    @staticmethod
+    def _scenarios(provenance):
+        keys = sorted(provenance.keys())
+        segment = sorted(provenance[keys[0]].variables())
+        other = sorted(provenance[keys[1]].variables())
+        base = Scenario("drop first").set_value(segment[:1], 0)
+        variants = [
+            Scenario("empty the segment").set_value(segment[1:], 0),
+            Scenario("all but one").set_value(segment[1:-1], 0),
+            Scenario("elsewhere").set_value(other[:3], 0),
+            Scenario("restore").set_value(segment[:1], 1),
+        ]
+        return keys[0], tuple(compose(base, variants).lower())
+
+    @pytest.mark.parametrize("mode", ["sparse", "factored", "dense"])
+    def test_matches_the_reference_and_empties_the_key(self, workload, mode):
+        provenance, groups, abstraction, compressed = workload
+        backend = resolve_backend("bool")
+        emptied, scenarios = self._scenarios(provenance)
+        report = BatchEvaluator().evaluate(
+            provenance,
+            scenarios,
+            compressed=compressed,
+            abstraction=abstraction,
+            semiring="bool",
+            mode=mode,
+        )
+        assert report.mode == mode
+        base = Valuation.uniform(provenance.variables(), True, semiring="bool")
+        for row, scenario in enumerate(scenarios):
+            valuation = scenario.apply(base)
+            # The mean lowering is non-zero exactly when some member is true.
+            meta_valuation = dict(valuation)
+            for meta, members in groups.items():
+                meta_valuation[meta] = any(valuation[name] for name in members)
+            for column, key in enumerate(report.keys):
+                full = evaluate_in_semiring(
+                    provenance[key], backend.semiring, valuation,
+                    coefficient_embedding=backend.embed_coefficient,
+                )
+                reduced = evaluate_in_semiring(
+                    compressed[key], backend.semiring, meta_valuation,
+                    coefficient_embedding=backend.embed_coefficient,
+                )
+                assert report.full_results[row, column] == float(full)
+                assert report.compressed_results[row, column] == float(reduced)
+        emptied_column = list(report.keys).index(emptied)
+        assert report.full_results[:, emptied_column].tolist() == [
+            0.0, 1.0, 1.0, 1.0
+        ]
+        assert report.full_results[0].sum() == len(report.keys) - 1
 
 
 class TestGenericBatch:

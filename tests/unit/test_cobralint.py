@@ -444,6 +444,50 @@ class TestHotPathAllocation:
         )
         assert active(findings, "CL003") == []
 
+    def test_operation_table_loops_fire(self, tmp_path):
+        findings = run_rule(
+            tmp_path,
+            {
+                "src/repro/batch/planner.py": """
+                import numpy as np
+
+                def _operation_cells(table):
+                    ids = np.asarray(table.ids)
+                    steps = []
+                    for op_id in ids:
+                        steps.append(op_id)
+                    return steps
+
+                def _shared_prefix(offsets, ids):
+                    first = np.diff(offsets)
+                    for position in range(3):
+                        row = ids.copy()
+                    return first, row
+                """
+            },
+            select=["CL003"],
+        )
+        # One element-wise loop over the ids, one copy under a loop.
+        assert len(active(findings, "CL003")) == 2
+
+    def test_operation_cells_array_expansion_is_clean(self, tmp_path):
+        findings = run_rule(
+            tmp_path,
+            {
+                "src/repro/batch/planner.py": """
+                import numpy as np
+
+                def _operation_cells(table):
+                    ids = table.ids
+                    sizes = (table.stops - table.starts)[ids]
+                    picked, _starts = ragged_ranges(table.starts[ids], table.stops[ids])
+                    return np.repeat(ids, sizes), table.columns[picked]
+                """
+            },
+            select=["CL003"],
+        )
+        assert active(findings, "CL003") == []
+
     def test_non_kernel_function_is_exempt(self, tmp_path):
         findings = run_rule(
             tmp_path,

@@ -90,6 +90,54 @@ class TestCommonPrefix:
         assert common_prefix_length([a, b]) == 0
 
 
+class TestBatchPrefix:
+    """The batch's own prefix compares interned operation ids."""
+
+    def test_matches_the_public_prefix_on_composed_sweeps(self):
+        plan = _structured_sweep(count=5)
+        batch = ScenarioBatch(plan.scenarios(), [f"v{i}" for i in range(16)])
+        assert batch.prefix_length == common_prefix_length(plan.scenarios()) == 2
+        assert ScenarioBatch([], ["a"]).prefix_length == 0
+        assert ScenarioBatch([Scenario("a")], ["a"]).prefix_length == 0
+
+    def test_list_and_tuple_spellings_share_an_id(self):
+        a = Scenario("a").scale(["x", "y"], 0.5).scale("z", 2.0)
+        b = Scenario("b").scale(("x", "y"), 0.5).set_value("z", 1.0)
+        # Dataclass equality tells a list from a tuple; interning does not.
+        assert common_prefix_length([a, b]) == 0
+        assert ScenarioBatch([a, b], ["x", "y", "z"]).prefix_length == 1
+
+    def test_signed_zero_amounts_stay_apart(self):
+        a = Scenario("a").set_value("x", 0.0)
+        b = Scenario("b").set_value("x", -0.0)
+        batch = ScenarioBatch([a, b], ["x"])
+        assert batch.prefix_length == 0
+        signs = np.signbit(batch.valuation_matrix()[:, 0])
+        assert signs.tolist() == [False, True]
+
+    def test_each_distinct_selector_resolves_once(self):
+        calls = []
+
+        def pred(name):
+            calls.append(name)
+            return name == "x"
+
+        base = Scenario("base").scale(pred, 0.5)
+        scenarios = [
+            Scenario(f"s{i}", operations=base.operations).scale(pred, 1.0 + i)
+            for i in range(4)
+        ]
+        batch = ScenarioBatch(scenarios, ["x", "y"])
+        assert sorted(calls) == ["x", "y"]
+        assert batch.prefix_length == 1
+        kinds, columns, amounts = zip(*batch.steps(0))
+        assert kinds == ("scale", "scale")
+        assert [c.tolist() for c in columns] == [[0], [0]]
+        assert amounts == (0.5, 1.0)
+        with pytest.raises(ValueError):
+            columns[0][0] = 1
+
+
 class TestFactorBatch:
     def test_factored_rows_match_delta_plan_rows(self):
         plan = _structured_sweep(count=9)

@@ -1,5 +1,6 @@
 """Unit tests for hypothetical scenarios."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ScenarioError
@@ -20,6 +21,19 @@ class TestScenarioConstruction:
     def test_negative_scale_rejected(self):
         with pytest.raises(ScenarioError):
             Scenario("bad").scale(["x"], -1.0)
+
+    def test_nan_amounts_rejected(self):
+        with pytest.raises(ScenarioError, match="NaN"):
+            Scenario("bad").scale(["x"], float("nan"))
+        with pytest.raises(ScenarioError, match="NaN"):
+            Scenario("bad").set_value("x", float("nan"))
+        with pytest.raises(ScenarioError, match="NaN"):
+            Scenario("bad").set_value("x", np.float64("nan"))
+
+    def test_infinite_amounts_allowed(self):
+        # Tropical outages scale or set a cost to infinity.
+        scenario = Scenario("outage").scale(["x"], float("inf")).set_value("y", float("inf"))
+        assert [op.amount for op in scenario.operations] == [float("inf")] * 2
 
 
 class TestApply:

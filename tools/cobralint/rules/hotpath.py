@@ -12,8 +12,10 @@ incremental-greedy coarsening step in ``core/kernel/greedy.py`` (``apply``
 and the per-step array functions it calls: pair expansion, renaming,
 signature keys, row merging/appending and the counter updates) and the
 loop driving it in ``core/kernel/trajectory.py``, the sparse lowering
-shared by the plain and factored paths, the touched-cells pass and the
-delta-plan projection in ``batch/planner.py``, the shared-delta factoring in
+shared by the plain and factored paths, the touched-cells pass, the
+operation cells and shared-prefix comparison built from the batch's
+operation table and the delta-plan projection in ``batch/planner.py``,
+the shared-delta factoring in
 ``batch/factored.py``, and the meta lowerings in ``batch/evaluator.py``
 (the public functions and the :class:`MetaLowering` methods doing the
 work).
@@ -71,6 +73,8 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("core/kernel/greedy.py", "_update_counters"),
     ("core/kernel/trajectory.py", "extend_to"),
     ("batch/planner.py", "touched_counts"),
+    ("batch/planner.py", "_operation_cells"),
+    ("batch/planner.py", "_shared_prefix"),
     ("batch/planner.py", "lower_residuals"),
     ("batch/planner.py", "_lowered_cells"),
     ("batch/planner.py", "project"),
