@@ -5,8 +5,9 @@ every scenario applies the same base prefix ("cut all plan prices by 5%")
 before a small per-scenario perturbation, so ~90% of each scenario's touched
 cells are shared with every other scenario.  The unfactored sparse path pays
 for the shared cells per scenario; the factored path
-(:func:`repro.batch.factored.factor_batch`) applies the prefix once to a
-factored baseline and evaluates only the residual deltas.
+(:meth:`repro.batch.planner.ScenarioBatch.delta_plan` with ``prefix``)
+applies the prefix once to a factored baseline and evaluates only the
+residual deltas.
 
 Measured end-to-end through ``BatchEvaluator.evaluate``:
 
@@ -37,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch import BatchEvaluator, ScenarioBatch, factor_batch
+from repro.batch import BatchEvaluator, ScenarioBatch
 from repro.engine.plan import compose
 from repro.engine.scenario import Scenario
 
@@ -144,7 +145,12 @@ def measure(
     # The factoring statistics are deterministic (seeded sweep), so they are
     # exact-compared by the baseline gate.
     batch = ScenarioBatch(scenarios, [f"x{i}" for i in range(num_variables)])
-    factoring = factor_batch(batch)
+    residual_cells = batch.delta_plan(prefix=batch.prefix_length).changed_cells()
+    # The part of a scenario's unfactored cells (prefix cells plus its mean
+    # residual cells) that the factored plan no longer pays for.
+    shared_fraction = batch.prefix_cells / (
+        batch.prefix_cells + residual_cells / len(batch)
+    )
 
     sparse_seconds = _best_of(
         lambda: evaluator.evaluate(provenance, scenarios, mode="sparse"),
@@ -172,10 +178,10 @@ def measure(
         "scenarios": len(scenarios),
         "shared_touched": shared_touched,
         "residual_touched": residual_touched,
-        "prefix_length": factoring.prefix_length,
-        "prefix_cells": factoring.prefix_cells,
-        "residual_cells": factoring.residual_cells,
-        "shared_fraction": factoring.shared_fraction,
+        "prefix_length": batch.prefix_length,
+        "prefix_cells": batch.prefix_cells,
+        "residual_cells": residual_cells,
+        "shared_fraction": shared_fraction,
         "parity": parity,
         "auto_picked_factored": auto_picked_factored,
         "plan_mode": plan_report.mode,

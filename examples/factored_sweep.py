@@ -4,9 +4,10 @@ Structured sweeps share work: "cut every plan price 5%, then try each month
 at five different levels" applies the same base operations in *every*
 scenario.  The scenario-plan compiler (:mod:`repro.engine.plan`) keeps that
 structure declarative — a grid or Monte Carlo sample over a shared base —
-and the factored batch pipeline (:mod:`repro.batch.factored`) exploits it:
-the shared operation prefix is applied once to a factored baseline, and each
-scenario only evaluates its tiny residual delta.
+and the factored batch pipeline (``ScenarioBatch.delta_plan(prefix=k)`` in
+:mod:`repro.batch.planner`) exploits it: the shared operation prefix is
+applied once to a factored baseline, and each scenario only evaluates its
+tiny residual delta.
 
 This example builds both plan kinds over the telephony workload:
 
@@ -22,7 +23,7 @@ Run with ``PYTHONPATH=src python examples/factored_sweep.py``.
 
 import time
 
-from repro.batch import BatchEvaluator, ScenarioBatch, factor_batch
+from repro.batch import BatchEvaluator, ScenarioBatch
 from repro.engine.plan import axis, grid, sample, sample_axis, uniform
 from repro.engine.scenario import Scenario
 from repro.engine.session import CobraSession
@@ -77,13 +78,14 @@ def main() -> None:
         # price, a couple of residual cells per scenario.
         scenarios = plan.scenarios()
         batch = ScenarioBatch(scenarios, sorted(provenance.variables()))
-        factoring = factor_batch(batch)
+        residual = batch.delta_plan(prefix=batch.prefix_length).changed_cells()
+        shared = batch.prefix_cells / (batch.prefix_cells + residual / len(batch))
         print(f"== {plan.name}: {len(scenarios)} scenarios ==")
         print(
-            f"  factoring: prefix of {factoring.prefix_length} operation(s) "
-            f"touching {factoring.prefix_cells} cells, "
-            f"{factoring.residual_cells} residual cells total "
-            f"({factoring.shared_fraction:.0%} of touched cells shared)"
+            f"  factoring: prefix of {batch.prefix_length} operation(s) "
+            f"touching {batch.prefix_cells} cells, "
+            f"{residual} residual cells total "
+            f"({shared:.0%} of touched cells shared)"
         )
 
         start = time.perf_counter()
@@ -121,7 +123,6 @@ def main() -> None:
     print("the same sweeps from the terminal:")
     print("  cobra sweep                                  # built-in demo grid")
     print("  cobra sweep --plan plan.json --json out.json # your own spec")
-    print("  cobra sweep --chunk-scenarios 4096           # bound lowering memory")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ telephony sweep through both pipelines of ``CobraSession.evaluate_many``:
   once; each scenario only recomputes the monomials its changed variables
   touch, through the inverted variable→monomial index).
 
-Both produce element-wise identical reports; the sparse path is just
-faster.  Run with ``PYTHONPATH=src python examples/sparse_deltas.py``.
+Both produce the same report up to rounding (the real kernels sum in
+different orders; the parity tests hold them to ``rtol=1e-9``); the sparse
+path is just faster.  Run with ``PYTHONPATH=src python examples/sparse_deltas.py``.
 """
 
 import time

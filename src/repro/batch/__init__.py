@@ -8,7 +8,10 @@ built for heavy multi-scenario traffic:
   :class:`~repro.engine.scenario.Scenario` objects over a shared variable
   index, either into one ``scenarios × variables`` valuation matrix or into
   a sparse :class:`DeltaPlan` (shared base row + a CSR of changed cells:
-  per-scenario offsets into flat column/value arrays);
+  per-scenario offsets into flat column/value arrays).  Structured sweeps
+  factor there too: ``delta_plan(prefix=k)`` applies the scenarios' common
+  operation prefix once to the base row and lowers only the residual
+  operations (``mode="auto"`` upgrades qualifying sparse batches to it);
 * :mod:`repro.batch.evaluator` — :class:`BatchEvaluator` compiles provenance
   sets once (LRU-cached by content fingerprint) and evaluates whole sweeps
   with chunked matrix kernels or baseline-once sparse delta kernels
@@ -18,12 +21,6 @@ built for heavy multi-scenario traffic:
   Sharding has one path, ``processes``:
   one persistent worker pool that maps each compiled set from a store file
   (in-memory sets are spilled once to a temporary store);
-* :mod:`repro.batch.factored` — shared-delta factoring for structured
-  sweeps: the scenarios' common operation prefix is evaluated once against
-  the base row and only small per-scenario residual deltas hit the kernels
-  (``mode="auto"`` upgrades qualifying sparse batches to it).  The residual
-  plan is lowered by the same loop as the sparse plan, and both go through
-  the same delta pipeline;
 * :mod:`repro.batch.report` — :class:`BatchReport` aggregates per-scenario /
   per-group deltas against the baseline and the abstraction-induced error of
   the compressed provenance across the sweep.
@@ -36,29 +33,13 @@ session's provenance (and its compressed form, if one was computed).
 """
 
 from repro.batch.planner import DeltaPlan, ScenarioBatch
-from repro.batch.evaluator import (
-    BatchEvaluator,
-    lower_meta_deltas,
-    lower_meta_matrix,
-)
-from repro.batch.factored import (
-    Factoring,
-    common_prefix_length,
-    factor_batch,
-    prefix_statistics,
-)
+from repro.batch.evaluator import BatchEvaluator
 from repro.batch.report import BatchReport, ScenarioOutcome
 
 __all__ = [
     "ScenarioBatch",
     "DeltaPlan",
     "BatchEvaluator",
-    "lower_meta_matrix",
-    "lower_meta_deltas",
-    "Factoring",
-    "common_prefix_length",
-    "factor_batch",
-    "prefix_statistics",
     "BatchReport",
     "ScenarioOutcome",
 ]

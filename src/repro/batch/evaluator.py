@@ -19,10 +19,11 @@ evaluates the whole sweep with one of three vectorised pipelines:
   perturbs a few variables per scenario, so this is the hot path;
 * **factored** — for structured sweeps sharing a common operation prefix
   (grids, samples and composed plans from :mod:`repro.engine.plan`): the
-  prefix is applied **once** to produce a factored baseline
-  (:mod:`repro.batch.factored`), then only each scenario's small residual
-  delta runs through the sparse kernel.  Sparse and factored share one
-  delta pipeline; they differ only in the plan it lowers.
+  prefix is applied **once** to produce a factored baseline, then only each
+  scenario's small residual delta runs through the sparse kernel.  Sparse
+  and factored share one delta pipeline and one lowering,
+  :meth:`~repro.batch.planner.ScenarioBatch.delta_plan`; they differ only in
+  its ``prefix``.
 
 With a compressed set, the sweep's scenario values are lowered to the
 meta-variables through a :class:`MetaLowering` (a member CSR and its
@@ -87,7 +88,7 @@ import numpy as np
 
 from repro.core.compression import Abstraction, Compressor
 from repro.core.defaults import default_meta_valuation
-from repro.engine.scenario import Scenario
+from repro.engine.scenario import Scenario, nonfinite_amount_error
 from repro.exceptions import SerializationError
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_span, get_tracer, trace, tracing_enabled
@@ -106,7 +107,6 @@ from repro.resilience import (
     policy_from_env,
     record_degradation,
 )
-from repro.batch.factored import Factoring, factor_batch, prefix_statistics
 from repro.batch.planner import DeltaPlan, ScenarioBatch, offsets_from_counts
 from repro.batch.report import BatchReport
 
@@ -136,8 +136,9 @@ SPARSE_TOUCHED_FRACTION = 0.1
 FACTORED_MIN_SCENARIOS = 8
 
 #: ...and only when the shared operation prefix accounts for at least this
-#: fraction of the cells a typical scenario touches (see
-#: :func:`repro.batch.factored.prefix_statistics`).
+#: fraction of the cells a typical scenario touches (the batch's
+#: :attr:`~repro.batch.planner.ScenarioBatch.prefix_cells` over its mean
+#: touched cells).
 FACTORED_SHARED_FRACTION = 0.5
 
 _EVALUATION_MODES = ("auto", "dense", "sparse", "factored")
@@ -334,6 +335,12 @@ class MetaLowering:
     metas it feeds) lets the sparse lowering find the metas a scenario's
     cells touch without a Python loop.
 
+    This derives the meta values as the interactive engine's
+    ``default_meta_valuation(reducer="mean", on_missing="skip")`` does.  The
+    mean lowering is shared by every numeric backend: it is the paper's
+    default for real and tropical values, and for 0/1 Boolean columns it is
+    non-zero exactly when the disjunction is.
+
     Depends only on the abstraction's mapping, the universe and the
     compressed variables, so :class:`BatchEvaluator` caches it under exactly
     that content.  Every mean is one ``np.add.reduceat`` over members in
@@ -435,71 +442,6 @@ class MetaLowering:
             metas[moved].astype(np.intp),
             means[moved],
         )
-
-
-def lower_meta_matrix(
-    abstraction: Abstraction,
-    batch: ScenarioBatch,
-    matrix: np.ndarray,
-    meta_variables: Sequence[str],
-    fill: float = 1.0,
-) -> np.ndarray:
-    """Lower a scenarios × originals matrix to the compressed variable space.
-
-    Column *j* of the result is the value of ``meta_variables[j]`` under each
-    scenario, derived as the interactive engine's
-    ``default_meta_valuation(reducer="mean", on_missing="skip")`` does: the
-    mean of the scenario values of the meta-variable's members that occur in
-    the universe, the scenario value itself for originals the abstraction
-    leaves untouched, and ``fill`` (the backend's identity fill, 1.0 on the
-    float pipeline) otherwise.  The mean lowering is shared by every numeric
-    backend: it is the paper's default for real and tropical values, and for
-    0/1 Boolean columns it is non-zero exactly when the disjunction is.
-    Means are ``reduceat`` sums in member order (:class:`MetaLowering`).
-    """
-    lowering = MetaLowering(abstraction, batch.variables, meta_variables)
-    return lowering.lower_matrix(matrix, fill)
-
-
-def lower_meta_deltas(
-    abstraction: Abstraction,
-    batch: ScenarioBatch,
-    plan: DeltaPlan,
-    meta_variables: Sequence[str],
-    fill: float = 1.0,
-) -> DeltaPlan:
-    """The sparse counterpart of :func:`lower_meta_matrix`.
-
-    Lowers a :class:`~repro.batch.planner.DeltaPlan` over the originals into
-    a plan over the compressed variable space without materialising any
-    dense matrix (:meth:`MetaLowering.lower_deltas`).  Applied to the
-    returned plan's base row, each scenario's cells rebuild exactly the row
-    :func:`lower_meta_matrix` computes for it.
-    """
-    lowering = MetaLowering(abstraction, batch.variables, meta_variables)
-    return lowering.lower_deltas(plan, fill)
-
-
-def _factor(batch: ScenarioBatch, base: Valuation, fill: float) -> Factoring:
-    """The factored path's lowering step, with its counters and span data.
-
-    Records ``batch.factored.prefix_cells``/``residual_cells`` and stamps
-    the factoring statistics on the enclosing ``batch.evaluate`` span.
-    """
-    factoring = factor_batch(batch, base, fill=fill)
-    registry = get_registry()
-    registry.inc("batch.factored.prefix_cells", factoring.prefix_cells)
-    registry.inc("batch.factored.residual_cells", factoring.residual_cells)
-    if tracing_enabled():
-        current_span().update(
-            {
-                "prefix_length": factoring.prefix_length,
-                "prefix_cells": factoring.prefix_cells,
-                "residual_cells": factoring.residual_cells,
-                "shared_fraction": factoring.shared_fraction,
-            }
-        )
-    return factoring
 
 
 class BatchEvaluator:
@@ -900,9 +842,15 @@ class BatchEvaluator:
         ``SPARSE_TOUCHED_FRACTION`` of the variable universe on average —
         upgrading to factored when at least ``FACTORED_MIN_SCENARIOS``
         scenarios share at least ``FACTORED_SHARED_FRACTION`` of their
-        touched cells.  All three produce element-wise equal results.
-        ``processes`` shards scenario rows across worker processes (default:
-        the evaluator's configured width).
+        touched cells.  On the tropical and bool backends the three modes
+        give identical results; on the real backend they agree to rounding
+        (the parity tests hold them to ``rtol=1e-9``), because each kernel
+        sums in its own order.  The real backend rejects a non-finite scale
+        or set amount with :class:`~repro.exceptions.ScenarioError` before
+        any kernel runs (``inf × 0`` would be a silent NaN); tropical and
+        bool outages need ``inf`` and keep it.  ``processes`` shards
+        scenario rows across worker processes (default: the evaluator's
+        configured width).
         """
         registry = get_registry()
         registry.inc("batch.evaluations")
@@ -971,6 +919,10 @@ class BatchEvaluator:
         )
         universe = set(provenance.variables()) | set(base)
         batch = ScenarioBatch(scenarios, universe)
+        if backend.name == "real":
+            nonfinite = batch.nonfinite_rows()
+            if nonfinite.size:
+                raise nonfinite_amount_error(batch.names[nonfinite[0]])
 
         compiled_full = self.compile(provenance, backend)
         supports_deltas = getattr(compiled_full, "supports_deltas", False)
@@ -990,13 +942,15 @@ class BatchEvaluator:
             # has to be sparse.  Factoring needs enough scenarios sharing a
             # large enough prefix to pay for the extra factored-baseline row.
             touched = batch.touched_fraction()
-            prefix_length, prefix_cells, shared = prefix_statistics(batch)
+            prefix_cells = batch.prefix_cells
+            mean_touched = int(batch.touched_counts().sum()) / max(1, len(batch))
+            shared = min(1.0, prefix_cells / mean_touched) if prefix_cells else 0.0
             residual_touched = max(
                 0.0, touched - prefix_cells / max(1, len(batch.variables))
             )
             if (
                 len(batch) >= FACTORED_MIN_SCENARIOS
-                and prefix_length >= 1
+                and batch.prefix_length >= 1
                 and shared >= FACTORED_SHARED_FRACTION
                 and residual_touched <= SPARSE_TOUCHED_FRACTION
             ):
@@ -1026,16 +980,9 @@ class BatchEvaluator:
                 fill, processes,
             )
         else:
-            unfactored_row = None
-            if chosen == "factored":
-                factoring = _factor(batch, base, fill)
-                plan = factoring.residual_plan
-                unfactored_row = factoring.base_row
-            else:
-                plan = batch.delta_plan(base, fill=fill)
             baseline, full_results, meta_rows = self._evaluate_deltas(
-                compiled_full, compiled_compressed, abstraction, batch, plan,
-                fill, processes, unfactored_row,
+                compiled_full, compiled_compressed, abstraction, batch, base,
+                fill, processes, batch.prefix_length if chosen == "factored" else 0,
             )
 
         with trace("batch.reduce", keys=len(compiled_full.keys)):
@@ -1066,31 +1013,15 @@ class BatchEvaluator:
         self, compiled_full, compiled_compressed, abstraction, batch, base,
         fill, processes,
     ):
+        """The dense pipeline.  Every row is evaluated on its own, so a
+        scenario that moves no value gets the baseline's bits."""
         matrix = batch.valuation_matrix(base, fill=fill)
         full_columns = batch.columns_for(compiled_full.variables)
         base_row = batch.base_row(base, fill)[full_columns]
         baseline = compiled_full.evaluate_matrix(base_row[np.newaxis, :])[0]
-
-        noop = batch.noop_rows
-        if noop and len(batch):
-            # No-op scenarios reuse the shared baseline result; only the
-            # rows that actually move a value hit the kernels.
-            live = np.setdiff1d(
-                np.arange(len(batch), dtype=np.intp),
-                np.asarray(noop, dtype=np.intp),
-            )
-            full_results = np.empty(
-                (len(batch), len(compiled_full.keys)), dtype=np.float64
-            )
-            full_results[np.asarray(noop, dtype=np.intp)] = baseline
-            if live.size:
-                full_results[live] = self.evaluate_matrix(
-                    compiled_full, matrix[live][:, full_columns], processes
-                )
-        else:
-            full_results = self.evaluate_matrix(
-                compiled_full, matrix[:, full_columns], processes
-            )
+        full_results = self.evaluate_matrix(
+            compiled_full, matrix[:, full_columns], processes
+        )
 
         meta_rows = None
         if compiled_compressed is not None:
@@ -1101,24 +1032,25 @@ class BatchEvaluator:
         return baseline, full_results, meta_rows
 
     def _evaluate_deltas(
-        self, compiled_full, compiled_compressed, abstraction, batch, plan,
-        fill, processes, unfactored_row=None,
+        self, compiled_full, compiled_compressed, abstraction, batch, base,
+        fill, processes, prefix,
     ):
-        """The sparse and factored pipelines: ``plan``'s deltas, evaluated.
+        """The sparse (``prefix=0``) and factored pipelines: the batch's
+        :meth:`~repro.batch.planner.ScenarioBatch.delta_plan`, evaluated.
 
-        ``plan`` is the sparse plan or a factored residual plan.  The
-        report's baseline is the valuation with no scenario applied: the
-        plan's own base row, or ``unfactored_row`` when the plan's base row
-        is a factored one.  A residual plan's rows equal the sparse plan's
-        rows bit-for-bit (see :mod:`repro.batch.factored`), so per-scenario
-        results agree cell for cell.
+        The report's baseline is the valuation with no scenario applied,
+        the unfactored base row.  A factored plan's rows equal the sparse
+        plan's rows bit-for-bit, so per-scenario results agree to rounding.
         """
+        plan = batch.delta_plan(base, fill=fill, prefix=prefix)
+        if prefix:
+            registry = get_registry()
+            registry.inc("batch.factored.prefix_cells", batch.prefix_cells)
+            registry.inc("batch.factored.residual_cells", plan.changed_cells())
         full_columns = batch.columns_for(compiled_full.variables)
         full_plan = plan.project(full_columns)
         baseline = compiled_full.baseline_totals(
-            full_plan.base_row
-            if unfactored_row is None
-            else unfactored_row[full_columns]
+            batch.base_row(base, fill)[full_columns]
         )
         full_results = self.evaluate_deltas(compiled_full, full_plan, processes)
 
@@ -1158,34 +1090,28 @@ class BatchEvaluator:
         semiring: BackendLike = None,
         mode: str = "auto",
         processes: Optional[int] = None,
-        chunk_scenarios: Optional[int] = None,
     ) -> BatchReport:
         """Evaluate a declarative :class:`~repro.engine.plan.ScenarioPlan`.
 
         The plan lowers lazily and is consumed in chunks of
-        ``chunk_scenarios`` (default :data:`PLAN_CHUNK_SCENARIOS`) scenarios,
-        so a 10^6-point grid never materialises every ``Scenario`` at once;
+        :data:`PLAN_CHUNK_SCENARIOS` scenarios, so a 10^6-point grid never materialises every ``Scenario`` at once;
         each chunk goes through :meth:`evaluate` (keeping the mode heuristic,
         sharding, and compressed-sweep semantics) and the chunk reports are
         stitched back into one :class:`BatchReport`.
         """
-        if chunk_scenarios is None:
-            chunk_scenarios = PLAN_CHUNK_SCENARIOS
-        if chunk_scenarios < 1:
-            raise ValueError("chunk_scenarios must be >= 1 (or None)")
         registry = get_registry()
         registry.inc("batch.plans")
         with trace(
             "batch.plan",
             plan=getattr(plan, "name", type(plan).__name__),
             points=len(plan),
-            chunk=chunk_scenarios,
+            chunk=PLAN_CHUNK_SCENARIOS,
         ) as span:
             reports = []
             chunk: list = []
             for scenario in plan.lower():
                 chunk.append(scenario)
-                if len(chunk) >= chunk_scenarios:
+                if len(chunk) >= PLAN_CHUNK_SCENARIOS:
                     reports.append(
                         self.evaluate(
                             provenance, chunk, base_valuation, compressed,

@@ -14,16 +14,20 @@ shared, sorted variable universe — in one of two shapes:
   (per-scenario ``offsets`` into flat ``columns``/``values``), feeding
   :meth:`~repro.provenance.backends.numeric.CompiledProvenanceSet.evaluate_deltas`.
   Real what-if scenarios perturb a handful of variables, so the plan is a
-  few cells per scenario instead of a full row.
+  few cells per scenario instead of a full row.  Structured sweeps (grids,
+  samples and composed plans from :mod:`repro.engine.plan`) share an
+  operation prefix; ``delta_plan(prefix=k)`` *factors* it: the first ``k``
+  shared operations are applied once to the base row, and only each
+  scenario's residual operations become cells.
 
 The batch is built from one operation table: each distinct operation is
 interned once (by object, then by value), each distinct selector resolved
 once against the universe into one flat column array, and every scenario
 becomes a CSR of operation ids.  The flat operation cells (one entry per
-scenario, operation and selected column), the no-op rows and the shared
-operation prefix are array work over that table, so neither lowering loops
-over scenarios in Python: the scenarios' steps are applied to every touched
-cell at once, one vectorised pass per operation depth.
+scenario, operation and selected column) and the shared operation prefix
+are array work over that table, so neither lowering loops over scenarios in
+Python: the scenarios' steps are applied to every touched cell at once, one
+vectorised pass per operation depth.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from repro.engine.scenario import Scenario, _Operation, _select
 from repro.obs.tracer import trace
-from repro.provenance.incidence import ragged_ranges
+from repro.provenance.incidence import ragged_ranges, sorted_unique
 from repro.provenance.valuation import Valuation
 
 _EMPTY_COLUMNS = np.zeros(0, dtype=np.intp)
@@ -340,8 +344,8 @@ class ScenarioBatch:
     """
 
     __slots__ = (
-        "_scenarios", "_variables", "_index", "_table", "_selected", "_prefix",
-        "_resolved", "_touched", "_cells",
+        "_scenarios", "_variables", "_index", "_table", "_prefix",
+        "_prefix_cells", "_resolved", "_touched", "_cells",
     )
 
     def __init__(
@@ -354,10 +358,10 @@ class ScenarioBatch:
         }
         # One operation table per batch: each distinct operation interned
         # once and each distinct selector resolved once; everything else
-        # (cells, no-op rows, the shared prefix) is array work over it.
+        # (the cells, the shared prefix) is array work over it.
         self._table = _operation_table(self._scenarios, self._variables, self._index)
-        self._selected: Optional[np.ndarray] = None
         self._prefix: Optional[int] = None
+        self._prefix_cells: Optional[int] = None
         self._resolved: Optional[
             Tuple[Tuple[Tuple[str, np.ndarray, float], ...], ...]
         ] = None
@@ -390,9 +394,9 @@ class ScenarioBatch:
         Columns index the batch universe: read-only ``np.intp`` views of the
         operation table, in the scenario's operation order.  Operations
         resolve identically for every scenario sharing them, so a shared
-        operation prefix resolves to a shared step prefix — the contract the
-        factored compiler (:mod:`repro.batch.factored`) relies on when it
-        reads only row 0's steps.
+        operation prefix resolves to a shared step prefix — the contract
+        :meth:`delta_plan` relies on when it factors a prefix from row 0's
+        steps alone.
         """
         table = self._table
         lo, hi = table.offsets[row], table.offsets[row + 1]
@@ -421,49 +425,38 @@ class ScenarioBatch:
         """The length of the longest operation prefix every scenario shares.
 
         Operations compare by their interned id (see :func:`_operation_table`),
-        computed once per batch and cached.  Never shorter than
-        :func:`repro.batch.factored.common_prefix_length`'s dataclass
-        equality prefix, except that ``-0.0`` and ``0.0`` amounts differ
-        here; longer where equal names are spelled as a list in one scenario
-        and a tuple in another.
+        computed once per batch and cached.  Never shorter than the prefix of
+        operations equal as dataclasses, except that ``-0.0`` and ``0.0``
+        amounts differ here; longer where equal names are spelled as a list
+        in one scenario and a tuple in another.
         """
         if self._prefix is None:
             self._prefix = _shared_prefix(self._table.offsets, self._table.ids)
         return self._prefix
 
-    def _selected_counts(self) -> np.ndarray:
-        """Per scenario, the columns its operations select, repeats counted."""
-        if self._selected is None:
-            table = self._table
-            sizes = (table.stops - table.starts)[table.ids]
-            totals = np.zeros(sizes.size + 1, dtype=np.intp)
-            np.cumsum(sizes, out=totals[1:])
-            self._selected = totals[table.offsets[1:]] - totals[table.offsets[:-1]]
-        return self._selected
-
     @property
-    def noop_rows(self) -> Tuple[int, ...]:
-        """Rows whose resolved operations all select nothing.
+    def prefix_cells(self) -> int:
+        """Distinct universe columns the shared operation prefix
+        (:attr:`prefix_length`) selects, computed once and cached."""
+        if self._prefix_cells is None:
+            self._prefix_cells = self._prefix_columns(self.prefix_length).size
+        return self._prefix_cells
 
-        A scenario whose selectors resolve to empty index arrays (ghost
-        names, empty lists, predicates matching nothing) cannot move any
-        value, so evaluators reuse the shared baseline row for it instead of
-        re-evaluating.
-        """
-        return tuple(np.flatnonzero(self._selected_counts() == 0).tolist())
-
-    def is_noop(self, row: int) -> bool:
-        """Whether the ``row``-th scenario resolves to a pure no-op."""
-        return bool(self._selected_counts()[row] == 0)
+    def _prefix_columns(self, length: int) -> np.ndarray:
+        """The distinct universe columns row 0's first ``length`` operations
+        select (sorted).  Covered by cobralint's CL003 rule."""
+        table = self._table
+        ids = table.ids[:length]
+        picked, _starts = ragged_ranges(table.starts[ids], table.stops[ids])
+        return sorted_unique(table.columns[picked])
 
     def touched_counts(self) -> np.ndarray:
         """Per scenario, the number of distinct universe columns it selects.
 
         Computed once per batch, lazily, from the flat operation cells
         (:meth:`_operation_cells`): distinct ``(scenario, column)`` cells are
-        counted per scenario.  The sparse/dense heuristic
-        (:meth:`touched_fraction`) and the factoring statistics
-        (:func:`repro.batch.factored.prefix_statistics`) both read it.
+        counted per scenario.  The evaluator's ``mode="auto"`` rule reads
+        it, through :meth:`touched_fraction` and directly.
         """
         if self._touched is None:
             sids, columns, _positions, _scales, _amounts = self._operation_cells()
@@ -516,6 +509,14 @@ class ScenarioBatch:
         total = int(self.touched_counts().sum())
         return total / (len(self._scenarios) * len(self._variables))
 
+    def nonfinite_rows(self) -> np.ndarray:
+        """Rows with an operation whose amount is not finite (``np.intp``,
+        ascending, a row once per such operation): one check over the
+        operation table's amounts."""
+        table = self._table
+        occurrences = np.flatnonzero(~np.isfinite(table.amounts)[table.ids])
+        return np.searchsorted(table.offsets, occurrences, side="right") - 1
+
     # -- lowering -----------------------------------------------------------
 
     def base_row(
@@ -557,39 +558,72 @@ class ScenarioBatch:
             return matrix
 
     def delta_plan(
-        self, base: Optional[Mapping[str, float]] = None, fill: float = 1.0
+        self,
+        base: Optional[Mapping[str, float]] = None,
+        fill: float = 1.0,
+        prefix: int = 0,
     ) -> DeltaPlan:
         """The sparse lowering: a shared base row plus per-scenario changes.
 
         Produces exactly the rows :meth:`valuation_matrix` would — but as
-        ``(changed_columns, new_values)`` pairs against the base row, with
-        cells that end up back at their base value filtered out.  Cost is
-        O(universe + touched cells), independent of the batch size × universe
-        product the dense lowering pays.
+        ``(changed_columns, new_values)`` cells against the plan's base row,
+        with cells that end up back at their base value filtered out.  Cost
+        is O(universe + touched cells), independent of the batch size ×
+        universe product the dense lowering pays.
+
+        With ``prefix=k`` (at most :attr:`prefix_length`) the lowering is
+        *factored*: the first ``k`` operations, shared by every scenario, are
+        applied once to the base row, which becomes the plan's base row, and
+        only each scenario's operations from position ``k`` on become cells.
+        The shared steps are applied by the same sequential float operations
+        as the scenario's own, so each rebuilt row is bit-identical to the
+        unfactored one.  Traced as ``batch.lower`` when unfactored and as
+        ``batch.factor`` (with the prefix statistics) when factored.  Covered
+        by cobralint's CL003 rule.
         """
+        if not 0 <= prefix <= self.prefix_length:
+            raise ValueError(
+                f"prefix must be between 0 and the batch's shared prefix "
+                f"length {self.prefix_length}, got {prefix}"
+            )
+        attributes: Dict[str, object] = (
+            {"prefix_length": prefix} if prefix else {"kind": "sparse"}
+        )
         with trace(
-            "batch.lower",
-            kind="sparse",
+            "batch.factor" if prefix else "batch.lower",
             scenarios=len(self._scenarios),
             variables=len(self._variables),
-        ):
-            return self.lower_residuals(self.base_row(base, fill), 0)
-
-    def lower_residuals(self, row: np.ndarray, start: int) -> DeltaPlan:
-        """Each scenario's operations from position ``start`` on, against ``row``.
-
-        The one sparse lowering: :meth:`delta_plan` runs it from 0 against
-        the base row, :func:`repro.batch.factored.factor_batch` from the
-        shared prefix's length against the factored row.  Returns the
-        :class:`DeltaPlan` over ``row`` — cells sorted by column within each
-        scenario, cells that end up back at their ``row`` value filtered
-        out.  Covered by cobralint's CL003 rule.
-        """
-        sids, columns, values = self._lowered_cells(row, start)
-        moved = values != row[columns]
-        return DeltaPlan.from_cells(
-            row, len(self._scenarios), sids[moved], columns[moved], values[moved]
-        )
+            **attributes,
+        ) as span:
+            row = self.base_row(base, fill)
+            for kind, columns, amount in self.steps(0)[:prefix] if prefix else ():
+                if kind == "scale":
+                    row[columns] *= amount
+                else:
+                    row[columns] = amount
+            sids, columns, values = self._lowered_cells(row, prefix)
+            moved = values != row[columns]
+            plan = DeltaPlan.from_cells(
+                row, len(self._scenarios), sids[moved], columns[moved], values[moved]
+            )
+            if prefix:
+                prefix_cells = self._prefix_columns(prefix).size
+                # Per scenario the unfactored plan touches about
+                # ``prefix_cells + residual_cells / n`` cells; the shared
+                # fraction is the part the factored plan no longer pays.
+                residual = plan.changed_cells() / len(self._scenarios)
+                span.update(
+                    {
+                        "prefix_cells": prefix_cells,
+                        "residual_cells": plan.changed_cells(),
+                        "shared_fraction": (
+                            prefix_cells / (prefix_cells + residual)
+                            if prefix_cells + residual
+                            else 0.0
+                        ),
+                    }
+                )
+            return plan
 
     def _lowered_cells(
         self, row: np.ndarray, start: int

@@ -76,9 +76,11 @@ class BatchReport:
         evaluated once, residual deltas per scenario), ``"mixed"`` (a
         chunked plan evaluation whose chunks took different paths) or
         ``"generic"`` (the per-scenario symbolic
-        fallback of set-valued semirings).  Both numeric paths produce
-        element-wise equal results; the field records what ``mode="auto"``
-        picked.
+        fallback of set-valued semirings).  The numeric paths give
+        identical results on the tropical and bool backends and results
+        equal to rounding on the real one (the parity tests hold them to
+        ``rtol=1e-9``), since each kernel sums in its own order; the field
+        records what ``mode="auto"`` picked.
     degradations:
         Resilience events the evaluation recovered from (shard retries,
         salvaged pool breaks, quarantined stores, serial fallbacks), one

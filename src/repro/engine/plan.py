@@ -12,7 +12,8 @@ evaluates it in bounded-size chunks.
 Every plan built from a shared ``base`` scenario emits scenarios whose
 operation tuples literally share the base's operation objects, which is what
 lets the batch layer's shared-delta factoring recognise the common prefix
-and evaluate it once for the whole sweep (:mod:`repro.batch.factored`).
+and evaluate it once for the whole sweep
+(:meth:`repro.batch.planner.ScenarioBatch.delta_plan` with ``prefix``).
 
 The three constructors:
 

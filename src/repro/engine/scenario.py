@@ -56,6 +56,16 @@ def _amount(amount: float, what: str) -> float:
     return value
 
 
+def nonfinite_amount_error(name: str) -> ScenarioError:
+    """The error for scenario ``name`` carrying an ``inf`` amount into the
+    real semiring, where ``inf × 0`` would be a silent NaN.  Tropical and
+    Boolean outages need ``inf``, so only the real backend raises it."""
+    return ScenarioError(
+        f"scenario {name!r} has a non-finite scale or set amount, which the "
+        "real semiring cannot evaluate (inf * 0 is NaN)"
+    )
+
+
 @dataclass(frozen=True)
 class _Operation:
     """One scenario step: scale or set the selected variables."""

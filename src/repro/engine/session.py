@@ -18,6 +18,7 @@ audience through:
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import SessionStateError
@@ -30,7 +31,7 @@ from repro.core.compression import Abstraction, Compressor
 from repro.core.defaults import default_meta_valuation
 from repro.core.optimizer import OptimizationResult
 from repro.engine.report import AssignmentReport, GroupComparison, MetaVariableInfo
-from repro.engine.scenario import Scenario
+from repro.engine.scenario import Scenario, nonfinite_amount_error
 from repro.obs.tracer import trace as obs_trace
 from repro.utils.timing import measure_speedup
 
@@ -517,7 +518,13 @@ class CobraSession:
         valuation; the corresponding meta-variable values are derived as the
         average of their members' scenario values (the demo's default), which
         is exact whenever the scenario treats all members of a group alike.
+        On the real backend a non-finite amount raises
+        :class:`~repro.exceptions.ScenarioError`, as in :meth:`evaluate_many`.
         """
+        if self._backend.name == "real" and not all(
+            math.isfinite(operation.amount) for operation in scenario.operations
+        ):
+            raise nonfinite_amount_error(scenario.name)
         full_valuation = scenario.apply(
             self._base_valuation, self._provenance.variables()
         )
@@ -584,8 +591,10 @@ class CobraSession:
             sparse baseline-once delta evaluation and the factored pipeline
             (a shared operation prefix applied once) by how much of the
             variable universe the scenarios touch and share;
-            ``"dense"``/``"sparse"``/``"factored"`` force a pipeline.  All
-            three produce element-wise equal results.
+            ``"dense"``/``"sparse"``/``"factored"`` force a pipeline.  On
+            the tropical and bool backends the three give identical
+            results; on the real backend they agree to rounding (the parity
+            tests hold them to ``rtol=1e-9``).
         processes:
             Shard scenario rows across this many worker processes (large
             sweeps on multi-core hosts); ``None`` evaluates in-process.
@@ -616,7 +625,6 @@ class CobraSession:
         evaluator: Optional["BatchEvaluator"] = None,
         mode: str = "auto",
         processes: Optional[int] = None,
-        chunk_scenarios: Optional[int] = None,
     ) -> "BatchReport":
         """Evaluate a declarative :class:`~repro.engine.plan.ScenarioPlan`.
 
@@ -624,10 +632,9 @@ class CobraSession:
         and composed sweeps (:mod:`repro.engine.plan`) lower lazily in
         bounded chunks, and sweeps sharing a common operation prefix take
         the factored pipeline (shared deltas evaluated once — see
-        :mod:`repro.batch.factored`) under ``mode="auto"``.
-        ``include_compressed``/``evaluator``/``mode``/``processes`` behave
-        exactly as in :meth:`evaluate_many`; ``chunk_scenarios`` bounds how
-        many ``Scenario`` objects a huge plan materialises at once.
+        :meth:`repro.batch.planner.ScenarioBatch.delta_plan`) under
+        ``mode="auto"``.  ``include_compressed``/``evaluator``/``mode``/
+        ``processes`` behave exactly as in :meth:`evaluate_many`.
         """
         evaluator, compressed, abstraction = self._batch_inputs(
             include_compressed, evaluator
@@ -647,7 +654,6 @@ class CobraSession:
                 semiring=self._backend,
                 mode=mode,
                 processes=processes,
-                chunk_scenarios=chunk_scenarios,
             )
 
     def compare_scenarios(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -262,6 +263,11 @@ class Valuation(Mapping[str, float]):
 
     def __contains__(self, name: object) -> bool:
         return name in self._values
+
+    def get(self, name: str, default: Any = None) -> Any:
+        # One dict lookup: ``Mapping.get`` goes through ``__getitem__`` and
+        # a ``KeyError``, and batch lowering calls this once per variable.
+        return self._values.get(name, default)
 
     def as_dict(self) -> Dict[str, float]:
         """A mutable copy of the underlying mapping."""

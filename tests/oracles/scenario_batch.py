@@ -1,15 +1,17 @@
 """The per-scenario scenario-batch lowering: a parity oracle.
 
 Production interns a batch's distinct operations into one table, resolves
-each distinct selector once and builds the cells, the no-op rows and the
-shared prefix as array work (:class:`repro.batch.planner.ScenarioBatch`).
+each distinct selector once and builds the cells and the shared prefix as
+array work (:class:`repro.batch.planner.ScenarioBatch`).
 This is the implementation it replaced, kept as a reference: every
 scenario's selectors resolved one by one (``Scenario.resolved_operations``),
 one ``np.array`` of column indices per operation occurrence, the flat
 cells built from a per-step Python list, and the operation prefix found by
 dataclass equality (:func:`common_prefix_length`).  The lowering methods
-below are the parent's code unchanged; :func:`oracle_factoring` is the
-parent's ``factor_batch`` without its span and statistics.
+below are that implementation's code unchanged; :func:`oracle_factoring` is
+its separate factoring step (the shared prefix applied to a copy of the base
+row, then the residual lowering) without its span and statistics, which
+production folds into ``ScenarioBatch.delta_plan(prefix=…)``.
 
 Import with ``tests/`` on ``sys.path`` (``tests/conftest.py`` arranges
 that under pytest)::
@@ -90,14 +92,6 @@ class OracleScenarioBatch:
         self,
     ) -> Tuple[Tuple[Tuple[str, np.ndarray, float], ...], ...]:
         return self._resolved
-
-    @property
-    def noop_rows(self) -> Tuple[int, ...]:
-        return tuple(
-            row
-            for row, operations in enumerate(self._resolved)
-            if all(columns.size == 0 for _kind, columns, _amount in operations)
-        )
 
     def touched_counts(self) -> np.ndarray:
         if self._touched is None:

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from repro.batch import BatchEvaluator, factor_batch, ScenarioBatch
+from repro.batch import BatchEvaluator, ScenarioBatch
 from repro.core.compression import Abstraction, apply_abstraction
 from repro.engine.plan import compose
 from repro.engine.scenario import Scenario
@@ -197,12 +197,12 @@ def test_residual_rows_equal_unfactored_rows_bitwise(scenario_list, base):
     bit for bit — independent of any provenance."""
     batch = ScenarioBatch(scenario_list, VARIABLE_NAMES)
     flat = batch.delta_plan(base)
-    factoring = factor_batch(batch, base)
+    factored = batch.delta_plan(base, prefix=batch.prefix_length)
     for row in range(len(flat)):
         cols_a, vals_a = flat.cells(row)
-        cols_b, vals_b = factoring.residual_plan.cells(row)
+        cols_b, vals_b = factored.cells(row)
         row_a = flat.base_row.copy()
         row_a[cols_a] = vals_a
-        row_b = factoring.factored_row.copy()
+        row_b = factored.base_row.copy()
         row_b[cols_b] = vals_b
         np.testing.assert_array_equal(row_a, row_b)

@@ -5,7 +5,7 @@ compressed variables through a member CSR and its transpose
 (:class:`repro.batch.evaluator.MetaLowering`); the loop implementations it
 replaced live in ``tests/oracles/meta_lowering.py``.  For sweeps lowered
 sparse (:meth:`ScenarioBatch.delta_plan`), factored
-(:func:`factor_batch`) and dense (:meth:`ScenarioBatch.valuation_matrix`),
+(``delta_plan(prefix=…)``) and dense (:meth:`ScenarioBatch.valuation_matrix`),
 under each numeric backend's value domain and identity fill:
 
 * every rebuilt meta row — the lowered plan's base row with the scenario's
@@ -27,8 +27,8 @@ from oracles.meta_lowering import (
     oracle_lower_meta_deltas,
     oracle_lower_meta_matrix,
 )
-from repro.batch import ScenarioBatch, factor_batch
-from repro.batch.evaluator import lower_meta_deltas, lower_meta_matrix
+from repro.batch import ScenarioBatch
+from repro.batch.evaluator import MetaLowering
 from repro.core.compression import Abstraction
 from repro.engine.plan import compose
 from repro.engine.scenario import Scenario
@@ -125,13 +125,16 @@ def _assert_within_summation_bound(got, oracle, matrix, table):
 def _check(abstraction, batch, valuation, meta_variables, semiring):
     fill = resolve_backend(semiring).numeric_fill
     matrix = batch.valuation_matrix(valuation, fill=fill)
-    dense = lower_meta_matrix(abstraction, batch, matrix, meta_variables, fill)
+    lowering = MetaLowering(abstraction, batch.variables, meta_variables)
+    dense = lowering.lower_matrix(matrix, fill)
     plans = {
         "sparse": batch.delta_plan(valuation, fill=fill),
-        "factored": factor_batch(batch, valuation, fill=fill).residual_plan,
+        "factored": batch.delta_plan(
+            valuation, fill=fill, prefix=batch.prefix_length
+        ),
     }
     for plan in plans.values():
-        lowered = lower_meta_deltas(abstraction, batch, plan, meta_variables, fill)
+        lowered = lowering.lower_deltas(plan, fill)
         assert np.array_equal(_rebuilt(lowered), dense)
 
     table = _meta_lowering(abstraction, batch, meta_variables)
@@ -165,8 +168,8 @@ def test_pass_and_fill_columns_are_exact():
         ["v0", "v1", "v2"],
     )
     valuation = Valuation({"v0": 0.7, "v1": 0.2, "v2": 0.3})
-    plan = lower_meta_deltas(
-        abstraction, batch, batch.delta_plan(valuation), ("m", "n", "v2")
+    plan = MetaLowering(abstraction, batch.variables, ("m", "n", "v2")).lower_deltas(
+        batch.delta_plan(valuation), 1.0
     )
     rows = _rebuilt(plan)
     assert rows[:, 0].tolist() == [1.0, 1.0]

@@ -1,8 +1,8 @@
 """Property tests: the interned operation table lowers exactly as the oracle.
 
 :class:`~repro.batch.planner.ScenarioBatch` interns each distinct operation
-once, resolves each distinct selector once and derives the cells, the no-op
-rows and the shared prefix as array work.  The per-scenario implementation
+once, resolves each distinct selector once and derives the cells and the
+shared prefix as array work.  The per-scenario implementation
 it replaced lives on as :mod:`oracles.scenario_batch`.  Batches are drawn
 with ``str``, list, tuple and callable selectors (shared predicates and
 freshly built ones), operations shared by object with a base scenario,
@@ -23,7 +23,7 @@ from oracles.scenario_batch import (
     common_prefix_length as oracle_prefix_length,
     oracle_factoring,
 )
-from repro.batch import ScenarioBatch, factor_batch
+from repro.batch import ScenarioBatch
 from repro.engine.scenario import Scenario
 
 VARIABLES = ["a", "b", "c", "d", "e", "f"]
@@ -161,10 +161,6 @@ def test_lowerings_match_the_oracle(drawn):
         batch.delta_plan(base_values, fill), oracle.delta_plan(base_values, fill)
     )
     assert _same_bits(batch.touched_counts(), oracle.touched_counts())
-    assert batch.noop_rows == oracle.noop_rows
-    assert all(
-        batch.is_noop(row) == (row in oracle.noop_rows) for row in range(len(batch))
-    )
     for cells, expected in zip(batch._operation_cells(), oracle._operation_cells()):
         assert _same_bits(cells, expected)
     for steps, expected in zip(batch.resolved_operations, oracle.resolved_operations):
@@ -184,26 +180,25 @@ def test_factoring_matches_the_oracle(drawn):
     oracle = OracleScenarioBatch(scenarios, VARIABLES)
     expected_prefix = oracle_prefix_length(scenarios)
 
-    # At the oracle's prefix, the factored row and residual plan are the
-    # oracle's, bit for bit.
-    factoring = factor_batch(batch, base_values, fill, prefix_length=expected_prefix)
-    factored_row, residual_plan = oracle_factoring(
-        oracle, base_values, fill, prefix_length=expected_prefix
-    )
-    assert _same_bits(factoring.factored_row, factored_row)
-    assert _same_plan(factoring.residual_plan, residual_plan)
-
     # The batch's own prefix is never shorter, short of a signed-zero split.
     prefix = batch.prefix_length
     if prefix < expected_prefix:
         assert _differ_only_in_zero_sign(scenarios, prefix)
 
+    # At every prefix both share, the factored row and residual plan are the
+    # oracle's, bit for bit.
+    for shared in range(min(prefix, expected_prefix) + 1):
+        factored_row, residual_plan = oracle_factoring(
+            oracle, base_values, fill, prefix_length=shared
+        )
+        factored = batch.delta_plan(base_values, fill, prefix=shared)
+        assert _same_bits(factored.base_row, factored_row)
+        assert _same_plan(factored, residual_plan)
+
     # At its own prefix, the factored row plus each residual row rebuilds
     # the valuation matrix (the delta plans' value-equality contract).
-    own = factor_batch(batch, base_values, fill)
-    assert own.prefix_length == prefix
-    rows = np.tile(own.factored_row, (len(batch), 1))
-    plan = own.residual_plan
+    plan = batch.delta_plan(base_values, fill, prefix=prefix)
+    rows = np.tile(plan.base_row, (len(batch), 1))
     rows[plan.scenario_ids(), plan.columns] = plan.values
     assert np.array_equal(
         rows, batch.valuation_matrix(base_values, fill), equal_nan=True

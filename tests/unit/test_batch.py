@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchEvaluator, BatchReport, ScenarioBatch
-from repro.batch.evaluator import lower_meta_matrix
+from repro.batch.evaluator import MetaLowering
 from repro.core.compression import Abstraction
+from repro.engine.plan import compose
 from repro.engine.scenario import Scenario
+from repro.engine.session import CobraSession
+from repro.exceptions import ScenarioError
 from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
@@ -209,20 +212,88 @@ class TestBatchEvaluatorEvaluate:
         assert report.full_results.shape == (0, len(provenance))
 
 
+class TestNonFiniteAmounts:
+    """``inf × 0`` is NaN on the real semiring, so the real backend rejects
+    non-finite amounts up front; tropical and bool outages keep ``inf``."""
+
+    @staticmethod
+    def _provenance():
+        result = ProvenanceSet()
+        result[("g",)] = Polynomial(
+            {Monomial({"x": 1, "y": 1}): 2.0, Monomial.of("y"): 3.0}
+        )
+        return result
+
+    @pytest.mark.parametrize("mode", ["auto", "dense", "sparse", "factored"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Scenario("bad").scale(["x"], float("inf")),
+            Scenario("bad").set_value("y", float("inf")),
+            Scenario("bad").set_value(["x"], -float("inf")),
+        ],
+    )
+    def test_real_rejects_in_every_mode(self, mode, bad):
+        scenarios = [Scenario("fine").scale(["x"], 2.0), bad]
+        with pytest.raises(ScenarioError, match="'bad'"):
+            BatchEvaluator().evaluate(
+                self._provenance(), scenarios,
+                base_valuation={"x": 0.0, "y": 1.0}, mode=mode,
+            )
+
+    def test_real_rejects_plans_and_session_scenarios(self):
+        provenance = self._provenance()
+        plan = compose(
+            Scenario("base").scale(["y"], 2.0),
+            [Scenario("up").scale(["x"], float("inf"))],
+        )
+        with pytest.raises(ScenarioError, match="'up'"):
+            BatchEvaluator().evaluate_plan(provenance, plan)
+        session = CobraSession(provenance, base_valuation={"x": 0.0, "y": 1.0})
+        bad = Scenario("outage").scale(["x"], float("inf"))
+        with pytest.raises(ScenarioError, match="'outage'"):
+            session.assign_scenario(bad)
+        with pytest.raises(ScenarioError, match="'outage'"):
+            session.evaluate_many([bad])
+        fine = session.evaluate_many([Scenario("fine").scale(["x"], 2.0)])
+        assert not np.isnan(fine.full_results).any()
+
+    @pytest.mark.parametrize("semiring", ["tropical", "bool"])
+    def test_tropical_and_bool_accept_inf(self, semiring):
+        scenarios = [
+            Scenario(f"outage{i}")
+            .set_value(["x"], float("inf"))
+            .scale(["y"], float(i))
+            for i in range(3)
+        ] + [Scenario("cut").scale(["y"], float("inf"))]
+        reports = {
+            mode: BatchEvaluator().evaluate(
+                self._provenance(), scenarios,
+                base_valuation={"x": 1.0, "y": 2.0}, semiring=semiring,
+                mode=mode,
+            )
+            for mode in ("dense", "sparse", "factored")
+        }
+        dense = reports["dense"].full_results
+        assert not np.isnan(dense.astype(np.float64)).any()
+        for report in reports.values():
+            assert np.array_equal(report.full_results, dense)
+
+
 class TestLowerMetaMatrix:
     def test_meta_columns_average_members(self):
         abstraction = Abstraction.from_groups({"M": ["x", "y"]})
         batch = ScenarioBatch([Scenario("s")], ["x", "y", "z"])
         matrix = np.array([[2.0, 4.0, 7.0]])
-        lowered = lower_meta_matrix(abstraction, batch, matrix, ["M", "z"])
+        lowering = MetaLowering(abstraction, batch.variables, ["M", "z"])
+        lowered = lowering.lower_matrix(matrix, 1.0)
         assert lowered[0] == pytest.approx([3.0, 7.0])
 
     def test_unknown_variables_default_to_one(self):
         abstraction = Abstraction.from_groups({"M": ["absent1", "absent2"]})
         batch = ScenarioBatch([Scenario("s")], ["x"])
-        lowered = lower_meta_matrix(
-            abstraction, batch, np.array([[5.0]]), ["M", "other"]
-        )
+        lowering = MetaLowering(abstraction, batch.variables, ["M", "other"])
+        lowered = lowering.lower_matrix(np.array([[5.0]]), 1.0)
         assert lowered[0] == pytest.approx([1.0, 1.0])
 
 

@@ -292,7 +292,7 @@ class TestHotPathAllocation:
                 "src/repro/batch/planner.py": f"""
                 import numpy as np
 
-                def lower_residuals(row, batch):
+                def delta_plan(row, batch):
                     for touched in batch:
                         values = {call}
                     return row
@@ -408,41 +408,72 @@ class TestHotPathAllocation:
         )
         assert active(findings, "CL003") == []
 
-    def test_factor_batch_copy_under_loop_fires(self, tmp_path):
+    def test_factored_delta_plan_copy_under_loop_fires(self, tmp_path):
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/batch/factored.py": """
+                "src/repro/batch/planner.py": """
                 import numpy as np
 
-                def factor_batch(batch):
-                    factored_row = np.ones(8)
-                    for operations in batch:
-                        values = factored_row.copy()
-                    return factored_row
+                class ScenarioBatch:
+                    def delta_plan(self, base, fill, prefix):
+                        factored_row = np.ones(8)
+                        for operations in self.steps(0)[:prefix]:
+                            values = factored_row.copy()
+                        return factored_row
                 """
             },
             select=["CL003"],
         )
         assert len(active(findings, "CL003")) == 1
 
-    def test_factor_batch_fancy_indexing_is_clean(self, tmp_path):
+    def test_factored_delta_plan_fancy_indexing_is_clean(self, tmp_path):
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/batch/factored.py": """
+                "src/repro/batch/planner.py": """
                 import numpy as np
 
-                def factor_batch(batch):
-                    factored_row = np.ones(8)
-                    for touched in batch:
-                        values = factored_row[touched] * 2.0
-                    return factored_row
+                class ScenarioBatch:
+                    def delta_plan(self, base, fill, prefix):
+                        factored_row = np.ones(8)
+                        for kind, columns, amount in self.steps(0)[:prefix]:
+                            factored_row[columns] *= amount
+                        return factored_row
                 """
             },
             select=["CL003"],
         )
         assert active(findings, "CL003") == []
+
+    @pytest.mark.parametrize("function", ["prefix_cells", "_prefix_columns"])
+    def test_prefix_statistics_are_guarded(self, tmp_path, function):
+        findings = run_rule(
+            tmp_path,
+            {
+                "src/repro/batch/planner.py": f"""
+                import numpy as np
+
+                class ScenarioBatch:
+                    def {function}(self, length):
+                        ids = np.asarray(self.ids[:length])
+                        selected = []
+                        for op_id in ids:
+                            selected.append(op_id)
+                        return selected
+
+                    def steps(self, length):
+                        ids = np.asarray(self.ids[:length])
+                        selected = []
+                        for op_id in ids:
+                            selected.append(op_id)
+                        return selected
+                """
+            },
+            select=["CL003"],
+        )
+        # Only the designated function is checked: one loop over an array.
+        assert len(active(findings, "CL003")) == 1
 
     def test_operation_table_loops_fire(self, tmp_path):
         findings = run_rule(

@@ -1,16 +1,12 @@
-"""Unit tests for shared-delta factoring (repro.batch.factored) and the
-evaluator's factored mode / plan entry points."""
+"""Unit tests for shared-delta factoring (``ScenarioBatch.delta_plan`` with
+a ``prefix``) and the evaluator's factored mode / plan entry points."""
 
 import numpy as np
 import pytest
 
-from repro.batch import (
-    BatchEvaluator,
-    ScenarioBatch,
-    common_prefix_length,
-    factor_batch,
-    prefix_statistics,
-)
+from oracles.scenario_batch import common_prefix_length
+from repro.batch import BatchEvaluator, ScenarioBatch
+from repro.batch import evaluator as evaluator_module
 from repro.batch.evaluator import (
     FACTORED_MIN_SCENARIOS,
     PLAN_CHUNK_SCENARIOS,
@@ -19,6 +15,7 @@ from repro.engine.plan import axis, compose, grid
 from repro.engine.scenario import Scenario
 from repro.engine.session import CobraSession
 from repro.obs.metrics import get_registry
+from repro.obs.tracer import get_tracer, trace
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.provenance.valuation import Valuation
@@ -138,43 +135,87 @@ class TestBatchPrefix:
             columns[0][0] = 1
 
 
-class TestFactorBatch:
+def _traced_lowering(batch, *args, **kwargs):
+    """``batch.delta_plan(*args, **kwargs)`` and the one span it records."""
+    tracer = get_tracer()
+    was_enabled = tracer.enabled
+    tracer.reset()
+    tracer.enabled = True
+    try:
+        with trace("test.root"):
+            plan = batch.delta_plan(*args, **kwargs)
+        (root,) = tracer.drain()
+    finally:
+        tracer.reset()
+        tracer.enabled = was_enabled
+    (span,) = root.children
+    return plan, span
+
+
+class TestFactoredDeltaPlan:
     def test_factored_rows_match_delta_plan_rows(self):
         plan = _structured_sweep(count=9)
         scenarios = plan.scenarios()
         names = [f"v{i}" for i in range(16)]
         batch = ScenarioBatch(scenarios, names)
         flat = batch.delta_plan()
-        factoring = factor_batch(batch)
+        factored = batch.delta_plan(prefix=batch.prefix_length)
 
-        assert factoring.prefix_length == 2
-        assert factoring.prefix_cells == 7
+        assert batch.prefix_length == 2
+        assert batch.prefix_cells == 7
         # Rows reconstructed from the factored plan are bit-identical to the
         # rows of the unfactored plan (same sequential float operations).
         for row in range(len(flat)):
             cols_a, vals_a = flat.cells(row)
-            cols_b, vals_b = factoring.residual_plan.cells(row)
+            cols_b, vals_b = factored.cells(row)
             row_a = flat.base_row.copy()
             row_a[cols_a] = vals_a
-            row_b = factoring.factored_row.copy()
+            row_b = factored.base_row.copy()
             row_b[cols_b] = vals_b
             np.testing.assert_array_equal(row_a, row_b)
         # Residual plans are tiny compared to the flat plan.
-        assert factoring.residual_cells < flat.changed_cells()
-        assert factoring.shared_fraction > 0.5
+        assert factored.changed_cells() < flat.changed_cells()
 
-    def test_no_prefix_degenerates_to_delta_plan(self):
+    def test_spans_carry_the_prefix_statistics(self):
+        batch = ScenarioBatch(
+            _structured_sweep(count=9).scenarios(), [f"v{i}" for i in range(16)]
+        )
+        factored, span = _traced_lowering(batch, prefix=2)
+        assert span.name == "batch.factor"
+        assert span.attributes["prefix_length"] == 2
+        assert span.attributes["prefix_cells"] == 7
+        assert span.attributes["residual_cells"] == factored.changed_cells()
+        assert span.attributes["shared_fraction"] > 0.5
+        # A shorter prefix reports its own cells: the first operation
+        # scales six variables.
+        _plan, span = _traced_lowering(batch, prefix=1)
+        assert span.attributes["prefix_cells"] == 6
+        _plan, span = _traced_lowering(batch)
+        assert span.name == "batch.lower"
+        assert span.attributes["kind"] == "sparse"
+
+    def test_prefix_zero_is_the_unfactored_plan(self):
         scenarios = [
             Scenario("a").scale("v1", 0.5),
             Scenario("b").scale("v2", 0.5),
         ]
         batch = ScenarioBatch(scenarios, [f"v{i}" for i in range(4)])
-        factoring = factor_batch(batch)
-        assert factoring.prefix_length == 0
-        assert factoring.prefix_cells == 0
+        assert batch.prefix_length == 0
+        assert batch.prefix_cells == 0
         np.testing.assert_array_equal(
-            factoring.factored_row, batch.delta_plan().base_row
+            batch.delta_plan(prefix=0).base_row, batch.base_row()
         )
+
+    def test_prefix_beyond_the_shared_prefix_is_rejected(self):
+        batch = ScenarioBatch(
+            _structured_sweep(count=3).scenarios(), [f"v{i}" for i in range(16)]
+        )
+        with pytest.raises(ValueError, match="prefix"):
+            batch.delta_plan(prefix=3)
+        with pytest.raises(ValueError, match="prefix"):
+            batch.delta_plan(prefix=-1)
+        with pytest.raises(ValueError, match="prefix"):
+            ScenarioBatch([], ["a"]).delta_plan(prefix=1)
 
     def test_respects_base_valuation_and_fill(self):
         base = Scenario("shared").scale(("x",), 0.5)
@@ -182,20 +223,19 @@ class TestFactorBatch:
                                Scenario("q").scale("y", 4.0)])
         batch = ScenarioBatch(sweep.scenarios(), ("x", "y", "z"))
         valuation = Valuation({"x": 10.0, "y": 4.0})
-        factoring = factor_batch(batch, valuation, fill=2.0)
+        factored = batch.delta_plan(valuation, fill=2.0, prefix=1)
         # x scaled once by the prefix: 10 * 0.5; z missing -> fill 2.0.
         index = batch.variables.index("x")
-        assert factoring.factored_row[index] == 5.0
-        assert factoring.factored_row[batch.variables.index("z")] == 2.0
+        assert factored.base_row[index] == 5.0
+        assert factored.base_row[batch.variables.index("z")] == 2.0
 
-    def test_prefix_statistics_cheap_path(self):
+    def test_prefix_cells_is_cached(self):
         plan = _structured_sweep(count=10)
         batch = ScenarioBatch(plan.scenarios(), [f"v{i}" for i in range(16)])
-        prefix_length, prefix_cells, shared = prefix_statistics(batch)
-        assert prefix_length == 2
-        assert prefix_cells == 7
-        assert 0.5 < shared <= 1.0
-        assert prefix_statistics(ScenarioBatch([], ["a"])) == (0, 0, 0.0)
+        assert batch.prefix_length == 2
+        assert batch.prefix_cells == 7
+        assert batch.prefix_cells == 7
+        assert ScenarioBatch([], ["a"]).prefix_cells == 0
 
 
 class TestOverlappingSelectors:
@@ -226,14 +266,14 @@ class TestOverlappingSelectors:
 
         matrix = batch.valuation_matrix(base)
         plan = batch.delta_plan(base)
-        factoring = factor_batch(batch, base)
+        factored = batch.delta_plan(base, prefix=batch.prefix_length)
         for row in range(len(scenarios)):
             dense_row = matrix[row]
             sparse_row = plan.base_row.copy()
             cols, vals = plan.cells(row)
             sparse_row[cols] = vals
-            fact_row = factoring.factored_row.copy()
-            cols, vals = factoring.residual_plan.cells(row)
+            fact_row = factored.base_row.copy()
+            cols, vals = factored.cells(row)
             fact_row[cols] = vals
             np.testing.assert_array_equal(dense_row, sparse_row)
             np.testing.assert_array_equal(dense_row, fact_row)
@@ -250,10 +290,10 @@ class TestOverlappingSelectors:
             [Scenario(f"v{i}").scale("z", 1.0 + i) for i in range(4)],
         )
         batch = ScenarioBatch(sweep.scenarios(), ("x", "y", "z"))
-        factoring = factor_batch(batch)
-        assert factoring.prefix_length == 2
-        assert factoring.factored_row[batch.variables.index("x")] == 2.0
-        assert factoring.factored_row[batch.variables.index("y")] == 4.0
+        assert batch.prefix_length == 2
+        factored = batch.delta_plan(prefix=2)
+        assert factored.base_row[batch.variables.index("x")] == 2.0
+        assert factored.base_row[batch.variables.index("y")] == 4.0
 
 
 class TestEvaluatorFactoredMode:
@@ -367,14 +407,13 @@ class TestEvaluatePlan:
         assert via_plan.scenario_names == flat.scenario_names
         np.testing.assert_array_equal(via_plan.full_results, flat.full_results)
 
-    def test_chunked_plan_is_stitched(self):
+    def test_chunked_plan_is_stitched(self, monkeypatch):
         provenance = _random_provenance()
         plan = _structured_sweep(count=10)
         evaluator = BatchEvaluator()
-        chunked = evaluator.evaluate_plan(
-            provenance, plan, chunk_scenarios=3
-        )
         whole = evaluator.evaluate_plan(provenance, plan)
+        monkeypatch.setattr(evaluator_module, "PLAN_CHUNK_SCENARIOS", 3)
+        chunked = evaluator.evaluate_plan(provenance, plan)
         assert chunked.scenario_names == whole.scenario_names
         np.testing.assert_allclose(
             chunked.full_results, whole.full_results, rtol=1e-9, atol=1e-12
@@ -387,10 +426,6 @@ class TestEvaluatePlan:
         empty = compose(Scenario("base").scale("v1", 0.5), [])
         with pytest.raises(ValueError, match="zero scenarios"):
             evaluator.evaluate_plan(provenance, empty)
-        with pytest.raises(ValueError):
-            evaluator.evaluate_plan(
-                provenance, _structured_sweep(3), chunk_scenarios=0
-            )
 
     def test_default_chunk_bound(self):
         assert PLAN_CHUNK_SCENARIOS >= 1024

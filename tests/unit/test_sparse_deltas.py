@@ -11,11 +11,7 @@ import pytest
 
 from repro.batch import BatchEvaluator, DeltaPlan, ScenarioBatch
 from repro.batch import evaluator as evaluator_module
-from repro.batch.evaluator import (
-    SPARSE_TOUCHED_FRACTION,
-    lower_meta_deltas,
-    lower_meta_matrix,
-)
+from repro.batch.evaluator import SPARSE_TOUCHED_FRACTION, MetaLowering
 from repro.core.compression import Abstraction
 from repro.engine.scenario import Scenario
 from repro.obs.metrics import get_registry
@@ -195,52 +191,40 @@ class TestDeltaPlan:
         np.testing.assert_allclose(values, [2.0])
 
 
-class TestNoopFastPath:
-    def test_empty_selectors_resolve_to_noop_rows(self):
-        batch = ScenarioBatch(
-            [
-                Scenario("ghost").scale(["not-there"], 9.0),
-                Scenario("empty-list").set_value([], 5.0),
-                Scenario("none-match").scale(lambda name: False, 2.0),
-                Scenario("real").scale(["a"], 2.0),
-                Scenario("no-ops-at-all"),
-            ],
-            ["a", "b"],
-        )
-        assert batch.noop_rows == (0, 1, 2, 4)
-        assert batch.is_noop(0) and not batch.is_noop(3)
+class TestNoopScenarios:
+    """Scenarios that move no value get the baseline's bits in every mode.
 
-    def test_all_noop_batch_never_hits_the_matrix_kernel(self):
+    No mode special-cases them: each dense row is evaluated on its own and
+    a delta row without cells is the baseline, so a ghost name, an empty
+    selector, a predicate matching nothing or no operation at all leaves
+    the row ``array_equal`` to ``report.baseline``.
+    """
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "factored"])
+    @pytest.mark.parametrize("name", NUMERIC_BACKENDS)
+    def test_noop_rows_equal_the_baseline(self, name, mode):
         provenance = _random_provenance(seed=8)
-        compiled = resolve_backend("real").compile(provenance)
-        calls = []
-        original = compiled.evaluate_matrix
+        # The shared (no-op) first operation gives factoring a prefix.
+        shared = Scenario("shared").scale(["not-there"], 2.0).operations
+        variants = [
+            Scenario("ghost").scale(["zz"], 9.0),
+            Scenario("empty-list").set_value([], 5.0),
+            Scenario("none-match").scale(lambda variable: False, 2.0),
+            Scenario("live").scale(["v0"], 0.5),
+            Scenario("no-ops-at-all"),
+        ]
+        scenarios = [
+            Scenario(variant.name, operations=shared + variant.operations)
+            for variant in variants
+        ]
+        report = BatchEvaluator().evaluate(
+            provenance, scenarios, semiring=name, mode=mode
+        )
+        assert report.mode == mode
+        for row in (0, 1, 2, 4):
+            assert np.array_equal(report.full_results[row], report.baseline)
 
-        class Spy:
-            keys = compiled.keys
-            variables = compiled.variables
-            supports_deltas = False  # force the dense pipeline
-
-            def size(self):
-                return compiled.size()
-
-            def dense_row_footprint(self):
-                return compiled.dense_row_footprint()
-
-            def evaluate_matrix(self, matrix):
-                calls.append(matrix.shape)
-                return original(matrix)
-
-        evaluator = BatchEvaluator()
-        evaluator._compiled.put((provenance.fingerprint(), "real"), Spy())
-        scenarios = [Scenario(f"ghost{i}").scale(["zz"], 2.0) for i in range(6)]
-        report = evaluator.evaluate(provenance, scenarios, mode="dense")
-        # One call for the shared baseline row; no per-scenario evaluation.
-        assert calls == [(1, len(compiled.variables))]
-        for row in range(len(scenarios)):
-            np.testing.assert_allclose(report.full_results[row], report.baseline)
-
-    def test_mixed_batch_evaluates_only_live_rows(self):
+    def test_mixed_batch_dense_matches_sparse(self):
         provenance = _random_provenance(seed=9)
         scenarios = [
             Scenario("ghost").scale(["zz"], 3.0),
@@ -389,11 +373,10 @@ class TestLowerMetaDeltas:
         batch = ScenarioBatch(scenarios, ["x", "y", "z"])
         base = Valuation({"x": 2.0, "y": 4.0, "z": 7.0})
         meta_variables = ("M", "N", "z")
-        dense = lower_meta_matrix(
-            abstraction, batch, batch.valuation_matrix(base), meta_variables
-        )
+        lowering = MetaLowering(abstraction, batch.variables, meta_variables)
+        dense = lowering.lower_matrix(batch.valuation_matrix(base), 1.0)
         plan = batch.delta_plan(base)
-        meta_plan = lower_meta_deltas(abstraction, batch, plan, meta_variables)
+        meta_plan = lowering.lower_deltas(plan, 1.0)
         np.testing.assert_allclose(meta_plan.base_row, dense[0])
         for row in range(len(meta_plan)):
             columns, values = meta_plan.cells(row)

@@ -12,13 +12,11 @@ incremental-greedy coarsening step in ``core/kernel/greedy.py`` (``apply``
 and the per-step array functions it calls: pair expansion, renaming,
 signature keys, row merging/appending and the counter updates) and the
 loop driving it in ``core/kernel/trajectory.py``, the sparse lowering
-shared by the plain and factored paths, the touched-cells pass, the
-operation cells and shared-prefix comparison built from the batch's
-operation table and the delta-plan projection in ``batch/planner.py``,
-the shared-delta factoring in
-``batch/factored.py``, and the meta lowerings in ``batch/evaluator.py``
-(the public functions and the :class:`MetaLowering` methods doing the
-work).
+(``delta_plan``, which also factors a shared prefix), the touched-cells
+pass, the operation cells, the shared-prefix comparison and prefix columns
+built from the batch's operation table and the delta-plan projection in
+``batch/planner.py``, and the meta lowerings in ``batch/evaluator.py``
+(the :class:`MetaLowering` methods).
 
 Inside a designated kernel this rule flags, **when executed under a loop**
 (a one-off allocation at kernel entry is fine; one per scenario/segment is
@@ -75,14 +73,11 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("batch/planner.py", "touched_counts"),
     ("batch/planner.py", "_operation_cells"),
     ("batch/planner.py", "_shared_prefix"),
-    ("batch/planner.py", "lower_residuals"),
+    ("batch/planner.py", "delta_plan"),
     ("batch/planner.py", "_lowered_cells"),
+    ("batch/planner.py", "prefix_cells"),
+    ("batch/planner.py", "_prefix_columns"),
     ("batch/planner.py", "project"),
-    ("batch/factored.py", "factor_batch"),
-    ("batch/factored.py", "prefix_statistics"),
-    ("batch/factored.py", "_prefix_cells"),
-    ("batch/evaluator.py", "lower_meta_deltas"),
-    ("batch/evaluator.py", "lower_meta_matrix"),
     ("batch/evaluator.py", "lower_deltas"),
     ("batch/evaluator.py", "lower_matrix"),
 )
@@ -110,7 +105,6 @@ class HotPathAllocationRule(Rule):
         "src/repro/core/kernel/greedy.py",
         "src/repro/core/kernel/trajectory.py",
         "src/repro/batch/planner.py",
-        "src/repro/batch/factored.py",
         "src/repro/batch/evaluator.py",
     )
 
