@@ -88,7 +88,11 @@ import numpy as np
 
 from repro.core.compression import Abstraction, Compressor
 from repro.core.defaults import default_meta_valuation
-from repro.engine.scenario import Scenario, nonfinite_amount_error
+from repro.engine.scenario import (
+    Scenario,
+    nan_value_error,
+    nonfinite_amount_error,
+)
 from repro.exceptions import SerializationError
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_span, get_tracer, trace, tracing_enabled
@@ -120,10 +124,25 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: materialisation for huge grids.
 PLAN_CHUNK_SCENARIOS = 8192
 
-#: Target number of float64 cells materialised per dense evaluation chunk
-#: when no ``chunk_size`` is configured; keeps the per-chunk gather/product
-#: temporaries comfortably inside cache/RAM.
+#: Target number of float64 cells one dense evaluation chunk keeps when no
+#: ``chunk_size`` is configured: per row, the compiled set's
+#: ``dense_row_footprint()`` (the kernel's factor gathers are blocked
+#: separately and do not grow with the chunk).  Chunks bound memory; they
+#: are also the shards of a sharded request, but ``processes`` is only an
+#: upper bound: a dense request whose shards would each carry fewer than
+#: :data:`DENSE_SHARD_CROSSOVER_CELLS` kernel cells runs in-process.
 _TARGET_CELLS_PER_CHUNK = 4_000_000
+
+#: Estimated kernel cells (rows × monomials) each shard of a dense request
+#: must carry before ``processes > 1`` sends the shards to worker
+#: processes.  Below it, shipping each chunk and its result through the
+#: pool costs more than the work it splits, so the request runs
+#: in-process.  Measured on a shared 2-core host: one tropical outage
+#: request, serial against 2-process sharded in two chunks, over routing
+#: provenance of 2,500–50,000 monomials at 12–3,072 rows.  Sharding broke
+#: even at about 4.8M cells per shard and won from 6.4M while the host was
+#: busy; on a quiet host it won from about 1.2M.
+DENSE_SHARD_CROSSOVER_CELLS = 5_000_000
 
 #: ``mode="auto"`` takes the sparse path when the mean fraction of the
 #: variable universe the scenarios touch is at most this.  Real what-if
@@ -323,6 +342,52 @@ def _harvest_round(pool, task, indices, pieces, results, policy, obs):
     return failed
 
 
+def _reject_nan_rows(
+    batch: ScenarioBatch, row: np.ndarray, matrix: np.ndarray
+) -> None:
+    """Raise for the first value the dense lowering made NaN (a scale of 0
+    by ``inf``), scanning rows in order; NaN base values are not the
+    scenarios' doing and pass."""
+    made = np.isnan(matrix)
+    if made.any():
+        made &= ~np.isnan(row)
+        sids, columns = np.nonzero(made)
+        if sids.size:
+            raise nan_value_error(
+                batch.names[sids[0]], batch.variables[columns[0]]
+            )
+
+
+def _reject_nan_cells(
+    batch: ScenarioBatch, row: np.ndarray, plan: DeltaPlan
+) -> None:
+    """Raise for the first value a sparse or factored lowering made NaN.
+
+    The same first (scenario, variable) as :func:`_reject_nan_rows` names.
+    A NaN cell where the unfactored base ``row`` is not NaN is one; so is a
+    NaN a factored plan's prefix put into its base row, in every scenario
+    that does not overwrite that column with a value.
+    """
+    sids = plan.scenario_ids()
+    values = np.isnan(plan.values)
+    made = np.flatnonzero(values & ~np.isnan(row[plan.columns]))
+    first = [(int(sids[made[0]]), int(plan.columns[made[0]]))] if made.size else []
+    prefixed = np.isnan(plan.base_row) & ~np.isnan(row)
+    if prefixed.any():
+        kept = prefixed[plan.columns] & ~values
+        counts = np.bincount(sids[kept], minlength=len(plan))
+        lacking = np.flatnonzero(counts < np.count_nonzero(prefixed))
+        if lacking.size:
+            sid = int(lacking[0])
+            columns = np.setdiff1d(
+                np.flatnonzero(prefixed), plan.columns[kept & (sids == sid)]
+            )
+            first.append((sid, int(columns[0])))
+    if first:
+        sid, column = min(first)
+        raise nan_value_error(batch.names[sid], batch.variables[column])
+
+
 class MetaLowering:
     """How the compressed variables derive from a batch universe's columns.
 
@@ -455,12 +520,15 @@ class BatchEvaluator:
         answering what-if traffic over a handful of live provenance sets pays
         it once per set, not once per request.
     chunk_size:
-        Rows per dense evaluation chunk.  ``None`` sizes chunks so one
-        chunk's kernel temporaries stay under ``_TARGET_CELLS_PER_CHUNK``
-        float64 cells (~32 MB), floored at one row.
+        Rows per dense evaluation chunk (and per shard when a dense request
+        is sharded).  ``None`` sizes chunks so one chunk's per-row buffers
+        stay under ``_TARGET_CELLS_PER_CHUNK`` float64 cells (~32 MB),
+        floored at one row.
     processes:
         Default process-pool width for :meth:`evaluate`'s sharding path
-        (overridable per call).  ``None`` evaluates in-process.
+        (overridable per call).  ``None`` evaluates in-process.  An upper
+        bound: a dense request whose shards would carry less kernel work
+        than :data:`DENSE_SHARD_CROSSOVER_CELLS` runs in-process anyway.
     retry_policy:
         The :class:`~repro.resilience.RetryPolicy` governing shard
         retries/deadlines, pool bringup and store opens.  Defaults to
@@ -745,10 +813,10 @@ class BatchEvaluator:
     def _resolve_chunk_size(self, compiled, rows: int) -> int:
         """Rows per dense chunk: ``chunk_size``, or else the cell cap.
 
-        Without ``chunk_size`` the chunk is sized so the dense kernels'
-        per-row float64 temporaries (``compiled.dense_row_footprint()``
-        cells) stay under ``_TARGET_CELLS_PER_CHUNK`` — floored at one row,
-        since a single row is the smallest evaluable unit.
+        Without ``chunk_size`` the chunk is sized so the dense kernel's
+        per-row float64 buffers (``compiled.dense_row_footprint()`` cells)
+        stay under ``_TARGET_CELLS_PER_CHUNK`` — floored at one row, since
+        a single row is the smallest evaluable unit.
         """
         if self._chunk_size is not None:
             return self._chunk_size
@@ -762,20 +830,49 @@ class BatchEvaluator:
         matrix: np.ndarray,
         processes: Optional[int] = None,
     ) -> np.ndarray:
-        """Chunked, optionally process-sharded, ``scenarios × groups`` evaluation."""
+        """Chunked, optionally process-sharded, ``scenarios × groups`` evaluation.
+
+        Rows run in chunks (:meth:`_resolve_chunk_size`).  With
+        ``processes > 1`` and two or more chunks, the chunks are the shards
+        of the worker pool — but only when each carries at least
+        :data:`DENSE_SHARD_CROSSOVER_CELLS` estimated kernel cells (chunk
+        rows × monomials); below that the request runs in-process and
+        counts under ``batch.dense.in_process``.  The
+        ``batch.kernel.dense`` span records the decision: the requested
+        ``processes``, the estimated ``shard_cells``, the
+        ``shard_crossover`` and the ``shards`` used (0 in-process).
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
         rows = matrix.shape[0]
         chunk = self._resolve_chunk_size(compiled, rows)
-        with trace("batch.kernel.dense", rows=rows, chunk=chunk) as span:
-            if rows <= chunk and not (processes and processes > 1):
+        requested = processes or 1
+        shard_cells = min(chunk, rows) * compiled.size()
+        sharded = (
+            requested > 1
+            and rows > chunk
+            and shard_cells >= DENSE_SHARD_CROSSOVER_CELLS
+        )
+        if requested > 1 and not sharded:
+            get_registry().inc("batch.dense.in_process")
+        with trace(
+            "batch.kernel.dense",
+            rows=rows,
+            chunk=chunk,
+            processes=requested,
+            shard_cells=shard_cells,
+            shard_crossover=DENSE_SHARD_CROSSOVER_CELLS,
+        ) as span:
+            if rows <= chunk:
+                span.set("shards", 0)
                 return compiled.evaluate_matrix(matrix)
             pieces = [
                 matrix[start : start + chunk] for start in range(0, rows, chunk)
             ]
-            span.set("chunks", len(pieces))
-            if processes and processes > 1 and len(pieces) > 1:
-                span.set("processes", processes)
-                results = self._shard_map(processes, compiled, "dense", pieces)
+            span.update(
+                {"chunks": len(pieces), "shards": len(pieces) if sharded else 0}
+            )
+            if sharded:
+                results = self._shard_map(requested, compiled, "dense", pieces)
             else:
                 results = [compiled.evaluate_matrix(piece) for piece in pieces]
             return np.concatenate(results, axis=0)
@@ -848,9 +945,13 @@ class BatchEvaluator:
         sums in its own order.  The real backend rejects a non-finite scale
         or set amount with :class:`~repro.exceptions.ScenarioError` before
         any kernel runs (``inf × 0`` would be a silent NaN); tropical and
-        bool outages need ``inf`` and keep it.  ``processes`` shards
-        scenario rows across worker processes (default: the evaluator's
-        configured width).
+        bool outages need ``inf`` and keep it, but a scale that makes a
+        value NaN (a zero cost scaled by ``inf``) raises
+        :class:`~repro.exceptions.ScenarioError` in every mode, naming the
+        scenario and the variable.  ``processes`` shards scenario rows
+        across worker processes (default: the evaluator's configured
+        width); it is an upper bound, and dense requests below
+        :data:`DENSE_SHARD_CROSSOVER_CELLS` per shard stay in-process.
         """
         registry = get_registry()
         registry.inc("batch.evaluations")
@@ -974,14 +1075,17 @@ class BatchEvaluator:
         if compressed is not None and abstraction is not None:
             compiled_compressed = self.compile(compressed, backend)
 
+        # The base row is built once per request: it lowers the scenarios
+        # and is the baseline's valuation.
+        row = batch.base_row(base, fill)
         if chosen == "dense":
             baseline, full_results, meta_rows = self._evaluate_dense(
-                compiled_full, compiled_compressed, abstraction, batch, base,
+                compiled_full, compiled_compressed, abstraction, batch, row,
                 fill, processes,
             )
         else:
             baseline, full_results, meta_rows = self._evaluate_deltas(
-                compiled_full, compiled_compressed, abstraction, batch, base,
+                compiled_full, compiled_compressed, abstraction, batch, row,
                 fill, processes, batch.prefix_length if chosen == "factored" else 0,
             )
 
@@ -1010,15 +1114,16 @@ class BatchEvaluator:
     # -- the numeric pipelines ------------------------------------------------
 
     def _evaluate_dense(
-        self, compiled_full, compiled_compressed, abstraction, batch, base,
+        self, compiled_full, compiled_compressed, abstraction, batch, row,
         fill, processes,
     ):
-        """The dense pipeline.  Every row is evaluated on its own, so a
-        scenario that moves no value gets the baseline's bits."""
-        matrix = batch.valuation_matrix(base, fill=fill)
+        """The dense pipeline over the base ``row``.  Every row is evaluated
+        on its own, so a scenario that moves no value gets the baseline's
+        bits."""
+        matrix = batch.valuation_matrix(row, fill=fill)
+        _reject_nan_rows(batch, row, matrix)
         full_columns = batch.columns_for(compiled_full.variables)
-        base_row = batch.base_row(base, fill)[full_columns]
-        baseline = compiled_full.evaluate_matrix(base_row[np.newaxis, :])[0]
+        baseline = compiled_full.evaluate_matrix(row[np.newaxis, full_columns])[0]
         full_results = self.evaluate_matrix(
             compiled_full, matrix[:, full_columns], processes
         )
@@ -1032,26 +1137,26 @@ class BatchEvaluator:
         return baseline, full_results, meta_rows
 
     def _evaluate_deltas(
-        self, compiled_full, compiled_compressed, abstraction, batch, base,
+        self, compiled_full, compiled_compressed, abstraction, batch, row,
         fill, processes, prefix,
     ):
         """The sparse (``prefix=0``) and factored pipelines: the batch's
         :meth:`~repro.batch.planner.ScenarioBatch.delta_plan`, evaluated.
 
         The report's baseline is the valuation with no scenario applied,
-        the unfactored base row.  A factored plan's rows equal the sparse
-        plan's rows bit-for-bit, so per-scenario results agree to rounding.
+        the unfactored base ``row``.  A factored plan's rows equal the
+        sparse plan's rows bit-for-bit, so per-scenario results agree to
+        rounding.
         """
-        plan = batch.delta_plan(base, fill=fill, prefix=prefix)
+        plan = batch.delta_plan(row, fill=fill, prefix=prefix)
+        _reject_nan_cells(batch, row, plan)
         if prefix:
             registry = get_registry()
             registry.inc("batch.factored.prefix_cells", batch.prefix_cells)
             registry.inc("batch.factored.residual_cells", plan.changed_cells())
         full_columns = batch.columns_for(compiled_full.variables)
         full_plan = plan.project(full_columns)
-        baseline = compiled_full.baseline_totals(
-            batch.base_row(base, fill)[full_columns]
-        )
+        baseline = compiled_full.baseline_totals(row[full_columns])
         full_results = self.evaluate_deltas(compiled_full, full_plan, processes)
 
         meta_rows = None

@@ -34,7 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -42,6 +52,11 @@ from repro.engine.scenario import Scenario, _Operation, _select
 from repro.obs.tracer import trace
 from repro.provenance.incidence import ragged_ranges, sorted_unique
 from repro.provenance.valuation import Valuation
+
+#: A base valuation as the lowerings accept it: a mapping (missing names
+#: take the fill), or the row :meth:`ScenarioBatch.base_row` already built
+#: from one, which is used as is and never written to.
+BaseLike = Union[Mapping[str, float], np.ndarray, None]
 
 _EMPTY_COLUMNS = np.zeros(0, dtype=np.intp)
 _EMPTY_VALUES = np.zeros(0, dtype=np.float64)
@@ -536,14 +551,20 @@ class ScenarioBatch:
             dtype=np.float64,
         )
 
-    def valuation_matrix(
-        self, base: Optional[Mapping[str, float]] = None, fill: float = 1.0
-    ) -> np.ndarray:
+    def _row(self, base: BaseLike, fill: float) -> np.ndarray:
+        """``base`` as a row: a prebuilt row as is, else :meth:`base_row`."""
+        if isinstance(base, np.ndarray):
+            return base
+        return self.base_row(base, fill)
+
+    def valuation_matrix(self, base: BaseLike = None, fill: float = 1.0) -> np.ndarray:
         """The ``scenarios × variables`` matrix of hypothetical valuations.
 
         Row *s* equals ``scenarios[s].apply(base, variables)`` restricted to
         the universe, with variables missing from ``base`` defaulting to
-        ``fill`` (see :meth:`base_row`).
+        ``fill`` (see :meth:`base_row`).  ``base`` may also be the row
+        :meth:`base_row` built, so a caller that needs the row itself
+        builds it once.
         """
         with trace(
             "batch.lower",
@@ -551,17 +572,14 @@ class ScenarioBatch:
             scenarios=len(self._scenarios),
             variables=len(self._variables),
         ):
-            base_row = self.base_row(base, fill)
+            base_row = self._row(base, fill)
             matrix = np.tile(base_row, (len(self._scenarios), 1))
             sids, columns, values = self._lowered_cells(base_row, 0)
             matrix[sids, columns] = values
             return matrix
 
     def delta_plan(
-        self,
-        base: Optional[Mapping[str, float]] = None,
-        fill: float = 1.0,
-        prefix: int = 0,
+        self, base: BaseLike = None, fill: float = 1.0, prefix: int = 0
     ) -> DeltaPlan:
         """The sparse lowering: a shared base row plus per-scenario changes.
 
@@ -577,9 +595,11 @@ class ScenarioBatch:
         only each scenario's operations from position ``k`` on become cells.
         The shared steps are applied by the same sequential float operations
         as the scenario's own, so each rebuilt row is bit-identical to the
-        unfactored one.  Traced as ``batch.lower`` when unfactored and as
-        ``batch.factor`` (with the prefix statistics) when factored.  Covered
-        by cobralint's CL003 rule.
+        unfactored one.  ``base`` may be a prebuilt row, as for
+        :meth:`valuation_matrix`: the unfactored plan shares it as its base
+        row, and a factored one applies the prefix to a copy.  Traced as
+        ``batch.lower`` when unfactored and as ``batch.factor`` (with the
+        prefix statistics) when factored.  Covered by cobralint's CL003 rule.
         """
         if not 0 <= prefix <= self.prefix_length:
             raise ValueError(
@@ -595,7 +615,9 @@ class ScenarioBatch:
             variables=len(self._variables),
             **attributes,
         ) as span:
-            row = self.base_row(base, fill)
+            row = self._row(base, fill)
+            if prefix:
+                row = row.copy()
             for kind, columns, amount in self.steps(0)[:prefix] if prefix else ():
                 if kind == "scale":
                     row[columns] *= amount

@@ -66,6 +66,21 @@ def nonfinite_amount_error(name: str) -> ScenarioError:
     )
 
 
+def nan_value_error(name: str, variable: str) -> ScenarioError:
+    """The error for scenario ``name`` turning ``variable`` into NaN.
+
+    Amounts are never NaN, so a NaN value comes from a scale multiplying 0
+    by ``inf`` (a zero cost scaled by ``inf``, or an ``inf`` one by 0),
+    which no semiring defines.  A tropical outage cuts a link by setting
+    its cost to ``inf``.
+    """
+    return ScenarioError(
+        f"scenario {name!r} makes variable {variable!r} NaN: a scale "
+        "multiplies 0 by inf; to cut a link, use "
+        f"set_value({variable!r}, inf) instead of scaling it"
+    )
+
+
 @dataclass(frozen=True)
 class _Operation:
     """One scenario step: scale or set the selected variables."""

@@ -31,7 +31,11 @@ from repro.core.compression import Abstraction, Compressor
 from repro.core.defaults import default_meta_valuation
 from repro.core.optimizer import OptimizationResult
 from repro.engine.report import AssignmentReport, GroupComparison, MetaVariableInfo
-from repro.engine.scenario import Scenario, nonfinite_amount_error
+from repro.engine.scenario import (
+    Scenario,
+    nan_value_error,
+    nonfinite_amount_error,
+)
 from repro.obs.tracer import trace as obs_trace
 from repro.utils.timing import measure_speedup
 
@@ -519,7 +523,8 @@ class CobraSession:
         average of their members' scenario values (the demo's default), which
         is exact whenever the scenario treats all members of a group alike.
         On the real backend a non-finite amount raises
-        :class:`~repro.exceptions.ScenarioError`, as in :meth:`evaluate_many`.
+        :class:`~repro.exceptions.ScenarioError`, as in :meth:`evaluate_many`;
+        so does, on any backend, a scale that makes a value NaN (``0 × inf``).
         """
         if self._backend.name == "real" and not all(
             math.isfinite(operation.amount) for operation in scenario.operations
@@ -528,6 +533,13 @@ class CobraSession:
         full_valuation = scenario.apply(
             self._base_valuation, self._provenance.variables()
         )
+        for name, value in full_valuation.items():
+            if (
+                isinstance(value, float)
+                and math.isnan(value)
+                and not math.isnan(self._base_valuation.get(name, 0.0))
+            ):
+                raise nan_value_error(scenario.name, name)
         return self.assign(
             meta_changes=None,
             full_valuation=full_valuation,

@@ -20,6 +20,13 @@ per-monomial Python loop; each subclass supplies only the algebra hooks:
 All three consume the same ``scenarios × variables`` float matrices the
 batch planner produces (the Boolean backend thresholds them at non-zero), so
 the chunked matrix pipeline works for every numeric semiring.
+The dense kernel is monomial-major: it gathers one factor column at a time
+from the transposed matrix into a ``monomials × rows`` buffer, folds it in
+place, reduces segments along axis 0 and folds them into key-major totals,
+in segment-aligned blocks of about :data:`_DELTA_BLOCK_CELLS` cells.  Every
+kernel combines a monomial's factors through one left-to-right fold,
+:func:`_fold_columns`, so dense and sparse results share one accumulation
+order.
 Sparse scenarios have two delta kernels, each one batched pass over a whole
 :class:`~repro.batch.planner.DeltaPlan`.  The base class re-reduces the
 affected segments (min and or are not invertible): it expands every changed
@@ -39,7 +46,9 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Any,
+    ClassVar,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -81,13 +90,16 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: covers interleaved sweeps.
 _DELTA_BASELINE_SLOTS = 4
 
-#: Recomputed factor cells one pass of the segment delta kernel gathers
-#: before the next block of scenarios starts.  Each of a pass's gather,
-#: patch and contribution temporaries holds about this many cells (1 MiB
-#: of float64 here), so the bound keeps them cache-sized where one changed
-#: variable's segments cover much of the set: on routing sweeps, blocks of
-#: 2^16–2^18 cells beat both smaller blocks and one unbounded pass.
-_DELTA_BLOCK_CELLS = 1 << 17
+#: Factor cells one block of a kernel gathers before the next block starts:
+#: a block of scenarios in the segment delta kernel, a segment-aligned
+#: block of monomials (times the rows) in the dense kernel.  Each of a
+#: block's gather, patch and contribution temporaries holds about this many
+#: cells (512 KiB of float64 here), so the bound keeps them cache-sized.
+#: Measured on routing provenance of 4,800–50,000 monomials: in the dense
+#: kernel (24–384 rows) 2^16 was fastest, 5–30% ahead of 2^17 and up to 2x
+#: ahead of one unbounded pass; in the delta kernel (64 outages of 1–20
+#: trunks) 2^16 and 2^17 were within a few percent of each other.
+_DELTA_BLOCK_CELLS = 1 << 16
 
 #: One group's sparse delta index: ``(inverted variable→monomial index,
 #: per-segment end offsets, the segment of each index entry's monomial)``.
@@ -220,6 +232,14 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     # -- the algebra hooks ---------------------------------------------------
 
+    #: How a monomial combines its factor terms, folded left to right by
+    #: :func:`_fold_columns`: ``*`` (real), ``+`` (tropical), ``and`` (bool).
+    _fold: ClassVar[np.ufunc]
+
+    #: The dtype of factor terms, contributions and segment reductions:
+    #: float64, except bool's ``np.bool_`` (its totals stay 0.0/1.0 floats).
+    _term_dtype: ClassVar[type] = np.float64
+
     def _constant_values(self, coefficients: np.ndarray) -> np.ndarray:
         """Row constants of unit monomials with these ``coefficients``.
 
@@ -228,10 +248,32 @@ class _CompiledNumericSet(CompiledSemiringSet):
         """
         return coefficients
 
-    def _contributions(self, group: _SegmentGroup, matrix: np.ndarray) -> np.ndarray:
-        """Per-monomial contributions for a ``... × variables`` value matrix."""
-        gathered = matrix[..., group.indices]
-        return self._gathered_contributions(group, gathered, slice(None))
+    def _factor_term(
+        self,
+        group: _SegmentGroup,
+        values: np.ndarray,
+        exponents: np.ndarray,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """One factor's term of its gathered float ``values``, returned.
+
+        ``exponents`` broadcasts against ``values``.  A float64 term is
+        computed in place over ``values``; a term of another
+        :attr:`_term_dtype` is written to ``out``.  Either way, ``values``
+        is scratch.
+        """
+        raise NotImplementedError
+
+    def _finish(self, contributions: np.ndarray, coefficients: np.ndarray) -> None:
+        """Fold the monomials' ``coefficients`` into their folded factors,
+        in place (``coefficients`` broadcasts against ``contributions``)."""
+        raise NotImplementedError
+
+    def _contributions(self, group: _SegmentGroup, values: np.ndarray) -> np.ndarray:
+        """Per-monomial contributions under one value vector."""
+        return self._gathered_contributions(
+            group, values[group.indices], slice(None)
+        )
 
     def _gathered_contributions(
         self,
@@ -241,21 +283,40 @@ class _CompiledNumericSet(CompiledSemiringSet):
     ) -> np.ndarray:
         """Contributions of the monomials at ``positions`` of ``group``.
 
-        ``gathered[..., i, k]`` is the value of factor ``k`` of monomial
-        ``positions[i]`` (``... × n × width``, already gathered).
+        ``gathered[i, k]`` is the value of factor ``k`` of monomial
+        ``positions[i]`` (``n × width``, already gathered).  It is scratch:
+        each column becomes its factor's term, and the terms are folded
+        left to right (:func:`_fold_columns`), as the dense kernel folds
+        them.
         """
-        raise NotImplementedError
+        exponents = group.exponents[positions]
+        contributions = np.empty(gathered.shape[0], dtype=self._term_dtype)
+        terms = np.empty_like(contributions)
+        _fold_columns(
+            (
+                self._factor_term(
+                    group,
+                    gathered[:, k],
+                    exponents[:, k],
+                    contributions if k == 0 else terms,
+                )
+                for k in range(gathered.shape[1])
+            ),
+            self._fold,
+            contributions,
+        )
+        self._finish(contributions, group.coefficients[positions])
+        return contributions
 
-    def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _accumulate(self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray, axis: int) -> None:
+    def _reduce(self, contributions: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Segment reductions along axis 0 of ``contributions``."""
         raise NotImplementedError
 
     def _fold_rows(
         self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray
     ) -> None:
-        """Fold per-segment values into a 1-D totals vector (rows unique)."""
+        """Fold per-segment values into totals (rows unique, along axis 0:
+        a totals vector, or the dense kernel's key-major totals)."""
         raise NotImplementedError
 
     # -- the CompiledSemiringSet surface --------------------------------------
@@ -350,7 +411,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
         totals = self._constant.copy()
         for group in self._groups:
             segments = self._reduce(
-                self._contributions(group, values), group.segment_starts, axis=0
+                self._contributions(group, values), group.segment_starts
             )
             self._fold_rows(totals, group.segment_rows, segments)
         return totals
@@ -362,6 +423,17 @@ class _CompiledNumericSet(CompiledSemiringSet):
         that order (build it with :meth:`values_vector` rows or via
         :class:`repro.batch.ScenarioBatch`).  Returns a
         ``scenarios × groups`` array whose columns follow :attr:`keys`.
+
+        Monomial-major: the matrix is transposed once, each group is
+        evaluated in segment-aligned blocks of monomials
+        (:meth:`_dense_pass`) whose ``monomials × rows`` buffers hold about
+        :data:`_DELTA_BLOCK_CELLS` cells, and per-segment values fold into
+        ``keys × rows`` totals.  No temporary grows with the monomial
+        width.  Each monomial folds its factors left to right, as the
+        sparse kernels do, so a row is bit-identical to
+        :meth:`evaluate_deltas` on tropical and bool, and to ``np.prod``/
+        ``np.sum`` over each monomial's factors below width 8 (above it,
+        ``np.sum`` sums pairwise).
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != len(self._variables):
@@ -369,13 +441,101 @@ class _CompiledNumericSet(CompiledSemiringSet):
                 f"expected a (scenarios, {len(self._variables)}) matrix, "
                 f"got shape {matrix.shape}"
             )
-        totals = np.tile(self._constant, (matrix.shape[0], 1))
-        for group in self._groups:
-            segments = self._reduce(
-                self._contributions(group, matrix), group.segment_starts, axis=1
+        rows = matrix.shape[0]
+        totals = np.repeat(self._constant[:, np.newaxis], rows, axis=1)
+        if rows and self._groups:
+            source = np.ascontiguousarray(matrix.T)
+            for group in self._groups:
+                self._dense_pass(group, source, totals)
+        return np.ascontiguousarray(totals.T)
+
+    def _dense_pass(
+        self, group: _SegmentGroup, source: np.ndarray, totals: np.ndarray
+    ) -> None:
+        """Fold one group into ``keys × rows`` ``totals``, block by block.
+
+        ``source`` is the transposed ``variables × rows`` matrix.  A block
+        is a run of whole segments of about ``_DELTA_BLOCK_CELLS // rows``
+        monomials.  Factor ``k`` of the block's monomials is gathered with
+        one ``np.take`` into a ``monomials × rows`` buffer, turned into its
+        term and folded into the accumulator in place; the accumulator's
+        segments are then reduced along axis 0 and folded into ``totals``.
+        The same buffers serve every block: the accumulator and the float
+        gather scratch, plus a term buffer when terms are not float64.
+        """
+        num_monomials = len(group.coefficients)
+        rows = source.shape[1]
+        starts = group.segment_starts
+        # Each block begins at the segment holding its first monomial.
+        firsts = sorted_unique(
+            np.searchsorted(
+                starts,
+                np.arange(0, num_monomials, max(1, _DELTA_BLOCK_CELLS // rows)),
+                side="right",
             )
-            self._accumulate(totals, group.segment_rows, segments, axis=1)
-        return totals
+            - 1
+        )
+        bounds = np.append(starts[firsts], num_monomials)
+        size = int(np.diff(bounds).max())
+        accumulator = np.empty((size, rows), dtype=self._term_dtype)
+        scratch = np.empty((size, rows), dtype=np.float64)
+        terms = (
+            scratch
+            if self._term_dtype is np.float64
+            else np.empty_like(accumulator)
+        )
+        segment_bounds = np.append(firsts, starts.size).tolist()
+        monomial_bounds = bounds.tolist()
+        for block in range(len(monomial_bounds) - 1):
+            first, last = monomial_bounds[block], monomial_bounds[block + 1]
+            lo, hi = segment_bounds[block], segment_bounds[block + 1]
+            out = accumulator[: last - first]
+            _fold_columns(
+                self._taken_terms(
+                    group,
+                    source,
+                    first,
+                    last,
+                    out,
+                    scratch[: last - first],
+                    terms[: last - first],
+                ),
+                self._fold,
+                out,
+            )
+            self._finish(out, group.coefficients[first:last, np.newaxis])
+            self._fold_rows(
+                totals,
+                group.segment_rows[lo:hi],
+                self._reduce(out, starts[lo:hi] - first),
+            )
+
+    def _taken_terms(
+        self,
+        group: _SegmentGroup,
+        source: np.ndarray,
+        first: int,
+        last: int,
+        out: np.ndarray,
+        scratch: np.ndarray,
+        terms: np.ndarray,
+    ) -> Iterator[np.ndarray]:
+        """The factor terms of monomials ``first:last``, column by column.
+
+        Each factor is taken from ``source`` into the float ``scratch`` and
+        its term lands in ``terms``, both consumed by the fold before the
+        next factor is taken.  Factor 0's term lands in ``out`` (the fold's
+        accumulator) instead, and float terms are taken straight into it.
+        """
+        indices = group.indices[first:last]
+        exponents = group.exponents[first:last, :, np.newaxis]
+        in_place = out.dtype == source.dtype
+        for k in range(indices.shape[1]):
+            values = out if k == 0 and in_place else scratch
+            np.take(source, indices[:, k], axis=0, out=values, mode="clip")
+            yield self._factor_term(
+                group, values, exponents[:, k], out if k == 0 else terms
+            )
 
     def evaluate_many(self, valuations: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """Evaluate a batch of valuation mappings (rows follow the input order)."""
@@ -387,15 +547,15 @@ class _CompiledNumericSet(CompiledSemiringSet):
     # -- sparse delta evaluation ----------------------------------------------
 
     def dense_row_footprint(self) -> int:
-        """float64 cells :meth:`evaluate_matrix` materialises per scenario row.
+        """float64 cells :meth:`evaluate_matrix` keeps per scenario row.
 
-        The gather/power/product temporaries over every monomial factor
-        dominate; chunking layers use this to bound peak memory.
+        The transposed valuation column, the key-major totals and the
+        returned row.  Factor gathers run in blocks of about
+        :data:`_DELTA_BLOCK_CELLS` cells whatever the row count, so neither
+        the monomial count nor the width adds a per-row term; chunking
+        layers use this to bound peak memory.
         """
-        cells = len(self._variables) + len(self._keys)
-        for group in self._groups:
-            cells += group.indices.size
-        return max(1, cells)
+        return max(1, len(self._variables) + 2 * len(self._keys))
 
     def _delta_groups(self) -> _DeltaIndex:
         """Per-group inverted index and segment extents, per-column costs.
@@ -478,7 +638,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
         totals = self._constant.copy()
         for group in self._groups:
             contrib = self._contributions(group, base_vector)
-            segments = self._reduce(contrib, group.segment_starts, axis=0)
+            segments = self._reduce(contrib, group.segment_starts)
             contributions.append(contrib)
             segment_values.append(segments)
             self._fold_rows(totals, group.segment_rows, segments)
@@ -607,7 +767,6 @@ class _CompiledNumericSet(CompiledSemiringSet):
             recomputed = self._reduce(
                 self._gathered_contributions(group, gathered, positions),
                 local_starts,
-                axis=0,
             )
             recomputed_parts.append((hits, recomputed))
             code_parts.append(hit_sids * num_keys + group.segment_rows[hit_segments])
@@ -651,22 +810,24 @@ class CompiledProvenanceSet(_CompiledNumericSet):
 
     backend_name = "real"
     _identity = 0.0
+    _fold = np.multiply
 
-    def _gathered_contributions(
+    def _factor_term(
         self,
         group: _SegmentGroup,
-        gathered: np.ndarray,
-        positions: Union[np.ndarray, slice],
+        values: np.ndarray,
+        exponents: np.ndarray,
+        out: np.ndarray,
     ) -> np.ndarray:
         if group.has_higher_powers:
-            gathered = np.power(gathered, group.exponents[positions])
-        return np.prod(gathered, axis=-1) * group.coefficients[positions]
+            np.power(values, exponents, out=values)
+        return values
 
-    def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
-        return np.add.reduceat(contributions, starts, axis=axis)
+    def _finish(self, contributions: np.ndarray, coefficients: np.ndarray) -> None:
+        np.multiply(contributions, coefficients, out=contributions)
 
-    def _accumulate(self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray, axis: int) -> None:
-        totals[:, rows] += segments
+    def _reduce(self, contributions: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(contributions, starts, axis=0)
 
     def _fold_rows(
         self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray
@@ -895,20 +1056,42 @@ def _plan_scenarios(plan: "DeltaPlan", num_variables: int) -> np.ndarray:
     return sids
 
 
-def _row_product_and_excess(factors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row, ``np.prod(factors)`` and ``np.sum(factors - 1.0)``.
+def _fold_columns(
+    columns: Iterator[np.ndarray], fold: np.ufunc, out: np.ndarray
+) -> np.ndarray:
+    """Fold ``columns`` into ``out`` left to right: ``((c₀ ∘ c₁) ∘ c₂) ∘ …``.
 
-    NumPy folds a row of fewer than 8 elements left to right (pairwise
-    summation starts at 8), so narrow rows are folded column by column —
-    the same float operations, without a reduction call per short row.
+    The one accumulation order of every numeric kernel: the dense kernel,
+    the segment kernel and the real kernel's pair fix-up all combine a
+    monomial's factors through here.  It is the order NumPy's ``prod``
+    uses, and ``sum``'s for fewer than 8 elements (pairwise summation
+    starts at 8).  ``out`` receives the first column unless that column
+    already is ``out``; later columns may be views or reused scratch,
+    each consumed before the next is drawn.
     """
+    first = next(columns)
+    if first is not out:
+        np.copyto(out, first)
+    for column in columns:
+        fold(out, column, out=out)
+    return out
+
+
+def _row_product_and_excess(factors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the product of ``factors`` and the sum of ``factors - 1.0``,
+    each folded left to right by :func:`_fold_columns`."""
+    shifted = factors - 1.0
     width = factors.shape[1]
-    if width >= 8:
-        return np.prod(factors, axis=1), np.sum(factors - 1.0, axis=1)
-    product, excess = factors[:, 0], factors[:, 0] - 1.0
-    for k in range(1, width):
-        product = product * factors[:, k]
-        excess = excess + (factors[:, k] - 1.0)
+    product = _fold_columns(
+        (factors[:, k] for k in range(width)),
+        np.multiply,
+        np.empty(factors.shape[0], dtype=np.float64),
+    )
+    excess = _fold_columns(
+        (shifted[:, k] for k in range(width)),
+        np.add,
+        np.empty(factors.shape[0], dtype=np.float64),
+    )
     return product, excess
 
 
@@ -939,24 +1122,25 @@ class _CompiledTropicalSet(_CompiledNumericSet):
 
     backend_name = "tropical"
     _identity = float("inf")
+    _fold = np.add
 
-
-    def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
-        return np.minimum.reduceat(contributions, starts, axis=axis)
-
-    def _accumulate(self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray, axis: int) -> None:
-        totals[:, rows] = np.minimum(totals[:, rows], segments)
-
-    def _gathered_contributions(
+    def _factor_term(
         self,
         group: _SegmentGroup,
-        gathered: np.ndarray,
-        positions: Union[np.ndarray, slice],
+        values: np.ndarray,
+        exponents: np.ndarray,
+        out: np.ndarray,
     ) -> np.ndarray:
-        return (
-            np.sum(gathered * group.exponents[positions], axis=-1)
-            + group.coefficients[positions]
-        )
+        # ``x * 1.0`` is ``x`` exactly, so unit exponents skip the multiply.
+        if group.has_higher_powers:
+            np.multiply(values, exponents, out=values)
+        return values
+
+    def _finish(self, contributions: np.ndarray, coefficients: np.ndarray) -> None:
+        np.add(contributions, coefficients, out=contributions)
+
+    def _reduce(self, contributions: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(contributions, starts, axis=0)
 
     def _fold_rows(
         self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray
@@ -969,38 +1153,40 @@ class _CompiledBooleanSet(_CompiledNumericSet):
 
     Exponents are irrelevant (``x^k = x`` in an idempotent semiring) and a
     monomial with a non-zero coefficient contributes the conjunction of its
-    variables; results come back as 0.0/1.0 floats so the matrix pipeline
-    and the batch report keep their float dtype.
+    variables.  Terms, contributions and segment reductions are
+    ``np.bool_``; totals are 0.0/1.0 floats, so the matrix pipeline and the
+    batch report keep their float dtype.
     """
 
     __slots__ = ()
 
     backend_name = "bool"
     _identity = 0.0
+    _fold = np.logical_and
+    _term_dtype = np.bool_
 
     def _constant_values(self, coefficients: np.ndarray) -> np.ndarray:
         return (coefficients != 0.0).astype(np.float64)
 
-
-    def _reduce(self, contributions: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
-        return np.logical_or.reduceat(contributions, starts, axis=axis)
-
-    def _accumulate(self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray, axis: int) -> None:
-        totals[:, rows] = np.maximum(totals[:, rows], segments.astype(np.float64))
-
-    def _gathered_contributions(
+    def _factor_term(
         self,
         group: _SegmentGroup,
-        gathered: np.ndarray,
-        positions: Union[np.ndarray, slice],
+        values: np.ndarray,
+        exponents: np.ndarray,
+        out: np.ndarray,
     ) -> np.ndarray:
-        present = np.all(gathered != 0.0, axis=-1)
-        return present & (group.coefficients[positions] != 0.0)
+        return np.not_equal(values, 0.0, out=out)
+
+    def _finish(self, contributions: np.ndarray, coefficients: np.ndarray) -> None:
+        np.logical_and(contributions, coefficients != 0.0, out=contributions)
+
+    def _reduce(self, contributions: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        return np.logical_or.reduceat(contributions, starts, axis=0)
 
     def _fold_rows(
         self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray
     ) -> None:
-        totals[rows] = np.maximum(totals[rows], segments.astype(np.float64))
+        totals[rows] = np.maximum(totals[rows], segments)
 
     def _to_python(self, value: np.floating) -> Any:
         return bool(value != 0.0)

@@ -75,7 +75,7 @@ def _delta_state(
     totals = self._constant.copy()
     for group in self._groups:
         segments = self._reduce(
-            self._contributions(group, base), group.segment_starts, axis=0
+            self._contributions(group, base), group.segment_starts
         )
         segment_values.append(segments)
         self._fold_rows(totals, group.segment_rows, segments)
@@ -162,7 +162,6 @@ def segment_evaluate_deltas(self: _CompiledNumericSet, plan: DeltaPlan) -> np.nd
                 recomputed = self._reduce(
                     _restricted_contributions(self, group, scratch, positions),
                     local_starts,
-                    axis=0,
                 )
                 folded[np.searchsorted(in_rows, segments)] = recomputed
             self._fold_rows(row, group.segment_rows[in_rows], folded)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchEvaluator
+from repro.batch import evaluator as evaluator_module
 from repro.engine.scenario import Scenario
 from repro.obs.metrics import get_registry
 from repro.provenance.monomial import Monomial
@@ -77,8 +78,10 @@ class TestChaosParity:
     @pytest.mark.parametrize("semiring", SEMIRINGS)
     @pytest.mark.parametrize("mode", MODES)
     def test_shard_and_compile_faults_recover_bit_identically(
-        self, semiring, mode
+        self, semiring, mode, monkeypatch
     ):
+        # Tiny dense shards run in-process unless the crossover is pinned.
+        monkeypatch.setattr(evaluator_module, "DENSE_SHARD_CROSSOVER_CELLS", 0)
         provenance = _provenance()
         scenarios = _scenarios()
         clean = BatchEvaluator().evaluate(

@@ -8,6 +8,7 @@ from repro.core.compression import Abstraction, apply_abstraction
 from repro.engine.plan import compose
 from repro.engine.scenario import Scenario
 from repro.engine.session import CobraSession
+from repro.exceptions import ScenarioError
 from repro.provenance.backends import resolve_backend
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.provenance.semiring import evaluate_in_semiring
@@ -283,3 +284,79 @@ class TestEdgeCaseRegressions:
         )
         assert report.absolute_errors.tolist() == [[0.0]]
         assert report.max_relative_error == 0.0
+
+
+class TestTropicalZeroTimesInf:
+    """A tropical ``scale(sel, inf)`` of a zero cost is ``0 × inf`` — NaN —
+    and is rejected by name in every mode; ``set_value(sel, inf)`` cuts a
+    link, and scaling a positive cost by ``inf`` keeps working."""
+
+    INF = float("inf")
+
+    @pytest.fixture
+    def provenance(self):
+        prov = ProvenanceSet()
+        prov[("k",)] = Polynomial.from_terms([(2.0, ["x", "y"]), (3.0, ["y"])])
+        return prov
+
+    def _evaluate(self, provenance, scenarios, mode, base=None):
+        return BatchEvaluator().evaluate(
+            provenance, scenarios, base_valuation=base,
+            semiring="tropical", mode=mode,
+        )
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "factored"])
+    def test_scaling_a_zero_cost_by_inf_raises(self, provenance, mode):
+        scenarios = [
+            Scenario("fine").scale(["x"], 2.0),
+            Scenario("cut y").scale(["x"], 2.0).scale(["y"], self.INF),
+        ]
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ScenarioError, match=r"'cut y'.*'y'.*set_value"
+        ):
+            self._evaluate(provenance, scenarios, mode)
+
+    def test_a_nan_shared_prefix_raises_factored(self, provenance):
+        scenarios = [
+            Scenario(f"s{i}").scale(["y"], self.INF).scale(["x"], 1.0 + i)
+            for i in range(3)
+        ]
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ScenarioError, match=r"'s0'.*'y'"
+        ):
+            self._evaluate(provenance, scenarios, "factored")
+
+    def test_a_prefix_nan_overwritten_by_every_scenario_passes(self, provenance):
+        scenarios = [
+            Scenario(f"s{i}").scale(["y"], self.INF).set_value(["y"], 1.0 + i)
+            for i in range(3)
+        ]
+        with np.errstate(invalid="ignore"):
+            factored = self._evaluate(provenance, scenarios, "factored")
+            dense = self._evaluate(provenance, scenarios, "dense")
+        np.testing.assert_array_equal(factored.full_results, dense.full_results)
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "factored"])
+    def test_scaling_a_positive_cost_by_inf_is_an_outage(self, provenance, mode):
+        scenarios = [
+            Scenario("keep").scale(["x"], 2.0),
+            Scenario("outage").scale(["x"], 2.0).scale(["y"], self.INF),
+        ]
+        report = self._evaluate(provenance, scenarios, mode, {"x": 1.0, "y": 1.5})
+        assert report.full_results.tolist() == [[4.5], [self.INF]]
+
+    def test_set_value_inf_cuts_a_zero_cost_link(self, provenance):
+        report = self._evaluate(
+            provenance, [Scenario("cut").set_value(["y"], self.INF)], "dense"
+        )
+        assert report.full_results.tolist() == [[self.INF]]
+
+    def test_session_assign_scenario_raises(self, provenance):
+        session = CobraSession(provenance, semiring="tropical")
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ScenarioError, match=r"'cut y'.*'y'"
+        ):
+            session.assign_scenario(
+                Scenario("cut y").scale(["y"], self.INF),
+                measure_assignment_speedup=False,
+            )

@@ -15,6 +15,7 @@ from repro.batch.evaluator import SPARSE_TOUCHED_FRACTION, MetaLowering
 from repro.core.compression import Abstraction
 from repro.engine.scenario import Scenario
 from repro.obs.metrics import get_registry
+from repro.obs.tracer import get_tracer
 from repro.provenance.backends import resolve_backend
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
@@ -400,7 +401,9 @@ class TestProcessSharding:
         assert sharded.mode == "sparse"
         np.testing.assert_allclose(sharded.full_results, serial.full_results)
 
-    def test_dense_sharded_matches_serial(self):
+    def test_dense_sharded_matches_serial(self, monkeypatch):
+        # Tiny shards run in-process unless the crossover is pinned to 0.
+        monkeypatch.setattr(evaluator_module, "DENSE_SHARD_CROSSOVER_CELLS", 0)
         provenance = _random_provenance(seed=18)
         scenarios = [
             Scenario(f"s{i}").scale(lambda name: True, 1.0 + 0.02 * i)
@@ -411,6 +414,64 @@ class TestProcessSharding:
             provenance, scenarios, mode="dense", processes=2
         )
         np.testing.assert_allclose(sharded.full_results, serial.full_results)
+
+    def _dense_shard_decision(self, monkeypatch):
+        """A 12-row dense request in 3-row chunks with ``processes=2``:
+        its results, pool bringups and ``batch.kernel.dense`` span."""
+        bringups = []
+        bringup = evaluator_module._bringup_pool
+
+        def counting_bringup(*args, **kwargs):
+            bringups.append(args)
+            return bringup(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "_bringup_pool", counting_bringup)
+        provenance = _random_provenance(seed=18)
+        scenarios = [
+            Scenario(f"s{i}").scale(lambda name: True, 1.0 + 0.02 * i)
+            for i in range(12)
+        ]
+        serial = BatchEvaluator().evaluate(provenance, scenarios, mode="dense")
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.reset()
+        tracer.enabled = True
+        try:
+            with BatchEvaluator(chunk_size=3) as evaluator:
+                report = evaluator.evaluate(
+                    provenance, scenarios, mode="dense", processes=2
+                )
+            spans = [span for root in tracer.drain() for span in root.walk()]
+        finally:
+            tracer.reset()
+            tracer.enabled = was_enabled
+        (span,) = [s for s in spans if s.name == "batch.kernel.dense" and s.attributes["rows"] == 12]
+        return serial, report, bringups, span.attributes
+
+    def test_dense_below_the_crossover_stays_in_process(self, monkeypatch):
+        kept = get_registry().counter("batch.dense.in_process")
+        before = kept.value
+        serial, report, bringups, span = self._dense_shard_decision(monkeypatch)
+        assert bringups == []
+        assert kept.value == before + 1
+        np.testing.assert_array_equal(report.full_results, serial.full_results)
+        compiled = BatchEvaluator().compile(_random_provenance(seed=18), "real")
+        assert span["processes"] == 2
+        assert span["shard_cells"] == 3 * compiled.size()
+        assert span["shard_crossover"] == evaluator_module.DENSE_SHARD_CROSSOVER_CELLS
+        assert span["shard_cells"] < span["shard_crossover"]
+        assert span["shards"] == 0
+
+    def test_dense_above_the_crossover_shards(self, monkeypatch):
+        monkeypatch.setattr(evaluator_module, "DENSE_SHARD_CROSSOVER_CELLS", 1)
+        kept = get_registry().counter("batch.dense.in_process")
+        before = kept.value
+        serial, report, bringups, span = self._dense_shard_decision(monkeypatch)
+        assert len(bringups) == 1
+        assert kept.value == before
+        np.testing.assert_allclose(report.full_results, serial.full_results)
+        assert span["shard_crossover"] == 1
+        assert span["shards"] == 4
 
     def test_evaluator_level_processes_default(self):
         provenance = _random_provenance(seed=19)
@@ -454,6 +515,8 @@ class TestProcessSharding:
         from repro.batch import evaluator as evaluator_module
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        # Tiny dense shards run in-process unless the crossover is pinned.
+        monkeypatch.setattr(evaluator_module, "DENSE_SHARD_CROSSOVER_CELLS", 0)
         bringups = []
         bringup = evaluator_module._bringup_pool
 

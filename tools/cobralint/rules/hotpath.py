@@ -4,10 +4,12 @@ The engine's speed rests on a handful of vectorised kernels; a stray
 ``.copy()`` or per-element Python loop inside one silently turns an
 O(touched) pass into an O(everything) one.  The designated kernels are the
 matrix/delta evaluators in ``provenance/backends/numeric.py`` (one
-compiled-set implementation for every numeric semiring), with the batched
-pass of the tropical/bool segment delta kernel and the per-group algebra
-hooks they call (contributions over gathered factor values, segmented
-reductions and row folds), the
+compiled-set implementation for every numeric semiring), with the dense
+kernel's block pass and its factor-column gather, the batched pass of the
+tropical/bool segment delta kernel, the one left-to-right factor fold
+every kernel shares and the per-group algebra hooks they call (factor
+terms, coefficient folds, contributions over gathered factor values,
+segmented reductions and row folds), the
 incremental-greedy coarsening step in ``core/kernel/greedy.py`` (``apply``
 and the per-step array functions it calls: pair expansion, renaming,
 signature keys, row merging/appending and the counter updates) and the
@@ -59,8 +61,12 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("provenance/backends/numeric.py", "_gathered_contributions"),
     ("provenance/backends/numeric.py", "_segment_pass"),
     ("provenance/backends/numeric.py", "_reduce"),
-    ("provenance/backends/numeric.py", "_accumulate"),
     ("provenance/backends/numeric.py", "_fold_rows"),
+    ("provenance/backends/numeric.py", "_dense_pass"),
+    ("provenance/backends/numeric.py", "_taken_terms"),
+    ("provenance/backends/numeric.py", "_fold_columns"),
+    ("provenance/backends/numeric.py", "_factor_term"),
+    ("provenance/backends/numeric.py", "_finish"),
     ("core/kernel/greedy.py", "apply"),
     ("core/kernel/greedy.py", "_pairs"),
     ("core/kernel/greedy.py", "_renamed"),
