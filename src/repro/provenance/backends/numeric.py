@@ -240,6 +240,16 @@ class _CompiledNumericSet(CompiledSemiringSet):
     #: float64, except bool's ``np.bool_`` (its totals stay 0.0/1.0 floats).
     _term_dtype: ClassVar[type] = np.float64
 
+    #: Whether :meth:`_factor_term` raises values to their exponents with
+    #: ``np.power`` (real).  NumPy picks its ``power`` loop by layout: a
+    #: stride-0 exponent of 2.0 takes an exact squaring fast path, and a
+    #: one-element call whose output is its input takes the scalar libm
+    #: ``pow``; either may round the last bit apart from the vector loop.
+    #: Such terms therefore get a full exponent array and an output apart
+    #: from their values, so a term does not depend on the block, the row
+    #: count or the kernel that computed it.
+    _powers: ClassVar[bool] = False
+
     def _constant_values(self, coefficients: np.ndarray) -> np.ndarray:
         """Row constants of unit monomials with these ``coefficients``.
 
@@ -257,10 +267,12 @@ class _CompiledNumericSet(CompiledSemiringSet):
     ) -> np.ndarray:
         """One factor's term of its gathered float ``values``, returned.
 
-        ``exponents`` broadcasts against ``values``.  A float64 term is
-        computed in place over ``values``; a term of another
-        :attr:`_term_dtype` is written to ``out``.  Either way, ``values``
-        is scratch.
+        ``exponents`` broadcasts against ``values`` (with :attr:`_powers`
+        and higher powers it has their full shape).  A float64 term is
+        computed in place over ``values``, or written to ``out`` when
+        :attr:`_powers` raises it (``out`` then never aliases ``values``);
+        a term of another :attr:`_term_dtype` is written to ``out``.
+        Either way, ``values`` is scratch.
         """
         raise NotImplementedError
 
@@ -461,7 +473,9 @@ class _CompiledNumericSet(CompiledSemiringSet):
         term and folded into the accumulator in place; the accumulator's
         segments are then reduced along axis 0 and folded into ``totals``.
         The same buffers serve every block: the accumulator and the float
-        gather scratch, plus a term buffer when terms are not float64.
+        gather scratch, plus a term buffer when terms are not float64, and
+        for powered terms (:attr:`_powers`) a term buffer and a full
+        exponent buffer.
         """
         num_monomials = len(group.coefficients)
         rows = source.shape[1]
@@ -477,13 +491,15 @@ class _CompiledNumericSet(CompiledSemiringSet):
         )
         bounds = np.append(starts[firsts], num_monomials)
         size = int(np.diff(bounds).max())
+        powered = self._powers and group.has_higher_powers
         accumulator = np.empty((size, rows), dtype=self._term_dtype)
         scratch = np.empty((size, rows), dtype=np.float64)
         terms = (
             scratch
-            if self._term_dtype is np.float64
+            if self._term_dtype is np.float64 and not powered
             else np.empty_like(accumulator)
         )
+        powers = np.empty((size, rows), dtype=np.float64) if powered else None
         segment_bounds = np.append(firsts, starts.size).tolist()
         monomial_bounds = bounds.tolist()
         for block in range(len(monomial_bounds) - 1):
@@ -499,6 +515,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
                     out,
                     scratch[: last - first],
                     terms[: last - first],
+                    None if powers is None else powers[: last - first],
                 ),
                 self._fold,
                 out,
@@ -519,22 +536,30 @@ class _CompiledNumericSet(CompiledSemiringSet):
         out: np.ndarray,
         scratch: np.ndarray,
         terms: np.ndarray,
+        powers: Optional[np.ndarray],
     ) -> Iterator[np.ndarray]:
         """The factor terms of monomials ``first:last``, column by column.
 
         Each factor is taken from ``source`` into the float ``scratch`` and
         its term lands in ``terms``, both consumed by the fold before the
         next factor is taken.  Factor 0's term lands in ``out`` (the fold's
-        accumulator) instead, and float terms are taken straight into it.
+        accumulator) instead, and float terms are taken straight into it
+        unless they are powered.  Given ``powers``, each factor's exponents
+        are spread over it first, so ``np.power`` sees no stride-0 exponent
+        (:attr:`_powers`).
         """
         indices = group.indices[first:last]
         exponents = group.exponents[first:last, :, np.newaxis]
-        in_place = out.dtype == source.dtype
+        in_place = out.dtype == source.dtype and powers is None
         for k in range(indices.shape[1]):
             values = out if k == 0 and in_place else scratch
             np.take(source, indices[:, k], axis=0, out=values, mode="clip")
+            column = exponents[:, k]
+            if powers is not None:
+                np.copyto(powers, column)
+                column = powers
             yield self._factor_term(
-                group, values, exponents[:, k], out if k == 0 else terms
+                group, values, column, out if k == 0 else terms
             )
 
     def evaluate_many(self, valuations: Sequence[Mapping[str, Any]]) -> np.ndarray:
@@ -811,6 +836,7 @@ class CompiledProvenanceSet(_CompiledNumericSet):
     backend_name = "real"
     _identity = 0.0
     _fold = np.multiply
+    _powers = True
 
     def _factor_term(
         self,
@@ -820,7 +846,7 @@ class CompiledProvenanceSet(_CompiledNumericSet):
         out: np.ndarray,
     ) -> np.ndarray:
         if group.has_higher_powers:
-            np.power(values, exponents, out=values)
+            return np.power(values, exponents, out=out)
         return values
 
     def _finish(self, contributions: np.ndarray, coefficients: np.ndarray) -> None:

@@ -3,7 +3,7 @@
 Production dense evaluation of the numeric compiled sets is monomial-major
 (:meth:`repro.provenance.backends.numeric._CompiledNumericSet.evaluate_matrix`):
 it gathers one factor column at a time into a ``monomials × rows`` buffer
-and folds it in place.  This is the kernel it replaced, kept verbatim as a
+and folds it in place.  This is the kernel it replaced, kept as a
 reference: per width-group it gathers the whole ``rows × monomials × width``
 factor tensor, combines each monomial's factors with ``np.prod`` /
 ``np.sum`` / ``np.all`` along the last axis, and reduces segments along
@@ -15,6 +15,12 @@ NumPy's ``np.sum`` folds fewer than 8 elements left to right and sums
 pairwise from 8 on, so the tropical oracle agrees with production exactly
 below width 8 and to rounding above; ``np.prod`` and ``np.all`` always
 fold left to right.
+
+One line differs from the old kernel: real powers get the exponents spread
+over the whole factor tensor.  Broadcast, a group of one width-1 monomial
+collapses to a stride-0 exponent, and NumPy squares a stride-0 2.0 exactly
+where its vector ``pow`` loop may round the last bit apart; production
+keeps every power on the vector loop, so the oracle does too.
 
 Import with ``tests/`` on ``sys.path`` (``tests/conftest.py`` arranges
 that under pytest)::
@@ -53,7 +59,8 @@ class _RowMajorHooks:
     ) -> np.ndarray:
         if self._backend == "real":
             if group.has_higher_powers:
-                gathered = np.power(gathered, group.exponents[positions])
+                exponents = np.broadcast_to(group.exponents[positions], gathered.shape)
+                gathered = np.power(gathered, np.ascontiguousarray(exponents))
             return np.prod(gathered, axis=-1) * group.coefficients[positions]
         if self._backend == "tropical":
             return (

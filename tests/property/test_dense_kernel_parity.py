@@ -9,7 +9,8 @@ zero bases, so every reduction's order and every special value is on the
 tested path.  The stated agreement:
 
 * bool — exact at every width (``and``/``or`` of 0/1 values);
-* real — exact at every width (``np.prod`` also folds left to right);
+* real — exact at every width (``np.prod`` also folds left to right, and
+  both sides raise powers through ``np.power``'s vector loop);
 * tropical — exact below width 8; from 8 on ``np.sum`` sums pairwise, so
   a monomial's cost may differ by its rounding bound
   ``(w − 1)·eps·Σ|terms|`` on each side, and a minimum moves by at most
@@ -18,7 +19,9 @@ tested path.  The stated agreement:
 The dense kernel and the segment delta kernel fold factors through the
 same helper, so on tropical and bool (whose reductions are exact) a dense
 row and the sparse row for the same cells are ``array_equal`` at every
-width.
+width.  A real row is bit-identical however many rows share its batch,
+and to :meth:`evaluate_vector`: NumPy's ``power`` rounds by layout, and
+the kernels keep every power on one loop.
 """
 
 import numpy as np
@@ -175,6 +178,45 @@ def test_dense_and_segment_kernel_agree_exactly(case):
         compiled.evaluate_matrix(base[np.newaxis, :])[0],
         compiled.baseline_totals(base),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_cases("real"))
+def test_real_rows_do_not_depend_on_the_batch(case):
+    compiled, base, pairs = case
+    matrix = _matrix(base, pairs)
+    with np.errstate(invalid="ignore"):
+        whole = compiled.evaluate_matrix(matrix)
+        for s, row in enumerate(matrix):
+            np.testing.assert_array_equal(
+                compiled.evaluate_matrix(row[np.newaxis, :])[0], whole[s]
+            )
+            np.testing.assert_array_equal(
+                compiled.evaluate_vector(dict(zip(compiled.variables, row))),
+                whole[s],
+            )
+
+
+def test_real_squares_round_alike_at_any_row_count():
+    """``x²`` for an ``x`` whose exact square and NumPy's vector ``pow``
+    differ in the last bit: a lone monomial of width 6, and a lone
+    width-1 monomial (whose broadcast exponent is stride 0)."""
+    x = 2.241114358265726
+    provenance = ProvenanceSet()
+    provenance[("wide",)] = Polynomial(
+        {Monomial({"a": 1, "b": 1, "x": 2, "c": 1, "d": 1, "e": 1}): 1.0}
+    )
+    provenance[("lone",)] = Polynomial({Monomial({"y": 2}): 1.0})
+    compiled = resolve_backend("real").compile(provenance)
+    valuation = {name: 1.0 for name in compiled.variables}
+    valuation.update(x=x, y=x)
+    row = compiled.values_vector(valuation)
+    vector = compiled.evaluate_vector(valuation)
+    for rows in (1, 2, 7, 64):
+        matrix = np.tile(row, (rows, 1))
+        got = compiled.evaluate_matrix(matrix)
+        np.testing.assert_array_equal(got, np.tile(vector, (rows, 1)))
+        np.testing.assert_array_equal(got, dense_evaluate_matrix(compiled, matrix))
 
 
 def test_blocks_split_on_segment_boundaries(monkeypatch):
