@@ -87,6 +87,14 @@ class Span:
         self.attributes.update(attributes)
         return self
 
+    def add(self, counts: Mapping[str, int]) -> "Span":
+        """Add ``counts`` onto numeric attributes, absent ones counting 0
+        (chainable): a span sums what each call under it reports."""
+        attributes = self.attributes
+        for key, value in counts.items():
+            attributes[key] = attributes.get(key, 0) + value
+        return self
+
     # -- context manager -----------------------------------------------------
 
     def __enter__(self) -> "Span":
@@ -164,6 +172,9 @@ class _NoopSpan:
         return self
 
     def update(self, attributes: Mapping[str, Any]) -> "_NoopSpan":
+        return self
+
+    def add(self, counts: Mapping[str, int]) -> "_NoopSpan":
         return self
 
     def __enter__(self) -> "_NoopSpan":

@@ -9,15 +9,19 @@ error measure; the session, batch and CLI layers dispatch through it.
 
 Five backends ship by default:
 
-========== ============================ =======================================
-name       semiring                     evaluator
-========== ============================ =======================================
-``real``   counting ``(R, +, *)``       numpy (``np.add.reduceat`` kernel)
-``tropical`` min-plus ``(R∪{∞},min,+)`` numpy (``np.minimum.reduceat`` kernel)
-``bool``   Boolean ``({0,1},or,and)``   numpy (packed ``np.logical_or`` kernel)
-``why``    witness sets                 pure Python (``evaluate_in_semiring``)
-``lineage`` variable sets               pure Python (``evaluate_in_semiring``)
-========== ============================ =======================================
+============ ============================ ===================================
+name         semiring                     evaluator
+============ ============================ ===================================
+``real``     counting ``(R, +, *)``       numpy (``np.add.reduceat`` sums)
+``tropical`` min-plus ``(R∪{∞},min,+)``   numpy (segmented ``np.minimum``)
+``bool``     Boolean ``({0,1},or,and)``   numpy (packed ``np.logical_or``)
+``why``      witness sets                 pure Python (``evaluate_in_semiring``)
+``lineage``  variable sets                pure Python (``evaluate_in_semiring``)
+============ ============================ ===================================
+
+The tropical and Boolean segment minima and disjunctions go through
+``reduceat``, except in dense blocks of short segments, which fold them
+position by position (:mod:`repro.provenance.backends.numeric`).
 
 Resolve one with :func:`resolve_backend` by name, semiring instance, or
 backend object; ``None`` resolves to ``real`` (the original float pipeline).

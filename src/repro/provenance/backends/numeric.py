@@ -2,7 +2,7 @@
 
 Three backends share one compiled-set implementation,
 :class:`_CompiledNumericSet` (monomials grouped by factor count, sorted by
-result row, per-row totals via ``*.reduceat``), built by slicing the
+result row, per-row totals as segmented reductions), built by slicing the
 provenance set's id-encoded incidence rows
 (:class:`~repro.provenance.incidence.ProvenanceIncidence`) with no
 per-monomial Python loop; each subclass supplies only the algebra hooks:
@@ -12,10 +12,10 @@ per-monomial Python loop; each subclass supplies only the algebra hooks:
   rows sum (``np.add.reduceat``);
 * :class:`TropicalBackend` — min-plus: a monomial's contribution is its
   coefficient (a fixed cost) plus the exponent-weighted sum of its variables'
-  costs, and per-row totals are segmented minima (``np.minimum.reduceat``);
+  costs, and per-row totals are segmented minima (``np.minimum``);
 * :class:`BooleanBackend` — or-and on packed boolean arrays: a monomial
   contributes ``True`` iff all of its variables are truthy, and per-row
-  totals are segmented disjunctions (``np.logical_or.reduceat``).
+  totals are segmented disjunctions (``np.logical_or``).
 
 All three consume the same ``scenarios × variables`` float matrices the
 batch planner produces (the Boolean backend thresholds them at non-zero), so
@@ -23,7 +23,13 @@ the chunked matrix pipeline works for every numeric semiring.
 The dense kernel is monomial-major: it gathers one factor column at a time
 from the transposed matrix into a ``monomials × rows`` buffer, folds it in
 place, reduces segments along axis 0 and folds them into key-major totals,
-in segment-aligned blocks of about :data:`_DELTA_BLOCK_CELLS` cells.  Every
+in segment-aligned blocks of about :data:`_DELTA_BLOCK_CELLS` cells.  A
+block reduces its segments with ``reduceat``; a min/or block of short
+segments instead gathers its monomials position-major and folds position
+by position (:func:`~repro.provenance.incidence.fold_positions`), one
+vector call per position, picked by :data:`_DENSE_FOLD_CROSSOVER`.  The
+1-D reductions (single valuations, delta baselines, the segment delta
+kernel) keep ``reduceat``.  Every
 kernel combines a monomial's factors through one left-to-right fold,
 :func:`_fold_columns`, so dense and sparse results share one accumulation
 order.
@@ -70,6 +76,8 @@ from repro.provenance.incidence import (
     RowDeltaIndex,
     VariableIncidence,
     expand_segment_rows,
+    fold_positions,
+    position_major,
     ragged_ranges,
     sorted_unique,
 )
@@ -100,6 +108,19 @@ _DELTA_BASELINE_SLOTS = 4
 #: ahead of one unbounded pass; in the delta kernel (64 outages of 1–20
 #: trunks) 2^16 and 2^17 were within a few percent of each other.
 _DELTA_BLOCK_CELLS = 1 << 16
+
+#: When a dense min/or block folds its segments position by position
+#: (:func:`fold_positions`) instead of through ``reduceat`` along axis 0.
+#: ``reduceat`` pays about one inner-loop call per segment and row; the
+#: fold pays a gather per monomial and, per position, about this many such
+#: calls.  So a block of ``monomials`` in ``segments`` segments, the
+#: longest ``longest`` monomials long, folds when ``longest * crossover +
+#: monomials <= segments * rows``.  Measured on one-block groups of
+#: ``_DELTA_BLOCK_CELLS`` cells, rows 8–192 × uniform, skewed and geometric
+#: segment lengths 1–100 (``benchmarks/bench_dense_fold.py``), two runs:
+#: 384 and 512 kept the picked path within 10% of ``reduceat`` at every
+#: point of both; 256 reached 1.08x and 128 1.25x in one of them.
+_DENSE_FOLD_CROSSOVER = 384
 
 #: One group's sparse delta index: ``(inverted variable→monomial index,
 #: per-segment end offsets, the segment of each index entry's monomial)``.
@@ -236,6 +257,15 @@ class _CompiledNumericSet(CompiledSemiringSet):
     #: :func:`_fold_columns`: ``*`` (real), ``+`` (tropical), ``and`` (bool).
     _fold: ClassVar[np.ufunc]
 
+    #: How a segment combines its monomials' contributions: ``+`` (real),
+    #: ``min`` (tropical), ``or`` (bool).
+    _segment_fold: ClassVar[np.ufunc]
+
+    #: Whether every association of :attr:`_segment_fold` gives the same
+    #: value (min, or), so the dense kernel may fold a block's segments
+    #: position by position; real sums keep ``np.add.reduceat``'s rounding.
+    _order_free: ClassVar[bool] = True
+
     #: The dtype of factor terms, contributions and segment reductions:
     #: float64, except bool's ``np.bool_`` (its totals stay 0.0/1.0 floats).
     _term_dtype: ClassVar[type] = np.float64
@@ -322,7 +352,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
 
     def _reduce(self, contributions: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Segment reductions along axis 0 of ``contributions``."""
-        raise NotImplementedError
+        return self._segment_fold.reduceat(contributions, starts, axis=0)
 
     def _fold_rows(
         self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray
@@ -455,15 +485,20 @@ class _CompiledNumericSet(CompiledSemiringSet):
             )
         rows = matrix.shape[0]
         totals = np.repeat(self._constant[:, np.newaxis], rows, axis=1)
+        counts = {"blocks": 0, "folded_blocks": 0}
         if rows and self._groups:
             source = np.ascontiguousarray(matrix.T)
             for group in self._groups:
-                self._dense_pass(group, source, totals)
+                blocks, folded = self._dense_pass(group, source, totals)
+                counts["blocks"] += blocks
+                counts["folded_blocks"] += folded
+        counts["reduceat_blocks"] = counts["blocks"] - counts["folded_blocks"]
+        _record_kernel_call("dense", counts)
         return np.ascontiguousarray(totals.T)
 
     def _dense_pass(
         self, group: _SegmentGroup, source: np.ndarray, totals: np.ndarray
-    ) -> None:
+    ) -> Tuple[int, int]:
         """Fold one group into ``keys × rows`` ``totals``, block by block.
 
         ``source`` is the transposed ``variables × rows`` matrix.  A block
@@ -471,11 +506,23 @@ class _CompiledNumericSet(CompiledSemiringSet):
         monomials.  Factor ``k`` of the block's monomials is gathered with
         one ``np.take`` into a ``monomials × rows`` buffer, turned into its
         term and folded into the accumulator in place; the accumulator's
-        segments are then reduced along axis 0 and folded into ``totals``.
+        segments are then reduced along axis 0 (``reduceat``) and folded
+        into ``totals``.
+
+        Min and or (:attr:`_order_free`) reduce a block of short segments
+        position by position instead: its monomials are gathered in
+        :func:`position_major` order, so :func:`fold_positions` folds each
+        position with one vector call over a prefix of the accumulator,
+        where ``reduceat`` pays about one inner-loop call per segment and
+        row.  A block folds when ``longest * _DENSE_FOLD_CROSSOVER +
+        monomials <= segments * rows`` (:data:`_DENSE_FOLD_CROSSOVER`).
+        Both ways give the same values; only the sign of a zero minimum
+        may differ, in segments longer than 8 (:func:`fold_positions`).
+
         The same buffers serve every block: the accumulator and the float
         gather scratch, plus a term buffer when terms are not float64, and
         for powered terms (:attr:`_powers`) a term buffer and a full
-        exponent buffer.
+        exponent buffer.  Returns the blocks and how many of them folded.
         """
         num_monomials = len(group.coefficients)
         rows = source.shape[1]
@@ -500,18 +547,40 @@ class _CompiledNumericSet(CompiledSemiringSet):
             else np.empty_like(accumulator)
         )
         powers = np.empty((size, rows), dtype=np.float64) if powered else None
+        lengths = np.diff(np.append(starts, num_monomials))
+        longest = np.maximum.reduceat(lengths, firsts).tolist()
         segment_bounds = np.append(firsts, starts.size).tolist()
         monomial_bounds = bounds.tolist()
+        folded = 0
         for block in range(len(monomial_bounds) - 1):
             first, last = monomial_bounds[block], monomial_bounds[block + 1]
             lo, hi = segment_bounds[block], segment_bounds[block + 1]
             out = accumulator[: last - first]
+            indices = group.indices[first:last]
+            exponents = group.exponents[first:last]
+            coefficients = group.coefficients[first:last]
+            segment_rows = group.segment_rows[lo:hi]
+            folding = (
+                self._order_free
+                and longest[block] * _DENSE_FOLD_CROSSOVER + (last - first)
+                <= (hi - lo) * rows
+            )
+            if folding:
+                order, positions, counts = position_major(
+                    starts[lo:hi] - first, lengths[lo:hi]
+                )
+                indices = np.take(indices, positions, axis=0)
+                coefficients = np.take(coefficients, positions)
+                if group.has_higher_powers:
+                    # Exponents are read only when some are not 1.
+                    exponents = np.take(exponents, positions, axis=0)
+                segment_rows = segment_rows[order]
             _fold_columns(
                 self._taken_terms(
                     group,
                     source,
-                    first,
-                    last,
+                    indices,
+                    exponents,
                     out,
                     scratch[: last - first],
                     terms[: last - first],
@@ -520,36 +589,38 @@ class _CompiledNumericSet(CompiledSemiringSet):
                 self._fold,
                 out,
             )
-            self._finish(out, group.coefficients[first:last, np.newaxis])
-            self._fold_rows(
-                totals,
-                group.segment_rows[lo:hi],
-                self._reduce(out, starts[lo:hi] - first),
-            )
+            self._finish(out, coefficients[:, np.newaxis])
+            if folding:
+                folded += 1
+                segments = fold_positions(out, counts, self._segment_fold)
+            else:
+                segments = self._reduce(out, starts[lo:hi] - first)
+            self._fold_rows(totals, segment_rows, segments)
+        return len(monomial_bounds) - 1, folded
 
     def _taken_terms(
         self,
         group: _SegmentGroup,
         source: np.ndarray,
-        first: int,
-        last: int,
+        indices: np.ndarray,
+        exponents: np.ndarray,
         out: np.ndarray,
         scratch: np.ndarray,
         terms: np.ndarray,
         powers: Optional[np.ndarray],
     ) -> Iterator[np.ndarray]:
-        """The factor terms of monomials ``first:last``, column by column.
+        """The factor terms of a block's monomials, column by column.
 
-        Each factor is taken from ``source`` into the float ``scratch`` and
-        its term lands in ``terms``, both consumed by the fold before the
-        next factor is taken.  Factor 0's term lands in ``out`` (the fold's
-        accumulator) instead, and float terms are taken straight into it
-        unless they are powered.  Given ``powers``, each factor's exponents
-        are spread over it first, so ``np.power`` sees no stride-0 exponent
-        (:attr:`_powers`).
+        ``indices`` and ``exponents`` are the block's factor rows, in the
+        order the buffers hold them.  Each factor is taken from ``source``
+        into the float ``scratch`` and its term lands in ``terms``, both
+        consumed by the fold before the next factor is taken.  Factor 0's
+        term lands in ``out`` (the fold's accumulator) instead, and float
+        terms are taken straight into it unless they are powered.  Given
+        ``powers``, each factor's exponents are spread over it first, so
+        ``np.power`` sees no stride-0 exponent (:attr:`_powers`).
         """
-        indices = group.indices[first:last]
-        exponents = group.exponents[first:last, :, np.newaxis]
+        exponents = exponents[:, :, np.newaxis]
         in_place = out.dtype == source.dtype and powers is None
         for k in range(indices.shape[1]):
             values = out if k == 0 and in_place else scratch
@@ -730,7 +801,7 @@ class _CompiledNumericSet(CompiledSemiringSet):
             )
             counts["segments"] += segments
             counts["recomputed_monomials"] += monomials
-        _record_sparse_call(counts)
+        _record_kernel_call("sparse", counts)
         return out
 
     def _segment_pass(
@@ -836,6 +907,8 @@ class CompiledProvenanceSet(_CompiledNumericSet):
     backend_name = "real"
     _identity = 0.0
     _fold = np.multiply
+    _segment_fold = np.add
+    _order_free = False
     _powers = True
 
     def _factor_term(
@@ -851,9 +924,6 @@ class CompiledProvenanceSet(_CompiledNumericSet):
 
     def _finish(self, contributions: np.ndarray, coefficients: np.ndarray) -> None:
         np.multiply(contributions, coefficients, out=contributions)
-
-    def _reduce(self, contributions: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(contributions, starts, axis=0)
 
     def _fold_rows(
         self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray
@@ -1049,7 +1119,8 @@ class CompiledProvenanceSet(_CompiledNumericSet):
                     scratch[changed] = values
                     out[s] = self._evaluate_values(scratch)
                     scratch[changed] = base[changed]
-        _record_sparse_call(
+        _record_kernel_call(
+            "sparse",
             {
                 "entries": int(entries.size),
                 "pair_monomials": pair_monomials,
@@ -1133,12 +1204,13 @@ def _same_scenario_pairs(sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.repeat(cells, ends - cells - 1), second
 
 
-def _record_sparse_call(counts: Dict[str, int]) -> None:
-    """Count one sparse call's work in the registry and the live span."""
+def _record_kernel_call(kind: str, counts: Dict[str, int]) -> None:
+    """Count one ``kind`` kernel call's work in the registry and add it to
+    the live span (a chunked dense call sums its chunks there)."""
     registry = get_registry()
     for name, value in counts.items():
-        registry.inc(f"batch.sparse.{name}", value)
-    current_span().update(counts)
+        registry.inc(f"batch.{kind}.{name}", value)
+    current_span().add(counts)
 
 
 class _CompiledTropicalSet(_CompiledNumericSet):
@@ -1149,6 +1221,7 @@ class _CompiledTropicalSet(_CompiledNumericSet):
     backend_name = "tropical"
     _identity = float("inf")
     _fold = np.add
+    _segment_fold = np.minimum
 
     def _factor_term(
         self,
@@ -1164,9 +1237,6 @@ class _CompiledTropicalSet(_CompiledNumericSet):
 
     def _finish(self, contributions: np.ndarray, coefficients: np.ndarray) -> None:
         np.add(contributions, coefficients, out=contributions)
-
-    def _reduce(self, contributions: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(contributions, starts, axis=0)
 
     def _fold_rows(
         self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray
@@ -1189,6 +1259,7 @@ class _CompiledBooleanSet(_CompiledNumericSet):
     backend_name = "bool"
     _identity = 0.0
     _fold = np.logical_and
+    _segment_fold = np.logical_or
     _term_dtype = np.bool_
 
     def _constant_values(self, coefficients: np.ndarray) -> np.ndarray:
@@ -1205,9 +1276,6 @@ class _CompiledBooleanSet(_CompiledNumericSet):
 
     def _finish(self, contributions: np.ndarray, coefficients: np.ndarray) -> None:
         np.logical_and(contributions, coefficients != 0.0, out=contributions)
-
-    def _reduce(self, contributions: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        return np.logical_or.reduceat(contributions, starts, axis=0)
 
     def _fold_rows(
         self, totals: np.ndarray, rows: np.ndarray, segments: np.ndarray

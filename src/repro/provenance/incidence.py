@@ -30,7 +30,11 @@ is the one place it is answered:
   the greedy kernel (:mod:`repro.core.kernel.greedy`) keeps its rows and
   signatures on its id-encoded rows;
 * small array helpers (:func:`ragged_ranges`, :func:`sorted_unique`,
-  :func:`unique_rows`, :func:`expand_segment_rows`) shared by the kernels.
+  :func:`unique_rows`, :func:`expand_segment_rows`) shared by the kernels,
+  and the one segment fold: :func:`position_major` lays segments out
+  position by position and :func:`fold_positions` folds them, for the
+  coefficient sums of renames and greedy merges and the dense min/or
+  kernel alike.
 """
 
 from __future__ import annotations
@@ -88,6 +92,62 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def position_major(
+    starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Lay segments out position by position, longest first.
+
+    Segment ``i`` covers ``starts[i] : starts[i] + lengths[i]`` (every
+    length at least 1).  Returns ``(order, positions, counts)`` for
+    :func:`fold_positions`:
+
+    * ``order`` ranks the segments longest first, ties in segment order;
+    * ``counts[k]`` is the number of segments longer than ``k``, so the
+      segments holding a position ``k`` are the first ``counts[k]`` of
+      ``order``;
+    * ``positions`` lists element ``starts[s] + k`` of those segments, for
+      ``k = 0, 1, …`` in turn (position 0 of every segment first).
+    """
+    order = np.argsort(-lengths, kind="stable")
+    firsts = starts[order]
+    # Segments at least L long, for L = 0 … max length; drop L = 0.
+    counts = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:].tolist()
+    positions = np.empty(sum(counts), dtype=np.intp)
+    offset = 0
+    for k, count in enumerate(counts):
+        np.add(firsts[:count], k, out=positions[offset : offset + count])
+        offset += count
+    return order, positions, counts
+
+
+def fold_positions(
+    values: np.ndarray, counts: Sequence[int], fold: np.ufunc
+) -> np.ndarray:
+    """Fold each segment of position-major ``values`` along axis 0, in place.
+
+    ``values`` holds the elements :func:`position_major` lists (rows of a
+    2-D block, or scalars), and ``counts`` is its ``counts``.  The first
+    ``counts[0]`` entries start as every segment's first element; position
+    ``k`` of the ``counts[k]`` segments holding one is then folded into
+    that prefix with one ``fold`` call, the running value first.  So each
+    segment folds left to right, ``((v₀ ∘ v₁) ∘ v₂) ∘ …``, exactly as a
+    Python loop does, and the loop allocates nothing.  Returns the view of
+    the results, one per segment in ``order``.
+
+    For ``np.minimum`` and ``np.logical_or`` the values equal
+    ``reduceat``'s.  The bytes may not: NumPy's min reduction does not
+    fold more than 8 elements strictly left to right (NumPy 2.4), so on a
+    tie of ``0.0`` and ``-0.0`` in a longer segment the sign of the zero
+    minimum may differ.
+    """
+    head = counts[0] if counts else 0
+    offset = head
+    for count in counts[1:]:
+        fold(values[:count], values[offset : offset + count], out=values[:count])
+        offset += count
+    return values[:head]
 
 
 def expand_segment_rows(
@@ -679,16 +739,12 @@ def _fold_segments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
     Each segment is summed strictly in order — ``((v0 + v1) + v2) + …`` —
     the way a Python loop accumulates, which ``np.add.reduceat`` (pairwise
-    summation) does not guarantee.
+    summation) does not guarantee.  The 1-D ``np.add`` case of
+    :func:`fold_positions`, with the sums put back in segment order.
     """
-    if starts.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    lengths = np.diff(np.append(starts, values.size))
-    sums = values[starts].copy()
-    active = np.flatnonzero(lengths > 1)
-    offset = 1
-    while active.size:
-        sums[active] += values[starts[active] + offset]
-        offset += 1
-        active = active[lengths[active] > offset]
+    order, positions, counts = position_major(
+        starts, np.diff(np.append(starts, values.size))
+    )
+    sums = np.empty(starts.size, dtype=np.float64)
+    sums[order] = fold_positions(values[positions], counts, np.add)
     return sums

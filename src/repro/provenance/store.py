@@ -328,7 +328,12 @@ class _BlockReader:
                     f"{actual_crc:#010x}) — the store is corrupt"
                 )
             self._verified.add(name)
-        view = self._raw[start:end].view(dtype).reshape(shape)
+        # A plain ndarray over the same mapping: still zero-copy and
+        # read-only, but kernel slices and ufunc results skip the
+        # ``np.memmap`` subclass hooks (several times an ndarray slice).
+        view = (
+            self._raw[start:end].view(dtype=dtype, type=np.ndarray).reshape(shape)
+        )
         if view.flags.writeable:
             # mode="r" maps must stay read-only end to end: a writeable view
             # would let kernel code corrupt the shared page-cache copy every

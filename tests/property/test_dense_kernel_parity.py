@@ -16,6 +16,14 @@ tested path.  The stated agreement:
   ``(w − 1)·eps·Σ|terms|`` on each side, and a minimum moves by at most
   the largest such difference.
 
+Min and or blocks of short segments fold position by position
+(``position_major`` / ``fold_positions``) instead of through
+``reduceat``.  That fold gives a left-to-right loop's bytes, and
+``reduceat``'s bytes up to the sign of a zero: NumPy's min reduction does
+not fold more than 8 elements strictly left to right, so a ``0.0``/``-0.0``
+tie in a longer segment may keep either zero.  The dense kernel gives
+those bytes whichever way a block goes.
+
 The dense kernel and the segment delta kernel fold factors through the
 same helper, so on tropical and bool (whose reductions are exact) a dense
 row and the sparse row for the same cells are ``array_equal`` at every
@@ -24,13 +32,17 @@ and to :meth:`evaluate_vector`: NumPy's ``power`` rounds by layout, and
 the kernels keep every power on one loop.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles.dense_matrix_kernel import dense_evaluate_matrix
 
 from repro.batch import DeltaPlan
-from repro.provenance.backends import resolve_backend
+from repro.obs.metrics import get_registry
+from repro.provenance.backends import numeric, resolve_backend
+from repro.provenance.incidence import _fold_segments, fold_positions, position_major
 from repro.provenance.monomial import Monomial
 from repro.provenance.polynomial import Polynomial, ProvenanceSet
 
@@ -241,3 +253,108 @@ def test_blocks_split_on_segment_boundaries(monkeypatch):
         np.testing.assert_array_equal(compiled.evaluate_matrix(matrix), whole)
         np.testing.assert_array_equal(whole, dense_evaluate_matrix(compiled, matrix))
         monkeypatch.undo()
+
+
+#: Values with ties, both zeros and both infinities, so a fold that took
+#: the wrong operand on a tie would show in the bytes.
+_TIED = np.array([0.0, -0.0, float("inf"), float("-inf"), 1.0, -1.0, 2.5])
+
+
+@st.composite
+def segment_lengths(draw):
+    """Segment lengths of one block: uniform, length-1, skewed or geometric."""
+    layout = draw(st.sampled_from(["uniform", "ones", "skewed", "geometric"]))
+    if layout == "uniform":
+        return [draw(st.integers(1, 100))] * draw(st.integers(1, 20))
+    if layout == "ones":
+        return [1] * draw(st.integers(1, 200))
+    if layout == "skewed":
+        long = draw(st.integers(2, 100))
+        mostly_two = st.sampled_from([2] * 19 + [long])
+        return draw(st.lists(mostly_two, min_size=1, max_size=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.floats(0.05, 0.9))
+    count = draw(st.integers(1, 60))
+    return np.minimum(rng.geometric(p, size=count), 100).tolist()
+
+
+def _unsigned_zeros(values):
+    """``values`` with every ``-0.0`` made ``0.0`` (NaNs and bools kept)."""
+    return np.where(values == 0, np.zeros_like(values), values)
+
+
+def _left_to_right(values, starts, lengths, fold):
+    """Each segment folded by a Python loop: the fold's contract."""
+    out = []
+    for start, length in zip(starts.tolist(), lengths.tolist()):
+        running = values[start]
+        for k in range(1, length):
+            running = fold(running, values[start + k])
+        out.append(running)
+    return np.array(out, dtype=values.dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    segment_lengths(),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["minimum", "logical_or", "add"]),
+    st.booleans(),
+)
+def test_position_fold_is_a_left_to_right_fold(lengths, rows, seed, name, flat):
+    """Exactly a left-to-right loop's bytes; for min and or, ``reduceat``'s
+    up to the sign of a zero (exactly, for or).  The 1-D sums are the
+    renamed coefficient sums (``_fold_segments``)."""
+    lengths = np.array(lengths, dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
+    rng = np.random.default_rng(seed)
+    shape = (int(lengths.sum()),) if flat else (int(lengths.sum()), rows)
+    values = _TIED[rng.integers(0, _TIED.size, size=shape)]
+    if name == "logical_or":
+        values = values > 0.0
+    fold = getattr(np, name)
+    order, positions, counts = position_major(starts, lengths)
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN on every side
+        folded = fold_positions(values[positions], counts, fold)
+        looped = _left_to_right(values, starts, lengths, fold)[order]
+        sums = _fold_segments(values, starts) if flat and name == "add" else None
+    assert folded.dtype == looped.dtype
+    assert folded.tobytes() == looped.tobytes()
+    if name == "add":
+        # ``np.add.reduceat`` does not sum left to right.
+        if sums is not None:
+            assert sums[order].tobytes() == looped.tobytes()
+        return
+    reduced = fold.reduceat(values, starts, axis=0)[order]
+    assert _unsigned_zeros(folded).tobytes() == _unsigned_zeros(reduced).tobytes()
+    if name == "logical_or":
+        assert folded.tobytes() == reduced.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["tropical", "bool"]).flatmap(dense_cases))
+def test_dense_blocks_agree_folded_or_reduced(case):
+    """The fold crossover at each extreme: every block folds (``-inf``)
+    or every block goes through ``reduceat`` (``inf``).  Both agree with
+    the oracle, and with each other byte for byte up to the sign of a
+    zero (bool totals are 0.0/1.0, so exactly)."""
+    compiled, base, pairs = case
+    matrix = _matrix(base, pairs)
+    results = {}
+    registry = get_registry()
+    for crossover in (float("-inf"), float("inf")):
+        before = registry.snapshot()
+        with mock.patch.object(numeric, "_DENSE_FOLD_CROSSOVER", crossover):
+            _assert_matches_oracle(compiled, matrix)
+            with np.errstate(invalid="ignore"):
+                results[crossover] = compiled.evaluate_matrix(matrix)
+        counted = registry.diff(before, registry.snapshot())["counters"]
+        blocks = counted.get("batch.dense.blocks", 0)
+        folded = counted.get("batch.dense.folded_blocks", 0)
+        assert folded == (blocks if crossover < 0 else 0)
+        assert folded + counted.get("batch.dense.reduceat_blocks", 0) == blocks
+    always, never = results.values()
+    assert _unsigned_zeros(always).tobytes() == _unsigned_zeros(never).tobytes()
+    if compiled.backend_name == "bool":
+        assert always.tobytes() == never.tobytes()

@@ -389,6 +389,24 @@ class TestHotPathAllocation:
         # Only the designated function is checked: one .copy() under a loop.
         assert len(active(findings, "CL003")) == 1
 
+    def test_position_fold_loop_is_guarded(self, tmp_path):
+        findings = run_rule(
+            tmp_path,
+            {
+                "src/repro/provenance/incidence.py": """
+                def fold_positions(values, counts, fold):
+                    offset = counts[0]
+                    for count in counts[1:]:
+                        step = values[offset : offset + count].copy()
+                        fold(values[:count], step, out=values[:count])
+                        offset += count
+                    return values[: counts[0]]
+                """
+            },
+            select=["CL003"],
+        )
+        assert len(active(findings, "CL003")) == 1
+
     def test_entry_normalisation_outside_loop_is_clean(self, tmp_path):
         findings = run_rule(
             tmp_path,
@@ -604,7 +622,9 @@ class TestTracerDiscipline:
                     with trace("step", size=n) as span:
                         span.set("mode", "fast")
                         span.update({"rows": n})
+                        span.add({"blocks": 1})
                     current_span().set("note", 1)
+                    current_span().add({"blocks": n})
                 """
             },
             select=["CL004"],

@@ -192,6 +192,21 @@ class TestStoreFormat:
         with pytest.raises((ValueError, RuntimeError)):
             mapped._constant[0] = 99.0
 
+    def test_every_block_is_a_plain_view_of_the_mapping(
+        self, name, provenance, tmp_path
+    ):
+        from repro.provenance.store import _BlockReader, _data_start
+
+        _, path = _store(provenance, tmp_path, name)
+        header = read_store_header(path)
+        reader = _BlockReader(str(path), header["blocks"], _data_start(path))
+        for block in header["blocks"]:
+            view = reader(block)
+            # Not an np.memmap subclass, yet zero-copy and read-only.
+            assert type(view) is np.ndarray
+            assert np.shares_memory(view, reader._raw)
+            assert view.flags.writeable is False
+
     def test_block_reader_refuses_writeable_map(self, tmp_path):
         from repro.provenance.store import _BlockReader
 

@@ -9,7 +9,9 @@ kernel's block pass and its factor-column gather, the batched pass of the
 tropical/bool segment delta kernel, the one left-to-right factor fold
 every kernel shares and the per-group algebra hooks they call (factor
 terms, coefficient folds, contributions over gathered factor values,
-segmented reductions and row folds), the
+segmented reductions and row folds), the position-major segment fold in
+``provenance/incidence.py`` (``position_major`` and ``fold_positions``,
+shared by the dense min/or kernel and the renamed coefficient sums), the
 incremental-greedy coarsening step in ``core/kernel/greedy.py`` (``apply``
 and the per-step array functions it calls: pair expansion, renaming,
 signature keys, row merging/appending and the counter updates) and the
@@ -67,6 +69,8 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("provenance/backends/numeric.py", "_fold_columns"),
     ("provenance/backends/numeric.py", "_factor_term"),
     ("provenance/backends/numeric.py", "_finish"),
+    ("provenance/incidence.py", "position_major"),
+    ("provenance/incidence.py", "fold_positions"),
     ("core/kernel/greedy.py", "apply"),
     ("core/kernel/greedy.py", "_pairs"),
     ("core/kernel/greedy.py", "_renamed"),
@@ -108,6 +112,7 @@ class HotPathAllocationRule(Rule):
     description = "per-iteration allocation or Python loop in a kernel"
     include = (
         "src/repro/provenance/backends/numeric.py",
+        "src/repro/provenance/incidence.py",
         "src/repro/core/kernel/greedy.py",
         "src/repro/core/kernel/trajectory.py",
         "src/repro/batch/planner.py",

@@ -4,7 +4,7 @@
 whenever tracing is disabled — that is exactly what makes instrumentation
 free on the hot paths.  The flip side: the only operations guaranteed on the
 returned object are the context-manager protocol and the chainable
-``.set(...)`` / ``.update(...)`` writers.  Anything else (``span.duration``,
+``.set(...)`` / ``.update(...)`` / ``.add(...)`` writers.  Anything else (``span.duration``,
 ``span.children``, storing the span for later) works in a traced dev run and
 ``AttributeError``s in production with tracing off.
 
@@ -13,7 +13,7 @@ exercise NOOP internals on purpose and are exempt):
 
 * a ``trace(...)`` call anywhere but directly as a ``with`` item — assigned,
   returned, passed along, or called for effect;
-* attribute access other than ``set``/``update`` on a ``with trace(...) as
+* attribute access other than ``set``/``update``/``add`` on a ``with trace(...) as
   span`` target or on ``current_span()`` results.
 
 ``Tracer.span(...)`` and explicit :class:`Span` construction are exempt —
@@ -34,7 +34,7 @@ from tools.cobralint.engine import (
 )
 
 #: The attribute surface shared by live spans and the NOOP singleton.
-NOOP_SAFE_ATTRS = {"set", "update"}
+NOOP_SAFE_ATTRS = {"set", "update", "add"}
 
 #: Call names that yield a possibly-NOOP span.
 SPAN_SOURCES = {"trace", "current_span"}
@@ -104,7 +104,8 @@ class TracerDisciplineRule(Rule):
                             span_names.add(item.optional_vars.id)
 
         # Pass 2: every other trace()/current_span() call is a violation of
-        # the with-only contract, except current_span().set/.update chains.
+        # the with-only contract, except current_span().set/.update/.add
+        # chains.
         for node in scope:
             if isinstance(node, ast.Call):
                 source = self._span_source(node)
@@ -122,7 +123,7 @@ class TracerDisciplineRule(Rule):
                         "result may be the NOOP span; write "
                         f"`with {source}(...) as span:`"
                         if source == "trace"
-                        else f"{source}() result used beyond .set/.update — "
+                        else f"{source}() result used beyond .set/.update/.add — "
                         "the NOOP span has no other attributes",
                     )
                 )
@@ -137,7 +138,7 @@ class TracerDisciplineRule(Rule):
                             self,
                             node,
                             f"span.{node.attr} on a possibly-NOOP span — only "
-                            ".set(...)/.update(...) are safe when tracing is "
+                            ".set/.update/.add(...) are safe when tracing is "
                             "off; read timings from Tracer.drain() instead",
                         )
                     )
